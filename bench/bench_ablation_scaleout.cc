@@ -1,14 +1,14 @@
 /**
  * @file
  * Ablation (paper Section 8 outlook: "more aggressive scale-out
- * strategies"): global management at 16/32/64 cores. The exhaustive
- * 3^N MaxBIPS search is infeasible there; the branch-and-bound
- * search keeps decisions far below the explore interval while
- * preserving exact results. Workloads are the Table 2 8-way set
- * replicated.
+ * strategies"): global management at 16/32/64 cores. Enumerating
+ * all 3^N MaxBIPS states is infeasible there; MaxBIPS's exact
+ * branch-and-bound search keeps decisions far below the explore
+ * interval while preserving exact results. Workloads are the
+ * Table 2 8-way set replicated.
  *
  * The per-combo references and the chip-wide baseline runs fan out
- * through the pool; the BnB runs stay serial because their wall
+ * through the pool; the MaxBIPS runs stay serial because their wall
  * clock *is* the measurement (per-decision latency must not share
  * the machine with sibling runs).
  */
@@ -27,7 +27,7 @@ main()
     auto runner = env.runner();
 
     bench::banner("Ablation — scale-out to 16/32/64 cores",
-                  "MaxBIPS-BnB vs chip-wide DVFS at an 80% budget; "
+                  "MaxBIPS vs chip-wide DVFS at an 80% budget; "
                   "decision latency must stay below the 500 us "
                   "explore interval.");
 
@@ -42,7 +42,7 @@ main()
     }
 
     // Warm references and run the untimed chip-wide baselines in
-    // parallel before the timed serial BnB passes.
+    // parallel before the timed serial MaxBIPS passes.
     std::vector<PolicyEval> cw(combos.size());
     std::size_t threads = defaultConcurrency();
     bench::WallTimer warm_t;
@@ -52,11 +52,11 @@ main()
     });
     double warm_ms = warm_t.ms();
 
-    Table t({"Cores", "MaxBIPS-BnB degr.", "ChipWide degr.",
-             "gap", "decision us (BnB)"});
+    Table t({"Cores", "MaxBIPS degr.", "ChipWide degr.",
+             "gap", "decision us (MaxBIPS)"});
     for (std::size_t i = 0; i < combos.size(); i++) {
         auto t0 = std::chrono::steady_clock::now();
-        auto mb = runner.evaluate(combos[i], "MaxBIPS-BnB", 0.8);
+        auto mb = runner.evaluate(combos[i], "MaxBIPS", 0.8);
         auto wall = std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -77,7 +77,7 @@ main()
 
     std::printf("\nExpected shape: the per-core policy's advantage "
                 "over chip-wide grows with core count (paper "
-                "Figure 11 trend), and BnB decisions remain "
+                "Figure 11 trend), and MaxBIPS decisions remain "
                 "tractable at 64 cores where exhaustive search "
                 "(3^64 states) is impossible.\n");
     return 0;

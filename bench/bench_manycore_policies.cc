@@ -14,7 +14,7 @@
  * slowest 2% of samples before taking p99 — scheduler migrations
  * and first-touch faults otherwise put a 3x outlier tail on
  * microsecond-scale solves (the old single-warmup p99 wobbled
- * 7 -> 23 µs run to run). The quality reference is: the exact branch-and-bound
+ * 7 -> 23 µs run to run). The quality reference is: the exact MaxBIPS
  * optimum at small N (≤ 16), the MCKP LP upper bound at larger N
  * (where exact search is unaffordable; the LP bound over-estimates
  * the true optimum, so reported gaps are conservative).
@@ -242,14 +242,12 @@ main()
         ModeColumns cols = ModeColumns::fromMatrix(m);
         Watts budget = budget_frac * cols.uniformPowerW(modes::Turbo);
 
-        // Quality reference: exact BnB where affordable, the MCKP
-        // LP upper bound beyond that.
+        // Quality reference: the exact search where affordable,
+        // the MCKP LP upper bound beyond that.
         const bool exact = n <= exactRefMaxCores;
         double ref_bips;
         if (exact) {
-            auto best = MaxBipsPolicy::solve(
-                m, budget, MaxBipsPolicy::Search::BranchAndBound);
-            ref_bips = m.totalBips(best);
+            ref_bips = m.totalBips(MaxBipsPolicy::solve(m, budget));
         } else {
             ref_bips = mckpUpperBound(buildFrontiers(m), budget);
         }

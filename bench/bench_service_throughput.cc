@@ -9,6 +9,10 @@
  *   warm-memory  same scenarios against the same daemon — memory hits
  *   warm-disk    fresh daemon over the same --cache-dir — disk hits
  *
+ * cold and warm-memory share one server as well as one service:
+ * stopping a server drains its service for good, after which every
+ * miss would be answered "draining".
+ *
  * Act 2 — transport scale, comparing the epoll reactor against the
  * old architecture on identical warm-cache work:
  *
@@ -26,17 +30,20 @@
  * The transport phases are driven by a single-threaded epoll client
  * (thread-per-connection clients cannot hold 5000 sockets honestly),
  * submitting a fixed 16-scenario warm set so the measurement is the
- * serving path, not the sweep engine. At full scale (reactor conns
- * >= 5000) the run FAILS unless every request succeeded and the
- * reactor's warm scenarios/sec beat the baseline by >= 1.5x; set
- * GPM_BENCH_NO_ENFORCE=1 to record numbers without the gate.
+ * serving path, not the sweep engine.
+ *
+ * The run FAILS (exit 1) when any request of any phase failed: a
+ * phase that served errors is not a throughput number. At full scale
+ * (reactor conns >= 5000) it also fails unless the reactor's warm
+ * scenarios/sec beat the baseline by >= 1.5x; set
+ * GPM_BENCH_NO_ENFORCE=1 to record numbers without that ratio gate.
  *
  * Each phase goes to stdout and to BENCH_sweep.json as one NDJSON
  * record:
  *
  *   { "bench": "service_throughput", "phase": ..., "clients": N,
  *     "scenarios": M, "wall_ms": ..., "scenarios_per_sec": ...,
- *     "p50_ms": ..., "p99_ms": ... }
+ *     "p50_ms": ..., "p99_ms": ..., "failures": F }
  *
  * Latencies are per-scenario completion times from the moment the
  * client starts sending its pipeline (so the p99 of the cold phase
@@ -161,17 +168,50 @@ runClient(std::uint16_t port, std::size_t client,
     }
 }
 
+/**
+ * An in-process gpmd: a GpmServer over @p svc on an ephemeral
+ * loopback port, serving on its own thread. Destruction stops the
+ * server and drains @p svc, which takes no work afterwards.
+ */
+class Daemon
+{
+  public:
+    explicit Daemon(ScenarioService &svc)
+        : server(svc, listenLoopback()),
+          thread([this] { server.run(); })
+    {
+    }
+
+    ~Daemon()
+    {
+        server.requestStop();
+        thread.join();
+        server.stopAndDrain();
+    }
+
+    Daemon(const Daemon &) = delete;
+    Daemon &operator=(const Daemon &) = delete;
+
+    std::uint16_t port() const { return server.port(); }
+
+  private:
+    static TcpListener
+    listenLoopback()
+    {
+        auto listener = TcpListener::listenOn("127.0.0.1", 0, 4096);
+        if (!listener.ok())
+            fatal("listen: %s", listener.error().c_str());
+        return std::move(listener.value());
+    }
+
+    GpmServer server;
+    std::thread thread;
+};
+
 PhaseResult
-runPhase(ScenarioService &svc, std::size_t clients,
+runPhase(std::uint16_t port, std::size_t clients,
          std::size_t perClient)
 {
-    auto listener = TcpListener::listenOn("127.0.0.1", 0);
-    if (!listener.ok())
-        fatal("listen: %s", listener.error().c_str());
-    GpmServer server(svc, std::move(listener.value()));
-    std::thread accept([&] { server.run(); });
-    std::uint16_t port = server.port();
-
     PhaseResult res;
     std::vector<std::vector<double>> lats(clients);
     std::atomic<std::size_t> failures{0};
@@ -191,10 +231,6 @@ runPhase(ScenarioService &svc, std::size_t clients,
         res.latenciesMs.insert(res.latenciesMs.end(), l.begin(),
                                l.end());
     std::sort(res.latenciesMs.begin(), res.latenciesMs.end());
-
-    server.requestStop();
-    accept.join();
-    server.stopAndDrain();
     return res;
 }
 
@@ -208,11 +244,15 @@ percentile(const std::vector<double> &sorted, double p)
     return sorted[idx];
 }
 
+/** Failed requests summed over every reported phase. */
+std::size_t totalFailures = 0;
+
 /** Print + record one phase; returns its scenarios/sec. */
 double
 report(const char *phase, std::size_t clients,
        std::size_t perClient, const PhaseResult &res)
 {
+    totalFailures += res.failures;
     double total = static_cast<double>(clients * perClient);
     double perSec =
         res.wallMs > 0.0 ? total / (res.wallMs / 1000.0) : 0.0;
@@ -222,14 +262,15 @@ report(const char *phase, std::size_t clients,
                 "wall %8.1f ms%s\n",
                 phase, perSec, p50, p99, res.wallMs,
                 res.failures ? "  [FAILURES]" : "");
-    char buf[320];
+    char buf[352];
     std::snprintf(
         buf, sizeof(buf),
         "{ \"bench\": \"service_throughput\", \"phase\": \"%s\", "
         "\"clients\": %zu, \"scenarios\": %zu, \"wall_ms\": %.1f, "
         "\"scenarios_per_sec\": %.1f, \"p50_ms\": %.1f, "
-        "\"p99_ms\": %.1f }",
-        phase, clients, perClient, res.wallMs, perSec, p50, p99);
+        "\"p99_ms\": %.1f, \"failures\": %zu }",
+        phase, clients, perClient, res.wallMs, perSec, p50, p99,
+        res.failures);
     bench::appendBenchLine(buf);
     return perSec;
 }
@@ -698,24 +739,26 @@ main()
 
     {
         ScenarioService svc(env.lib, env.dvfs, opts);
+        Daemon gpmd(svc);
         report("cold", clients, perClient,
-               runPhase(svc, clients, perClient));
+               runPhase(gpmd.port(), clients, perClient));
         report("warm-memory", clients, perClient,
-               runPhase(svc, clients, perClient));
-        svc.drain();
+               runPhase(gpmd.port(), clients, perClient));
     }
     {
         // Fresh daemon over the same cache directory: memory tier
         // empty, disk tier warm.
         ScenarioService svc(env.lib, env.dvfs, opts);
-        report("warm-disk", clients, perClient,
-               runPhase(svc, clients, perClient));
+        {
+            Daemon gpmd(svc);
+            report("warm-disk", clients, perClient,
+                   runPhase(gpmd.port(), clients, perClient));
+        }
         ServiceStats s = svc.stats();
         std::printf("\nwarm-disk daemon: diskHits=%llu "
                     "cacheMisses=%llu\n",
                     static_cast<unsigned long long>(s.diskHits),
                     static_cast<unsigned long long>(s.cacheMisses));
-        svc.drain();
     }
     removeTree(cacheDir);
 
@@ -732,7 +775,6 @@ main()
     warmScenarios(tsvc);
 
     double tpcPerSec = 0.0, reactorPerSec = 0.0;
-    std::size_t transportFailures = 0;
 
     {
         auto listener =
@@ -745,31 +787,17 @@ main()
                                    sustainedPayload(connScenarios));
         tpcPerSec =
             report("tpc-baseline", tpcConns, connScenarios, r);
-        transportFailures += r.failures;
         server.stop();
     }
     {
-        auto listener =
-            TcpListener::listenOn("127.0.0.1", 0, 4096);
-        if (!listener.ok())
-            fatal("listen: %s", listener.error().c_str());
-        GpmServer server(tsvc, std::move(listener.value()));
-        std::thread accept([&] { server.run(); });
-        PhaseResult r = driveConns(server.port(), reactorConns,
+        Daemon gpmd(tsvc);
+        PhaseResult r = driveConns(gpmd.port(), reactorConns,
                                    connScenarios,
                                    sustainedPayload(connScenarios));
         reactorPerSec = report("reactor-sustained", reactorConns,
                                connScenarios, r);
-        transportFailures += r.failures;
-
-        PhaseResult ch =
-            driveChurn(server.port(), churnConns, 500);
-        report("reactor-churn", churnConns, 1, ch);
-        transportFailures += ch.failures;
-
-        server.requestStop();
-        accept.join();
-        server.stopAndDrain();
+        report("reactor-churn", churnConns, 1,
+               driveChurn(gpmd.port(), churnConns, 500));
     }
 
     double ratio =
@@ -781,11 +809,11 @@ main()
                          : 0.0,
                 ratio);
 
+    if (totalFailures > 0)
+        fatal("%zu requests failed across the phases",
+              totalFailures);
     const char *noEnforce = std::getenv("GPM_BENCH_NO_ENFORCE");
     bool enforce = !(noEnforce && *noEnforce == '1');
-    if (enforce && transportFailures > 0)
-        fatal("transport phases saw %zu request errors",
-              transportFailures);
     if (enforce && reactorConns >= 5000 && ratio < 1.5)
         fatal("reactor warm throughput only %.2fx the "
               "thread-per-connection baseline (need >= 1.5x)",

@@ -53,8 +53,8 @@ listWorkloads()
                              0)});
     }
     t.print();
-    std::printf("\nPolicies: MaxBIPS, MaxBIPS-BnB, Priority, "
-                "PullHiPushLo, ChipWideDVFS, Oracle, Static\n");
+    std::printf("\nPolicies: MaxBIPS, Priority, PullHiPushLo, "
+                "ChipWideDVFS, Oracle, Static\n");
     std::printf("Table 2 combinations: ");
     for (const auto &[key, combo] : benchmarkCombinations())
         std::printf("%s ", key.c_str());

@@ -578,7 +578,7 @@ gpmd_metrics_smoke() {
 # Throughput smoke: the serving-path bench at small scale — cache
 # phases plus the transport comparison (thread-per-connection
 # baseline vs reactor, plus connection churn). The bench enforces
-# zero request errors on the transport phases itself; the speedup
+# zero request errors on every phase itself; the speedup
 # ratio is only gated at full scale (>= 5000 connections), not
 # here. Runs in a subshell with the fd soft limit raised to the
 # hard limit — hundreds of sockets terminate in one process.

@@ -104,11 +104,7 @@ solveClusterLevel(const std::string &policy, const ModeMatrix &m,
                   Watts budget_w)
 {
     if (policy == "MaxBIPS")
-        return MaxBipsPolicy::solve(m, budget_w,
-                                    MaxBipsPolicy::Search::Auto);
-    if (policy == "MaxBIPS-BnB")
-        return MaxBipsPolicy::solve(
-            m, budget_w, MaxBipsPolicy::Search::BranchAndBound);
+        return MaxBipsPolicy::solve(m, budget_w);
     if (policy.rfind("MaxBIPS-DP", 0) == 0) {
         const std::string suffix = policy.substr(10);
         unsigned grid = MaxBipsDpPolicy::defaultGrid;
@@ -130,8 +126,8 @@ solveClusterLevel(const std::string &policy, const ModeMatrix &m,
 bool
 isClusterPolicyName(const std::string &name)
 {
-    if (name == "MaxBIPS" || name == "MaxBIPS-BnB" ||
-        name == "WaterFill" || name == "GreedyTurbo")
+    if (name == "MaxBIPS" || name == "WaterFill" ||
+        name == "GreedyTurbo")
         return true;
     // "MaxBIPS-DP" with an optional grid suffix; reuse the policy
     // factory's name validation for the suffix shape.

@@ -7,7 +7,7 @@
  * BIPS-vs-power frontier, derived from the MCKP upper-left hulls of
  * its cores' mode columns (core/mckp.hh) — and solves the facility
  * allocation across chips with the very policy kernels the per-chip
- * managers already trust (exact BnB for small M, MaxBIPS-DP /
+ * managers already trust (exact MaxBIPS for small M, MaxBIPS-DP /
  * WaterFill / GreedyTurbo for large M).
  *
  * This header holds the specs and the pure decision kernels:
@@ -61,9 +61,9 @@ struct ChipSpec
 struct ClusterSpec
 {
     std::vector<ChipSpec> chips;
-    /** Facility-level arbitration kernel: "MaxBIPS" /
-     *  "MaxBIPS-BnB" (exact, small M), "MaxBIPS-DP[G]",
-     *  "WaterFill" or "GreedyTurbo" (large M). */
+    /** Facility-level arbitration kernel: "MaxBIPS" (exact,
+     *  small M), "MaxBIPS-DP[G]", "WaterFill" or "GreedyTurbo"
+     *  (large M). */
     std::string policy;
     /** Outer reallocation epochs per run. */
     unsigned epochs = 8;

@@ -2,7 +2,7 @@
  * @file
  * Shared multiple-choice-knapsack (MCKP) decision kernels.
  *
- * Every budget-partitioning policy — exact branch-and-bound,
+ * Every budget-partitioning policy — the exact MaxBIPS search,
  * DP-over-discretized-power, water-filling, greedy turbo — works on
  * the same substrate: each core's (power, BIPS) mode points reduced
  * to their *efficiency frontier* (the upper-left convex hull, whose
@@ -17,11 +17,12 @@
  *  - greedyUpgradeHeap(): hull upgrades applied in globally
  *    decreasing BIPS-per-watt order through a binary heap —
  *    O(increments * log n) instead of an O(n * k) rescan per
- *    upgrade. Seeds the BnB incumbent and *is* the GreedyTurbo
- *    policy;
+ *    upgrade. Seeds the exact search's cut value and *is* the
+ *    GreedyTurbo policy;
  *  - mckpUpperBound(): the fractional (LP-relaxation) optimum, a
- *    valid upper bound on any integer assignment's BIPS — the BnB
- *    root bound and the gap reference for the many-core benches;
+ *    valid upper bound on any integer assignment's BIPS — the bound
+ *    the exact search evaluates over each node's free cores, and
+ *    the gap reference for the many-core benches;
  *  - ModeColumns: a per-mode column (SoA) snapshot of a ModeMatrix
  *    for vectorizable column passes (uniform-mode totals, grid cost
  *    quantization).

@@ -87,50 +87,43 @@ class PullHiPushLoPolicy : public Policy
 /**
  * MaxBIPS policy (paper 5.2.3): evaluates the predicted power and
  * BIPS of every mode combination and picks the feasible combination
- * with maximal chip throughput. Exhaustive for small chips; a
- * branch-and-bound search with identical results takes over when
- * the state space (modes^cores) is large. Exact at any scale, but
- * worst-case exponential — the many-core studies at 64-1024 cores
- * use the approximate engines below (MaxBipsDpPolicy,
- * WaterFillPolicy, GreedyTurboPolicy) to stay inside the 500 µs
- * decision interval.
+ * with maximal chip throughput, ties going to the lower total power
+ * and then to the first combination in odometer order (core 0
+ * turning fastest, modes ascending). One exact search serves every
+ * chip size: a depth-first branch-and-bound over the MCKP hulls
+ * (mckp.hh) that returns exactly what full enumeration would, tie
+ * included. Exact at any scale, but worst-case exponential — the
+ * many-core studies at 64-1024 cores use the approximate engines
+ * below (MaxBipsDpPolicy, WaterFillPolicy, GreedyTurboPolicy) to
+ * stay inside the 500 µs decision interval.
  */
 class MaxBipsPolicy : public Policy
 {
   public:
-    /** Search strategies. */
-    enum class Search
-    {
-        Auto,       ///< exhaustive when small, branch-and-bound else
-        Exhaustive, ///< always enumerate modes^cores
-        BranchAndBound,
-    };
-
-    explicit MaxBipsPolicy(Search search = Search::Auto);
-
     const char *name() const override { return "MaxBIPS"; }
     std::vector<PowerMode> decide(const PolicyInput &in) override;
 
     /**
-     * Core search routine shared with OraclePolicy: best assignment
-     * under @p matrix within @p budget_w. Exposed for testing.
+     * The exact search shared with OraclePolicy, the history and
+     * exploration variants, StaticPlanner and the cluster facility
+     * arbiter: best assignment under @p matrix within @p budget_w
+     * (total power <= budget). Returns all-slowest when nothing
+     * fits.
      */
     static std::vector<PowerMode> solve(const ModeMatrix &matrix,
-                                        Watts budget_w, Search search);
+                                        Watts budget_w);
 
     /**
      * The dual problem (paper Section 1: "minimizing the power for
      * a given multi-core performance target has similarly not been
      * analyzed"): cheapest assignment whose total BIPS meets
-     * @p target_bips. Returns all-Turbo when even that misses the
+     * @p target_bips (within 1e-12), ties going to more BIPS and
+     * then to odometer order. The same exact search, run on the
+     * negated matrix. Returns all-Turbo when even that misses the
      * target (best effort).
      */
     static std::vector<PowerMode>
-    solveMinPower(const ModeMatrix &matrix, double target_bips,
-                  Search search);
-
-  private:
-    Search search;
+    solveMinPower(const ModeMatrix &matrix, double target_bips);
 };
 
 /**
@@ -250,7 +243,7 @@ class UniformBudgetPolicy : public Policy
  * unexplored: minimize chip power subject to a chip throughput
  * target, expressed as a fraction of the predicted all-Turbo BIPS.
  * Ignores the power budget; uses the same predictive Power/BIPS
- * matrices and MCKP search machinery as MaxBIPS.
+ * matrices and the same exact search as MaxBIPS.
  */
 class MinPowerPolicy : public Policy
 {
@@ -323,8 +316,8 @@ class HistoryPolicy : public Policy
     std::vector<std::vector<std::pair<double, double>>> seen;
 };
 
-/** Factory by policy name ("MaxBIPS", "MaxBIPS-BnB", "MaxBIPS-DP"
- *  or "MaxBIPS-DP<G>" for a G-bin power grid, "WaterFill",
+/** Factory by policy name ("MaxBIPS", "MaxBIPS-DP" or
+ *  "MaxBIPS-DP<G>" for a G-bin power grid, "WaterFill",
  *  "GreedyTurbo", "Priority", "PullHiPushLo", "ChipWideDVFS",
  *  "Oracle", "UniformBudget", "MinPower" or "MinPowerNN" for an
  *  NN% target, "ExploreMaxBIPS", "HistoryMaxBIPS"); fatal() on

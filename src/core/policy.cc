@@ -13,9 +13,6 @@ tryMakePolicy(const std::string &name)
 {
     if (name == "MaxBIPS")
         return std::make_unique<MaxBipsPolicy>();
-    if (name == "MaxBIPS-BnB")
-        return std::make_unique<MaxBipsPolicy>(
-            MaxBipsPolicy::Search::BranchAndBound);
     if (name.rfind("MaxBIPS-DP", 0) == 0) {
         unsigned grid = MaxBipsDpPolicy::defaultGrid;
         if (name.size() > 10) {

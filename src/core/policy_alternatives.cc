@@ -95,8 +95,7 @@ ExplorationPolicy::decide(const PolicyInput &in)
         exploring = false;
         phase = 0;
         ModeMatrix measured = overlayMemory(*in.predicted, seen);
-        lastChoice = MaxBipsPolicy::solve(
-            measured, in.budgetW, MaxBipsPolicy::Search::Auto);
+        lastChoice = MaxBipsPolicy::solve(measured, in.budgetW);
         return lastChoice;
     }
 
@@ -114,8 +113,7 @@ HistoryPolicy::decide(const PolicyInput &in)
     GPM_ASSERT(in.predicted != nullptr && in.samples != nullptr);
     remember(seen, *in.samples, in.predicted->numModes());
     ModeMatrix m = overlayMemory(*in.predicted, seen);
-    return MaxBipsPolicy::solve(m, in.budgetW,
-                                MaxBipsPolicy::Search::Auto);
+    return MaxBipsPolicy::solve(m, in.budgetW);
 }
 
 } // namespace gpm

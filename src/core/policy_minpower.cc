@@ -1,6 +1,3 @@
-#include <algorithm>
-#include <cmath>
-#include <utility>
 #include <vector>
 
 #include "core/policies.hh"
@@ -8,206 +5,6 @@
 
 namespace gpm
 {
-
-namespace
-{
-
-/** Exhaustive enumeration for the dual (min power, BIPS floor). */
-std::vector<PowerMode>
-solveMinPowerExhaustive(const ModeMatrix &m, double target_bips)
-{
-    const std::size_t n = m.numCores();
-    const std::size_t k = m.numModes();
-    std::vector<PowerMode> cur(n, 0);
-    std::vector<PowerMode> best(n, 0); // all-Turbo fallback
-    double best_power = 1e300;
-    double best_bips = -1.0;
-
-    for (;;) {
-        double b = m.totalBips(cur);
-        if (b + 1e-12 >= target_bips) {
-            double p = m.totalPowerW(cur);
-            if (p < best_power ||
-                (p == best_power && b > best_bips)) {
-                best_power = p;
-                best_bips = b;
-                best = cur;
-            }
-        }
-        std::size_t c = 0;
-        while (c < n && ++cur[c] == k)
-            cur[c++] = 0;
-        if (c == n)
-            break;
-    }
-    if (best_power == 1e300)
-        return std::vector<PowerMode>(n, 0); // unreachable target
-    return best;
-}
-
-/**
- * Branch-and-bound dual solver: DFS with an LP lower bound on the
- * power needed to finish meeting the BIPS floor — cheapest modes
- * everywhere plus frontier increments bought at increasing
- * power-per-BIPS until the target is covered.
- */
-class MinPowerBnb
-{
-  public:
-    MinPowerBnb(const ModeMatrix &m, double target)
-        : m(m), target(target), n(m.numCores()), k(m.numModes()),
-          cur(n, 0), best(n, 0), sufMinPower(n + 1, 0.0),
-          sufBaseBips(n + 1, 0.0), sufMaxBips(n + 1, 0.0),
-          sufIncs(n + 1)
-    {
-        std::vector<std::vector<Increment>> core_incs(n);
-        for (std::size_t c = n; c-- > 0;) {
-            std::vector<std::pair<double, double>> pts;
-            double max_b = 0.0;
-            for (std::size_t mi = 0; mi < k; mi++) {
-                auto mode = static_cast<PowerMode>(mi);
-                pts.push_back(
-                    {m.powerW(c, mode), m.bips(c, mode)});
-                max_b = std::max(max_b, m.bips(c, mode));
-            }
-            std::sort(pts.begin(), pts.end());
-            std::vector<std::pair<double, double>> hull;
-            for (const auto &pt : pts) {
-                if (!hull.empty() &&
-                    pt.second <= hull.back().second)
-                    continue;
-                while (hull.size() >= 2) {
-                    auto &a = hull[hull.size() - 2];
-                    auto &b = hull.back();
-                    double r1 = (b.second - a.second) /
-                        std::max(b.first - a.first, 1e-12);
-                    double r2 = (pt.second - b.second) /
-                        std::max(pt.first - b.first, 1e-12);
-                    if (r2 >= r1)
-                        hull.pop_back();
-                    else
-                        break;
-                }
-                hull.push_back(pt);
-            }
-            for (std::size_t h = 1; h < hull.size(); h++) {
-                core_incs[c].push_back(
-                    {hull[h].first - hull[h - 1].first,
-                     hull[h].second - hull[h - 1].second});
-            }
-            sufMinPower[c] =
-                sufMinPower[c + 1] + hull.front().first;
-            sufBaseBips[c] =
-                sufBaseBips[c + 1] + hull.front().second;
-            sufMaxBips[c] = sufMaxBips[c + 1] + max_b;
-        }
-        for (std::size_t c = n; c-- > 0;) {
-            sufIncs[c] = sufIncs[c + 1];
-            sufIncs[c].insert(sufIncs[c].end(),
-                              core_incs[c].begin(),
-                              core_incs[c].end());
-            // Cheapest BIPS first: ascending power-per-BIPS.
-            std::sort(sufIncs[c].begin(), sufIncs[c].end(),
-                      [](const Increment &a, const Increment &b) {
-                          return a.dp * b.db < b.dp * a.db;
-                      });
-        }
-    }
-
-    std::vector<PowerMode>
-    run()
-    {
-        if (sufMaxBips[0] + 1e-12 < target)
-            return std::vector<PowerMode>(n, 0); // best effort
-        dfs(0, 0.0, 0.0);
-        if (bestPower == 1e300)
-            return std::vector<PowerMode>(n, 0);
-        return best;
-    }
-
-  private:
-    struct Increment
-    {
-        double dp = 0.0;
-        double db = 0.0;
-    };
-
-    void
-    dfs(std::size_t c, double power, double bips)
-    {
-        if (c == n) {
-            if (bips + 1e-12 >= target &&
-                (power < bestPower ||
-                 (power == bestPower && bips > bestBips))) {
-                bestPower = power;
-                bestBips = bips;
-                best = cur;
-            }
-            return;
-        }
-        // Feasibility: remaining cores cannot reach the floor.
-        if (bips + sufMaxBips[c] + 1e-12 < target)
-            return;
-        // LP lower bound on completion power.
-        double need = target - (bips + sufBaseBips[c]);
-        double lb = power + sufMinPower[c];
-        if (need > 0.0) {
-            double deficit = need;
-            for (const Increment &inc : sufIncs[c]) {
-                if (deficit <= 0.0)
-                    break;
-                if (inc.db <= deficit) {
-                    lb += inc.dp;
-                    deficit -= inc.db;
-                } else {
-                    lb += inc.dp * deficit / inc.db;
-                    deficit = 0.0;
-                }
-            }
-            if (deficit > 1e-12)
-                return; // cannot cover the floor
-        }
-        if (lb > bestPower)
-            return;
-        // Cheapest modes first so good incumbents appear early.
-        for (std::size_t mi = k; mi-- > 0;) {
-            auto mode = static_cast<PowerMode>(mi);
-            cur[c] = mode;
-            dfs(c + 1, power + m.powerW(c, mode),
-                bips + m.bips(c, mode));
-        }
-    }
-
-    const ModeMatrix &m;
-    const double target;
-    const std::size_t n;
-    const std::size_t k;
-    std::vector<PowerMode> cur;
-    std::vector<PowerMode> best;
-    std::vector<double> sufMinPower;
-    std::vector<double> sufBaseBips;
-    std::vector<double> sufMaxBips;
-    std::vector<std::vector<Increment>> sufIncs;
-    double bestPower = 1e300;
-    double bestBips = -1.0;
-};
-
-} // namespace
-
-std::vector<PowerMode>
-MaxBipsPolicy::solveMinPower(const ModeMatrix &m, double target_bips,
-                             Search search)
-{
-    if (search == Search::Auto) {
-        double states = std::pow(static_cast<double>(m.numModes()),
-                                 static_cast<double>(m.numCores()));
-        search = states <= 262144.0 ? Search::Exhaustive
-                                    : Search::BranchAndBound;
-    }
-    if (search == Search::Exhaustive)
-        return solveMinPowerExhaustive(m, target_bips);
-    return MinPowerBnb(m, target_bips).run();
-}
 
 MinPowerPolicy::MinPowerPolicy(double target_fraction)
     : fraction(target_fraction)
@@ -222,8 +19,7 @@ MinPowerPolicy::decide(const PolicyInput &in)
     const ModeMatrix &m = *in.predicted;
     std::vector<PowerMode> all_turbo(m.numCores(), modes::Turbo);
     double target = fraction * m.totalBips(all_turbo);
-    return MaxBipsPolicy::solveMinPower(
-        m, target, MaxBipsPolicy::Search::Auto);
+    return MaxBipsPolicy::solveMinPower(m, target);
 }
 
 } // namespace gpm

@@ -27,8 +27,7 @@ planStaticAssignment(
             m.bips(c, mode) = per_core[c][mi].bips;
         }
     }
-    return MaxBipsPolicy::solve(m, budget_w,
-                                MaxBipsPolicy::Search::Auto);
+    return MaxBipsPolicy::solve(m, budget_w);
 }
 
 } // namespace gpm

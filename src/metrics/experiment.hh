@@ -131,8 +131,8 @@ class ExperimentRunner
 
     /**
      * Evaluate a dynamic policy at a constant budget fraction.
-     * Policy names: MaxBIPS, MaxBIPS-BnB, Priority, PullHiPushLo,
-     * ChipWideDVFS, Oracle.
+     * Policy names: any makePolicy() name (MaxBIPS, Priority,
+     * PullHiPushLo, ChipWideDVFS, Oracle, ...).
      */
     PolicyEval evaluate(const std::vector<std::string> &combo,
                         const std::string &policy, double budget_frac);

@@ -19,7 +19,7 @@ isDpRung(const std::string &policy)
 std::optional<int>
 rungIndex(const std::string &policy)
 {
-    if (policy == "MaxBIPS" || policy == "MaxBIPS-BnB")
+    if (policy == "MaxBIPS")
         return 0;
     if (isDpRung(policy))
         return 1;

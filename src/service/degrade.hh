@@ -9,7 +9,7 @@
  * solver, the service transparently steps the solver DOWN the
  * ladder instead of rejecting or blowing the deadline:
  *
- *     MaxBIPS / MaxBIPS-BnB  (exact, exponential worst case)
+ *     MaxBIPS                (exact search, exponential worst case)
  *        │
  *        ▼
  *     MaxBIPS-DP<G>          (MCKP DP, ~exact, microseconds)

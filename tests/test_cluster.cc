@@ -107,8 +107,7 @@ TEST(ClusterAllocationTest, ConservesBudgetAndFallsBackToFloors)
     const double floor_total = 3.0 * f.floorPowerW();
 
     for (const char *policy :
-         {"MaxBIPS", "MaxBIPS-BnB", "MaxBIPS-DP", "WaterFill",
-          "GreedyTurbo"}) {
+         {"MaxBIPS", "MaxBIPS-DP", "WaterFill", "GreedyTurbo"}) {
         SCOPED_TRACE(policy);
         ClusterAllocation a =
             allocateFacilityBudget(chips, floor_total * 1.8, policy);
@@ -132,11 +131,11 @@ TEST(ClusterAllocationTest, ConservesBudgetAndFallsBackToFloors)
 TEST(ClusterPolicyNames, AcceptsKernelsRejectsOthers)
 {
     EXPECT_TRUE(isClusterPolicyName("MaxBIPS"));
-    EXPECT_TRUE(isClusterPolicyName("MaxBIPS-BnB"));
     EXPECT_TRUE(isClusterPolicyName("MaxBIPS-DP"));
     EXPECT_TRUE(isClusterPolicyName("MaxBIPS-DP128"));
     EXPECT_TRUE(isClusterPolicyName("WaterFill"));
     EXPECT_TRUE(isClusterPolicyName("GreedyTurbo"));
+    EXPECT_FALSE(isClusterPolicyName("MaxBIPS-BnB"));
     EXPECT_FALSE(isClusterPolicyName("Static"));
     EXPECT_FALSE(isClusterPolicyName("Priority"));
     EXPECT_FALSE(isClusterPolicyName("Oracle"));

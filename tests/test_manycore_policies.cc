@@ -24,6 +24,8 @@ namespace gpm
 namespace
 {
 
+using test::bruteForce;
+using test::Objective;
 using test::randomMatrix;
 using test::syntheticProfile;
 
@@ -38,26 +40,6 @@ samplesFromMatrix(const ModeMatrix &m, PowerMode cur = 0)
         s[c].memIntensity = 1.0 / (1.0 + m.bips(c, cur));
     }
     return s;
-}
-
-/** Best BIPS over all feasible assignments, -1 when none fit. */
-double
-bruteForceBips(const ModeMatrix &m, Watts budget)
-{
-    const std::size_t n = m.numCores();
-    const std::size_t k = m.numModes();
-    std::vector<PowerMode> cur(n, 0);
-    double best = -1.0;
-    for (;;) {
-        if (m.totalPowerW(cur) <= budget)
-            best = std::max(best, m.totalBips(cur));
-        std::size_t c = 0;
-        while (c < n && ++cur[c] == static_cast<PowerMode>(k))
-            cur[c++] = 0;
-        if (c == n)
-            break;
-    }
-    return best;
 }
 
 // ---------------------------------------------------------------
@@ -171,8 +153,9 @@ TEST(MckpUpperBound, DominatesEveryFeasibleAssignment)
         for (double frac : {1.02, 1.1, 1.3, 2.0}) {
             Watts budget = f.minTotalPowerW * frac;
             double bound = mckpUpperBound(f, budget);
-            double best = bruteForceBips(m, budget);
-            ASSERT_GE(best, 0.0);
+            auto exact = bruteForce(m, budget, Objective::MaxBips);
+            ASSERT_LE(m.totalPowerW(exact), budget);
+            double best = m.totalBips(exact);
             EXPECT_GE(bound, best - 1e-9)
                 << "seed " << seed << " frac " << frac;
         }
@@ -194,7 +177,8 @@ TEST(MaxBipsDp, NearOptimalOnSmallMatrices)
             Watts budget = lo + frac * (hi - lo);
             auto dp = MaxBipsDpPolicy::solve(
                 m, budget, MaxBipsDpPolicy::defaultGrid);
-            double exact = bruteForceBips(m, budget);
+            double exact =
+                m.totalBips(bruteForce(m, budget, Objective::MaxBips));
             EXPECT_LE(m.totalPowerW(dp), budget + 1e-9);
             // The acceptance bar for the DP engine: within 2% of
             // the true optimum at the default grid.
@@ -225,10 +209,9 @@ TEST(ManycorePolicies, ContractAcrossAllPolicies)
     // budget-feasible assignment whenever one exists, all-slowest
     // otherwise.
     const std::vector<std::string> names = {
-        "MaxBIPS",     "MaxBIPS-BnB", "MaxBIPS-DP",
-        "MaxBIPS-DP16", "WaterFill",   "GreedyTurbo",
-        "Priority",    "PullHiPushLo", "ChipWideDVFS",
-        "UniformBudget"};
+        "MaxBIPS",     "MaxBIPS-DP",   "MaxBIPS-DP16",
+        "WaterFill",   "GreedyTurbo",  "Priority",
+        "PullHiPushLo", "ChipWideDVFS", "UniformBudget"};
     DvfsTable dvfs = DvfsTable::classic3();
     for (std::uint64_t seed = 1; seed <= 6; seed++) {
         ModeMatrix m = randomMatrix(8, 3, seed);

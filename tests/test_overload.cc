@@ -56,17 +56,16 @@ TEST(BackoffOverflow, HighAttemptCountsStayFiniteAndCapped)
 TEST(DegradeLadder, RungsAndTraversal)
 {
     EXPECT_TRUE(degrade::onLadder("MaxBIPS"));
-    EXPECT_TRUE(degrade::onLadder("MaxBIPS-BnB"));
     EXPECT_TRUE(degrade::onLadder("MaxBIPS-DP"));
     EXPECT_TRUE(degrade::onLadder("MaxBIPS-DP<64>"));
     EXPECT_TRUE(degrade::onLadder("GreedyTurbo"));
     EXPECT_TRUE(degrade::onLadder("WaterFill"));
+    EXPECT_FALSE(degrade::onLadder("MaxBIPS-BnB"));
     EXPECT_FALSE(degrade::onLadder("Priority"));
     EXPECT_FALSE(degrade::onLadder("Static"));
     EXPECT_FALSE(degrade::onLadder("MinPowerGreedy"));
 
     EXPECT_EQ(degrade::rungIndex("MaxBIPS"), 0);
-    EXPECT_EQ(degrade::rungIndex("MaxBIPS-BnB"), 0);
     EXPECT_EQ(degrade::rungIndex("MaxBIPS-DP<128>"), 1);
     EXPECT_EQ(degrade::rungIndex("GreedyTurbo"), 2);
     EXPECT_EQ(degrade::rungIndex("WaterFill"), 3);

@@ -71,8 +71,7 @@ TEST(ExplorationPolicy, ExploitsMeasuredMatrixAfterSweep)
     auto samples = samplesAt(m, cur);
     auto in = inputFor(m, samples, budget, dvfs);
     auto post = policy.decide(in);
-    auto ideal = MaxBipsPolicy::solve(
-        m, budget, MaxBipsPolicy::Search::Exhaustive);
+    auto ideal = MaxBipsPolicy::solve(m, budget);
     EXPECT_NEAR(m.totalBips(post), m.totalBips(ideal), 1e-12);
     // ...and it holds that assignment while exploiting.
     auto samples2 = samplesAt(m, post);
@@ -154,8 +153,7 @@ TEST(HistoryPolicy, FallsBackToPredictionWhenUnseen)
     auto assign = policy.decide(in);
     // Never-visited modes use the analytic matrix: the decision is
     // exactly MaxBIPS over it (Turbo rows are remembered == exact).
-    auto ideal = MaxBipsPolicy::solve(
-        m, budget, MaxBipsPolicy::Search::Exhaustive);
+    auto ideal = MaxBipsPolicy::solve(m, budget);
     EXPECT_NEAR(m.totalBips(assign), m.totalBips(ideal), 1e-12);
 }
 

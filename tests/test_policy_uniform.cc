@@ -75,8 +75,7 @@ TEST(UniformBudgetPolicy, CannotShareSlackAcrossCores)
     auto u = uniform.decide(in);
     EXPECT_EQ(u[1], 1); // 12 W > 8 W slice
     // MaxBIPS exploits the global view.
-    auto g = MaxBipsPolicy::solve(m, 16.0,
-                                  MaxBipsPolicy::Search::Exhaustive);
+    auto g = MaxBipsPolicy::solve(m, 16.0);
     EXPECT_EQ(g[1], 0); // 4 + 12 = 16 fits globally
     EXPECT_GT(m.totalBips(g), m.totalBips(u));
 }

@@ -363,6 +363,9 @@ TEST(Scenario, RejectsMalformedScenarios)
                  "budget": 0.7})");
     parseErr(R"({"combo": ["mcf"], "policy": "NoSuchPolicy",
                  "budget": 0.7})");
+    // The old branch-and-bound alias: one exact search, one name.
+    parseErr(R"({"combo": ["mcf"], "policy": "MaxBIPS-BnB",
+                 "budget": 0.7})");
 
     // staticFit misuse.
     parseErr(R"({"combo": ["mcf"], "policy": "MaxBIPS",
