@@ -6,11 +6,12 @@
  * count grows with core count. We profile the suite under linear
  * DVFS tables with 3/4/5/7 modes and compare MaxBIPS and chip-wide
  * degradation at a fixed budget. The mode-count scenarios are fully
- * independent (own table, own profile cache), so each runs on its
- * own thread.
+ * independent (own table, own profiles), so each runs on its own
+ * thread.
  *
- * Uses a reduced length scale (its own profile caches) since each
- * mode-count needs a fresh profiling pass.
+ * Uses a reduced length scale (GPM_ABLATION_SCALE) since each
+ * mode-count needs a fresh profiling pass; the profiles land in the
+ * shared store under their own fingerprints.
  */
 
 #include <cstdio>
@@ -43,10 +44,7 @@ main()
         std::size_t n = mode_counts[i];
         DvfsTable dvfs = DvfsTable::linear(n, 0.85);
         ProfileLibrary lib(dvfs, scale);
-        char path[128];
-        std::snprintf(path, sizeof(path),
-                      "gpm_profiles_m%zu_s%g.bin", n, scale);
-        lib.loadOrBuild(path);
+        bench::loadSuite(lib);
         ExperimentRunner runner(lib, dvfs);
         auto mb = runner.evaluate(combo, "MaxBIPS", 0.8);
         auto cw = runner.evaluate(combo, "ChipWideDVFS", 0.8);

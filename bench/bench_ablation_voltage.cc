@@ -7,7 +7,7 @@
  * (Eff2 saves ~27% instead of ~39%), the all-Eff2 power floor rises,
  * and low budgets become unreachable — quantifying how much of the
  * paper's benefit depends on the cubic-power assumption. The two
- * scenarios (own DVFS table, own profile cache) run on separate
+ * scenarios (own DVFS table, so own store entries) run on separate
  * threads; the budget sweep inside each goes through the sweep
  * engine.
  */
@@ -37,24 +37,20 @@ main()
     {
         const char *name;
         DvfsTable dvfs;
-        const char *cache;
         std::vector<PolicyEval> evals;
     };
     std::vector<Scenario> scenarios;
-    scenarios.push_back({"linear V-f (paper)", DvfsTable::classic3(),
-                         "gpm_profiles_vlin_s%g.bin", {}});
-    scenarios.push_back({"sub-linear voltage",
-                         DvfsTable::subLinearVoltage(),
-                         "gpm_profiles_vsub_s%g.bin", {}});
+    scenarios.push_back(
+        {"linear V-f (paper)", DvfsTable::classic3(), {}});
+    scenarios.push_back(
+        {"sub-linear voltage", DvfsTable::subLinearVoltage(), {}});
 
     std::size_t threads = defaultConcurrency();
     bench::WallTimer timer;
     parallelFor(threads, scenarios.size(), [&](std::size_t i) {
         auto &sc = scenarios[i];
         ProfileLibrary lib(sc.dvfs, scale);
-        char path[128];
-        std::snprintf(path, sizeof(path), sc.cache, scale);
-        lib.loadOrBuild(path);
+        bench::loadSuite(lib);
         ExperimentRunner runner(lib, sc.dvfs);
         SweepSpec spec;
         spec.addGrid({combo}, {"MaxBIPS"}, budgets);

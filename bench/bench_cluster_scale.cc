@@ -34,9 +34,8 @@
  *
  * Knobs: GPM_CLUSTER_M (comma list, default "4,16,64"),
  * GPM_CLUSTER_N (default "16,64,256"), GPM_CLUSTER_ITERS (default
- * 50), plus GPM_SCALE / GPM_PROFILE_CACHE / GPM_PROFILE_CACHE_DIR.
- * Shares the 5-mode profile cache suffix (.k5) with the many-core
- * policy bench.
+ * 50), plus GPM_SCALE / GPM_PROFILE_CACHE_DIR. Shares its 5-mode
+ * profiles with the many-core policy bench through the store.
  */
 
 #include <algorithm>
@@ -160,18 +159,7 @@ main()
     DvfsTable dvfs = DvfsTable::linear(5);
     double scale = bench::scaleFromEnv();
     ProfileLibrary lib(dvfs, scale);
-    if (std::string dir = bench::cacheDirFromEnv(); !dir.empty()) {
-        lib.attachStore(dir);
-        lib.buildSuite();
-    } else {
-        std::string path = bench::cachePathFromEnv() + ".k5";
-        if (scale != 1.0) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), ".s%g", scale);
-            path += buf;
-        }
-        lib.loadOrBuild(path);
-    }
+    bench::loadSuite(lib);
 
     const std::vector<std::size_t> chip_counts =
         listFromEnv("GPM_CLUSTER_M", "4,16,64");

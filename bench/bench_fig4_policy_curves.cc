@@ -5,10 +5,12 @@
  * slowdowns for Priority, PullHiPushLo, MaxBIPS and chip-wide DVFS
  * on the (ammp, mcf, crafty, art) 4-way combination.
  *
- * Also the primary wall-clock benchmark of the parallel sweep
- * engine: the (policy x budget) grid is evaluated once serially and
- * once through ExperimentRunner::sweep, the results are checked
- * identical, and both timings land in BENCH_sweep.json.
+ * Also checks the parallel sweep engine: the (policy x budget) grid
+ * is evaluated once serially and once through
+ * ExperimentRunner::sweep and the results must be identical. Only
+ * the parallel wall time lands in BENCH_sweep.json: the 24-point
+ * sweep takes well under a millisecond at small scales, too short
+ * for a serial-vs-parallel speedup to mean anything.
  */
 
 #include <cstdio>
@@ -35,13 +37,11 @@ main()
     SweepSpec spec;
     spec.addGrid({combo}, policies, budgets);
 
-    // Warm the per-combo reference so both timed passes measure
-    // pure policy evaluation.
+    // Warm the per-combo reference so the timed pass measures pure
+    // policy evaluation.
     runner.referencePowerW(combo);
 
-    bench::WallTimer serial_t;
     auto serial = bench::sweepChecked(runner, spec, 1);
-    double serial_ms = serial_t.ms();
 
     std::size_t threads = defaultConcurrency();
     bench::WallTimer par_t;
@@ -104,12 +104,11 @@ main()
     tc.print();
     bench::maybeCsv("fig4c_weighted_slowdowns", tc);
 
-    std::printf("\nsweep engine: %zu points, serial %.0f ms, "
-                "%zu threads %.0f ms (%.2fx)\n",
-                spec.size(), serial_ms, threads, par_ms,
-                par_ms > 0.0 ? serial_ms / par_ms : 0.0);
+    std::printf("\nsweep engine: %zu points, %zu threads %.1f ms, "
+                "identical to the serial pass\n",
+                spec.size(), threads, par_ms);
     bench::appendSweepJson("fig4_policy_curves", spec.size(),
-                           threads, serial_ms, par_ms);
+                           threads, 0.0, par_ms);
 
     std::printf("\nExpected shape (paper): MaxBIPS lowest "
                 "degradation at every budget; chip-wide DVFS worst "

@@ -29,9 +29,8 @@
  *
  * Knobs: GPM_MANYCORE_N (comma list, default "8,64,256,1024"),
  * GPM_MANYCORE_ITERS (default 100), plus GPM_SCALE /
- * GPM_PROFILE_CACHE / GPM_PROFILE_CACHE_DIR. The 5-mode profiles
- * get their own monolithic cache file (<cache>.k5[.sS]) so they
- * never clobber the 3-mode suite cache.
+ * GPM_PROFILE_CACHE_DIR. The 5-mode profiles sit beside the 3-mode
+ * ones in the store: the DVFS table is part of each entry's key.
  */
 
 #include <algorithm>
@@ -197,18 +196,7 @@ main()
     DvfsTable dvfs = DvfsTable::linear(5);
     double scale = bench::scaleFromEnv();
     ProfileLibrary lib(dvfs, scale);
-    if (std::string dir = bench::cacheDirFromEnv(); !dir.empty()) {
-        lib.attachStore(dir);
-        lib.buildSuite();
-    } else {
-        std::string path = bench::cachePathFromEnv() + ".k5";
-        if (scale != 1.0) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), ".s%g", scale);
-            path += buf;
-        }
-        lib.loadOrBuild(path);
-    }
+    bench::loadSuite(lib);
 
     const std::vector<std::size_t> core_counts = coreCountsFromEnv();
     const std::size_t iters = itersFromEnv();

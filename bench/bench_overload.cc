@@ -23,7 +23,7 @@
  * NDJSON records go to BENCH_sweep.json (bench "overload"). The
  * process exits non-zero when a chaos assertion fails, so tier-2
  * scripts can gate on it. Knobs: GPM_BENCH_REQUESTS per phase
- * (default 24), plus the usual GPM_SCALE / GPM_PROFILE_CACHE.
+ * (default 24), plus the usual GPM_SCALE / GPM_PROFILE_CACHE_DIR.
  */
 
 #include <algorithm>

@@ -53,7 +53,7 @@
  * client (default 8), GPM_BENCH_TPC_CONNS (default reactor/5),
  * GPM_BENCH_REACTOR_CONNS (default 5000), GPM_BENCH_CONN_SCENARIOS
  * (default 8), GPM_BENCH_CHURN_CONNS (default 2000), plus the usual
- * GPM_SCALE / GPM_PROFILE_CACHE.
+ * GPM_SCALE / GPM_PROFILE_CACHE_DIR.
  */
 
 #include <algorithm>

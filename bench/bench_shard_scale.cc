@@ -42,7 +42,7 @@
  *
  * Knobs: GPM_BENCH_SHARD_CONNS (default 8),
  * GPM_BENCH_SHARD_PER_CONN (default 128), plus the usual
- * GPM_SCALE / GPM_PROFILE_CACHE.
+ * GPM_SCALE / GPM_PROFILE_CACHE_DIR.
  */
 
 #include <algorithm>

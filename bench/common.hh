@@ -3,10 +3,11 @@
  * Shared environment for the per-figure benchmark harnesses.
  *
  * Every bench binary reproduces one table or figure of the paper
- * (see EXPERIMENTS.md for the index). They share a disk-cached
- * ProfileLibrary so the expensive detailed-core profiling runs once;
- * the cache file defaults to ./gpm_profiles.bin and can be moved
- * with GPM_PROFILE_CACHE. GPM_SCALE (default 1.0) scales workload
+ * (see EXPERIMENTS.md for the index). They share one
+ * content-addressed profile store so the expensive detailed-core
+ * profiling runs once per (workload, DVFS table, scale); the store
+ * directory defaults to ./gpm_profiles and can be moved with
+ * GPM_PROFILE_CACHE_DIR. GPM_SCALE (default 1.0) scales workload
  * lengths for quick runs.
  */
 
@@ -44,21 +45,18 @@ scaleFromEnv()
     return v > 0.0 ? v : 1.0;
 }
 
-/** Profile-cache path from GPM_PROFILE_CACHE. */
-inline std::string
-cachePathFromEnv()
+/**
+ * Make every suite profile of @p lib Ready: attach the profile store
+ * at GPM_PROFILE_CACHE_DIR (default ./gpm_profiles) and build what
+ * it lacks. Entries are keyed by every profile input (scale and
+ * DVFS table included), so one directory serves every bench.
+ */
+inline void
+loadSuite(ProfileLibrary &lib)
 {
-    const char *s = std::getenv("GPM_PROFILE_CACHE");
-    return s ? s : "gpm_profiles.bin";
-}
-
-/** Content-addressed profile-store directory from
- *  GPM_PROFILE_CACHE_DIR; empty = use the monolithic cache file. */
-inline std::string
-cacheDirFromEnv()
-{
-    const char *s = std::getenv("GPM_PROFILE_CACHE_DIR");
-    return s ? s : "";
+    const char *dir = std::getenv("GPM_PROFILE_CACHE_DIR");
+    lib.attachStore(dir && *dir ? dir : "gpm_profiles");
+    lib.buildSuite();
 }
 
 /** Owns the DVFS table and the shared, disk-cached profiles. */
@@ -69,20 +67,7 @@ class Env
         : dvfs(DvfsTable::classic3()), scale(scaleFromEnv()),
           lib(dvfs, scale)
     {
-        if (std::string dir = cacheDirFromEnv(); !dir.empty()) {
-            // Content-addressed store: entries are keyed by the
-            // profile inputs (scale included), so one directory
-            // serves every scale.
-            lib.attachStore(dir);
-            lib.buildSuite();
-        } else if (scale != 1.0) {
-            // Scaled runs get their own cache file.
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), ".s%g", scale);
-            lib.loadOrBuild(cachePathFromEnv() + buf);
-        } else {
-            lib.loadOrBuild(cachePathFromEnv());
-        }
+        loadSuite(lib);
     }
 
     /** An experiment runner over the shared library. */
@@ -167,80 +152,11 @@ class WallTimer
 };
 
 /**
- * Migrate a pre-NDJSON `[ {...}, {...} ]` array log to one record
- * per line, atomically: the converted file is written next to the
- * original and rename()d over it, so a crash mid-migration leaves
- * the old file intact. No-op for missing/empty/already-NDJSON files.
- */
-inline void
-migrateLegacySweepJson(const std::string &path)
-{
-    std::string body;
-    if (std::FILE *f = std::fopen(path.c_str(), "rb")) {
-        char chunk[4096];
-        std::size_t got;
-        while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-            body.append(chunk, got);
-        std::fclose(f);
-    }
-    std::size_t first = body.find_first_not_of(" \t\r\n");
-    if (first == std::string::npos || body[first] != '[')
-        return; // missing, empty, or already line-oriented
-
-    // Pull out each top-level {...} object (legacy records never
-    // nest braces inside strings) and emit it as one line.
-    std::string lines;
-    int depth = 0;
-    std::size_t start = 0;
-    for (std::size_t i = first; i < body.size(); i++) {
-        if (body[i] == '{' && depth++ == 0)
-            start = i;
-        else if (body[i] == '}' && --depth == 0) {
-            std::string rec = body.substr(start, i - start + 1);
-            // Collapse the old pretty-printing onto one line.
-            std::string flat;
-            for (char c : rec)
-                if (c != '\n' && c != '\r')
-                    flat += c;
-            lines += flat + "\n";
-        }
-    }
-
-    std::string tmp = path + ".migrate.tmp";
-    std::FILE *out = std::fopen(tmp.c_str(), "wb");
-    if (!out) {
-        warn("cannot write %s", tmp.c_str());
-        return;
-    }
-    std::fputs(lines.c_str(), out);
-    std::fflush(out);
-    std::fclose(out);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("cannot rename %s over %s", tmp.c_str(), path.c_str());
-        std::remove(tmp.c_str());
-    }
-}
-
-/**
- * Append one measurement to the machine-readable sweep-performance
- * log so the perf trajectory is tracked across PRs. The file
- * (BENCH_sweep.json, overridable with GPM_BENCH_JSON) is NDJSON —
- * one record per line:
- *
- *   { "bench": ..., "points": N, "threads": T, "host_cores": C,
- *     "scale": S, "serial_ms": ... | null, "parallel_ms": ...,
- *     "speedup": ... | null }
- *
- * serial_ms/speedup are null for benches that only measure the
- * parallel engine. Pass serial_ms <= 0 to mean "not measured".
- */
-/**
  * Append one complete NDJSON record (a one-line JSON object, no
  * trailing newline) to the bench log (BENCH_sweep.json, overridable
  * with GPM_BENCH_JSON) as a single O_APPEND write, so concurrent
  * bench runs and interrupted processes can never interleave bytes
- * within a record or truncate earlier ones. Legacy array files are
- * converted in place first via migrateLegacySweepJson().
+ * within a record or truncate earlier ones.
  */
 inline void
 appendBenchLine(std::string record)
@@ -248,8 +164,6 @@ appendBenchLine(std::string record)
     const char *p = std::getenv("GPM_BENCH_JSON");
     std::string path = p ? p : "BENCH_sweep.json";
     record += '\n';
-
-    migrateLegacySweepJson(path);
 
     int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND,
                     0644);
@@ -275,6 +189,19 @@ appendBenchLine(std::string record)
     ::close(fd);
 }
 
+/**
+ * Append one measurement to the machine-readable sweep-performance
+ * log so the perf trajectory is tracked across revisions. The file
+ * (BENCH_sweep.json, overridable with GPM_BENCH_JSON) is NDJSON —
+ * one record per line:
+ *
+ *   { "bench": ..., "points": N, "threads": T, "host_cores": C,
+ *     "scale": S, "serial_ms": ... | null, "parallel_ms": ...,
+ *     "speedup": ... | null }
+ *
+ * serial_ms/speedup are null for benches that only measure the
+ * parallel engine. Pass serial_ms <= 0 to mean "not measured".
+ */
 inline void
 appendSweepJson(const std::string &bench, std::size_t points,
                 std::size_t threads, double serial_ms,

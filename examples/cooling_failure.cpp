@@ -71,7 +71,8 @@ main(int argc, char **argv)
 
     DvfsTable dvfs = DvfsTable::classic3();
     ProfileLibrary lib(dvfs, scale);
-    lib.loadOrBuild("gpm_quickstart_profiles.bin");
+    lib.attachStore("gpm_profiles");
+    lib.buildSuite();
     ExperimentRunner runner(lib, dvfs);
 
     std::vector<std::string> combo{"ammp", "mcf", "crafty", "art"};

@@ -36,9 +36,10 @@ main(int argc, char **argv)
     DvfsTable dvfs = DvfsTable::classic3();
 
     // 2. Profile the workloads once per mode on the detailed core
-    //    model (cached across runs).
+    //    model (cached across runs in ./gpm_profiles).
     ProfileLibrary lib(dvfs, scale);
-    lib.loadOrBuild("gpm_quickstart_profiles.bin");
+    lib.attachStore("gpm_profiles");
+    lib.buildSuite();
 
     // 3. Evaluate MaxBIPS under the budget on a 4-way CMP.
     ExperimentRunner runner(lib, dvfs);

@@ -36,15 +36,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
-# Drive one gpmd build end to end. Both builds share the scaled
-# profile cache (the fingerprint is build-type independent), so the
-# TSan daemon does not re-profile.
+# Drive one gpmd build end to end. Both builds share one profile
+# store (its entry keys are build-type independent), so the TSan
+# daemons do not re-profile.
 SMOKE_SCALE=0.03
-SMOKE_CACHE="$PWD/$BUILD/gpm_profiles_smoke.bin"
+SMOKE_STORE="$PWD/$BUILD/gpm_profiles_smoke"
 
 # Wait until the daemon ($1 = pid, $2 = log) prints
-# "gpmd: listening on HOST:PORT" (profile building first runs at
-# most once per cache file) and echo the port.
+# "gpmd: listening on HOST:PORT" and echo the port.
 wait_gpmd_port() {
     local pid=$1 log=$2 port="" i
     for i in $(seq 1 600); do
@@ -187,7 +186,7 @@ gpmd_smoke() {
     batch=$(mktemp)
 
     "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache "$SMOKE_CACHE" \
+        --profile-cache-dir "$SMOKE_STORE" \
         --cache-dir "$cache_dir" >"$log" 2>&1 &
     local pid=$!
     trap 'kill "$pid" 2>/dev/null || true' RETURN
@@ -267,7 +266,7 @@ EOF
     # LRU eviction.
     : >"$log"
     "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache "$SMOKE_CACHE" \
+        --profile-cache-dir "$SMOKE_STORE" \
         --cache-dir "$cache_dir" --cache-disk-bytes 1 \
         >"$log" 2>&1 &
     pid=$!
@@ -305,7 +304,7 @@ policy_kernel_smoke() {
     out=$(mktemp)
     GPM_MANYCORE_N=64 GPM_MANYCORE_ITERS=1 \
         GPM_SCALE="$SMOKE_SCALE" \
-        GPM_PROFILE_CACHE="$SMOKE_CACHE" \
+        GPM_PROFILE_CACHE_DIR="$SMOKE_STORE" \
         GPM_BENCH_JSON="$out" \
         "$bdir/bench/bench_manycore_policies" >/dev/null ||
         { echo "bench_manycore_policies failed"; return 1; }
@@ -338,7 +337,7 @@ gpmd_deadline() {
 
     GPMD_FAULT="worker-stall:1:400,seed:3" \
         "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache "$SMOKE_CACHE" >"$log" 2>&1 &
+        --profile-cache-dir "$SMOKE_STORE" >"$log" 2>&1 &
     local pid=$!
     trap 'kill "$pid" 2>/dev/null || true' RETURN
 
@@ -379,7 +378,7 @@ gpmd_chaos() {
 
     GPMD_FAULT="worker-throw:0.8,conn-stall:1:20,read-drop:0.3,seed:5" \
         "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache "$SMOKE_CACHE" >"$log" 2>&1 &
+        --profile-cache-dir "$SMOKE_STORE" >"$log" 2>&1 &
     local pid=$!
     trap 'kill "$pid" 2>/dev/null || true' RETURN
 
@@ -446,7 +445,7 @@ gpmd_overload() {
 
     GPMD_FAULT="worker-stall:1:100,seed:11" \
         "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache "$SMOKE_CACHE" \
+        --profile-cache-dir "$SMOKE_STORE" \
         --workers 1 --queue 8 --overload-degrade-depth 0.3 \
         >"$log" 2>&1 &
     local pid=$!
@@ -516,7 +515,7 @@ gpmd_metrics_smoke() {
     log=$(mktemp)
 
     "$gpmd" --port 0 --metrics-port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache "$SMOKE_CACHE" >"$log" 2>&1 &
+        --profile-cache-dir "$SMOKE_STORE" >"$log" 2>&1 &
     local pid=$!
     trap 'kill "$pid" 2>/dev/null || true' RETURN
 
@@ -589,7 +588,7 @@ service_throughput_smoke() {
     (
         ulimit -n "$(ulimit -Hn)" 2>/dev/null || true
         GPM_SCALE="$SMOKE_SCALE" \
-            GPM_PROFILE_CACHE="$SMOKE_CACHE" \
+            GPM_PROFILE_CACHE_DIR="$SMOKE_STORE" \
             GPM_BENCH_JSON="$out" \
             GPM_BENCH_CLIENTS=2 GPM_BENCH_SCENARIOS=4 \
             GPM_BENCH_TPC_CONNS=40 GPM_BENCH_REACTOR_CONNS=200 \
@@ -641,11 +640,11 @@ gpmd_shard_smoke() {
     cache_dir=$(mktemp -d)
 
     "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache "$SMOKE_CACHE" \
+        --profile-cache-dir "$SMOKE_STORE" \
         --cache-dir "$cache_dir" >"$log1" 2>&1 &
     local pid1=$!
     "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache "$SMOKE_CACHE" \
+        --profile-cache-dir "$SMOKE_STORE" \
         --cache-dir "$cache_dir" >"$log2" 2>&1 &
     local pid2=$!
     trap 'kill -9 "$pid1" "$pid2" "${rpid:-}" 2>/dev/null || true' \

@@ -51,14 +51,10 @@ struct DaemonConfig
     gpm::ServiceOptions service;
     gpm::ServerOptions server;
     double scale = 1.0;
-    /** Non-empty: loadOrBuild() the whole suite against this
-     *  legacy monolithic cache file at startup. Empty: build
-     *  profiles lazily per combo. */
-    std::string profileCache;
     /** Non-empty: per-workload content-addressed profile store
      *  directory; the suite is prewarmed into/from it in the
-     *  background while the daemon serves. Wins over
-     *  --profile-cache. */
+     *  background while the daemon serves. Empty: build profiles
+     *  lazily per combo. */
     std::string profileCacheDir;
     /** Fault-injection spec (--fault / GPMD_FAULT); empty = off. */
     std::string faultSpec;
@@ -92,14 +88,11 @@ usage(const char *argv0)
         "                     (default 64 MiB; 0 = unbounded)\n"
         "  --scale S          workload length scale (default "
         "GPM_SCALE or 1.0)\n"
-        "  --profile-cache P  prebuild all profiles into/from this\n"
-        "                     file (default GPM_PROFILE_CACHE;\n"
-        "                     unset = build lazily per request)\n"
         "  --profile-cache-dir DIR  per-workload content-addressed\n"
         "                     profile store (default\n"
         "                     GPM_PROFILE_CACHE_DIR); the suite is\n"
-        "                     prewarmed in the background; wins\n"
-        "                     over --profile-cache\n"
+        "                     prewarmed in the background (unset =\n"
+        "                     build lazily per request)\n"
         "  --idle-timeout-ms N  reap connections idle this long;\n"
         "                     0 = never (default 60000)\n"
         "  --write-timeout-ms N  per-write progress timeout;\n"
@@ -138,8 +131,6 @@ parseArgs(int argc, char **argv)
     cfg.server.writeTimeoutMs = 30000;
     if (const char *s = std::getenv("GPM_SCALE"); s && *s)
         cfg.scale = std::atof(s) > 0.0 ? std::atof(s) : 1.0;
-    if (const char *s = std::getenv("GPM_PROFILE_CACHE"); s && *s)
-        cfg.profileCache = s;
     if (const char *s = std::getenv("GPM_PROFILE_CACHE_DIR");
         s && *s)
         cfg.profileCacheDir = s;
@@ -195,9 +186,7 @@ parseArgs(int argc, char **argv)
             double v = std::atof(need(i));
             cfg.scale = v > 0.0 ? v : 1.0;
             i++;
-        } else if (a == "--profile-cache")
-            cfg.profileCache = need(i), i++;
-        else if (a == "--profile-cache-dir")
+        } else if (a == "--profile-cache-dir")
             cfg.profileCacheDir = need(i), i++;
         else if (a == "--idle-timeout-ms")
             cfg.server.idleTimeoutMs = std::atoi(need(i)), i++;
@@ -265,23 +254,6 @@ main(int argc, char **argv)
     // immediately: submits that need a still-building profile wait
     // on that profile's entry, not on the whole suite.
     std::thread prewarm;
-    // A failed prewarm must not take the daemon down: catch
-    // everything (parallelFor rethrows the first failed build) and
-    // fall back to per-entry lazy builds in ProfileLibrary::get().
-    auto prewarmThread = [&lib](auto warm) {
-        return std::thread([&lib, warm] {
-            try {
-                warm(lib);
-            } catch (const std::exception &e) {
-                gpm::warn("gpmd: profile prewarm failed: %s "
-                          "(profiles will build lazily per request)",
-                          e.what());
-            } catch (...) {
-                gpm::warn("gpmd: profile prewarm failed (profiles "
-                          "will build lazily per request)");
-            }
-        });
-    };
     if (!cfg.profileCacheDir.empty()) {
         // The profile store shares the result cache's breaker
         // tuning: one --breaker-* knob set governs both failure
@@ -290,20 +262,21 @@ main(int argc, char **argv)
                         cfg.service.resultBreaker);
         gpm::inform("gpmd: prewarming profiles (store %s)",
                     cfg.profileCacheDir.c_str());
-        prewarm = prewarmThread(
-            [](gpm::ProfileLibrary &l) { l.buildSuite(); });
-    } else if (!cfg.profileCache.empty()) {
-        std::string path = cfg.profileCache;
-        if (cfg.scale != 1.0) {
-            // Scaled runs get their own cache file (same naming as
-            // the bench harnesses, so the caches are shared).
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), ".s%g", cfg.scale);
-            path += buf;
-        }
-        gpm::inform("gpmd: prewarming profiles (%s)", path.c_str());
-        prewarm = prewarmThread([path](gpm::ProfileLibrary &l) {
-            l.loadOrBuild(path);
+        // A failed prewarm must not take the daemon down: catch
+        // everything (parallelFor rethrows the first failed build)
+        // and fall back to per-entry lazy builds in
+        // ProfileLibrary::get().
+        prewarm = std::thread([&lib] {
+            try {
+                lib.buildSuite();
+            } catch (const std::exception &e) {
+                gpm::warn("gpmd: profile prewarm failed: %s "
+                          "(profiles will build lazily per request)",
+                          e.what());
+            } catch (...) {
+                gpm::warn("gpmd: profile prewarm failed (profiles "
+                          "will build lazily per request)");
+            }
         });
     }
 

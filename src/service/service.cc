@@ -536,6 +536,10 @@ ScenarioService::workerLoop(std::size_t slot)
             }
             job = std::move(queue.front());
             queue.pop_front();
+            // In flight before the lock drops: admission reads
+            // queue.size() + inFlight under this lock, so the load
+            // never dips while a job moves from queue to worker.
+            inFlight++;
         }
         // Frees the client's fairness slot whether the job runs,
         // sheds, or crashes.
@@ -544,6 +548,7 @@ ScenarioService::workerLoop(std::size_t slot)
         // Deadline shed: the caller stopped caring — answer with a
         // structured error instead of burning a worker on it.
         if (job->hasDeadline && job->cancel.cancelled()) {
+            inFlight--;
             shedDeadline++;
             Response r;
             r.hash = job->hash;
@@ -555,7 +560,6 @@ ScenarioService::workerLoop(std::size_t slot)
             continue;
         }
 
-        inFlight++;
         Response r;
         bool crashed = false;
         auto execStart = std::chrono::steady_clock::now();

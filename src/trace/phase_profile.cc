@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 
 #include "trace/profile_store.hh"
 #include "trace/profiler.hh"
 #include "trace/workload.hh"
-#include "util/binio.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -261,9 +258,6 @@ ProfileCursor::peek(MicroSec dt_us, PowerMode m, double dilation) const
 
 namespace
 {
-constexpr std::uint32_t profileMagic = 0x47504d50; // "GPMP"
-constexpr std::uint32_t profileVersion = 3;
-
 /** Bumped when profile *semantics* change without a WorkloadSpec /
  *  DvfsTable / CoreConfig knob changing (e.g. a core-model fix);
  *  mixed into workloadFingerprint() so stale store entries
@@ -291,8 +285,7 @@ struct Fnv
             h *= 1099511628211ULL;
         }
     }
-    /** Doubles are mixed at fixed precision, matching the legacy
-     *  suite fingerprint's idiom. */
+    /** Doubles are mixed at fixed precision (micro-units). */
     void mixD(double v) { mix(static_cast<std::uint64_t>(v * 1e6)); }
     void mixS(const std::string &s)
     {
@@ -311,37 +304,6 @@ ProfileLibrary::ProfileLibrary(const DvfsTable &dvfs_,
 }
 
 ProfileLibrary::~ProfileLibrary() = default;
-
-std::uint64_t
-ProfileLibrary::fingerprint() const
-{
-    // FNV-1a over the parameters that determine profile contents.
-    Fnv f;
-    f.mix(profileVersion);
-    f.mix(static_cast<std::uint64_t>(lengthScale * 1e6));
-    f.mix(dvfs.numModes());
-    for (std::size_t m = 0; m < dvfs.numModes(); m++) {
-        f.mix(static_cast<std::uint64_t>(
-            dvfs.frequency(static_cast<PowerMode>(m))));
-        f.mix(static_cast<std::uint64_t>(
-            dvfs.voltage(static_cast<PowerMode>(m)) * 1e6));
-    }
-    for (const auto &w : spec2000Suite()) {
-        f.mix(w.seed);
-        f.mix(w.totalInsts);
-        f.mix(w.phases.size());
-        for (const auto &ph : w.phases) {
-            f.mix(ph.lengthInsts);
-            f.mixD(ph.fracLoad);
-            f.mixD(ph.coldFrac);
-            f.mixD(ph.chainFrac);
-            f.mixD(ph.strideFrac);
-            f.mixD(ph.fracFp);
-            f.mixD(ph.branchBias);
-        }
-    }
-    return f.h;
-}
 
 std::uint64_t
 ProfileLibrary::workloadFingerprint(const WorkloadSpec &w) const
@@ -428,10 +390,8 @@ ProfileLibrary::Slot &
 ProfileLibrary::slotForLocked(const std::string &name)
 {
     auto &up = slots[name];
-    if (!up) {
+    if (!up)
         up = std::make_unique<Slot>();
-        order.push_back(up.get());
-    }
     return *up;
 }
 
@@ -609,125 +569,6 @@ ProfileLibrary::buildSuite(std::size_t concurrency)
     // get() waits per entry (and rebuilds if that build failed).
     for (const std::string &name : foreign)
         get(name);
-}
-
-void
-ProfileLibrary::loadOrBuild(const std::string &path,
-                            std::size_t concurrency)
-{
-    if (load(path))
-        return;
-    inform("profile cache '%s' missing or stale; building suite "
-           "profiles (one-time)",
-           path.c_str());
-    buildSuite(concurrency);
-    save(path);
-}
-
-void
-ProfileLibrary::save(const std::string &path) const
-{
-    // Snapshot under the lock; Ready profiles are immutable and
-    // their addresses stable, so serialization can run unlocked.
-    std::vector<const WorkloadProfile *> ready;
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        for (const Slot *s : order)
-            if (s->state == Slot::State::Ready)
-                ready.push_back(&s->profile);
-    }
-
-    std::string out;
-    binio::putLe(out, profileMagic, 4);
-    binio::putLe(out, profileVersion, 4);
-    binio::putLe(out, fingerprint(), 8);
-    binio::putLe(out, ready.size(), 4);
-    for (const WorkloadProfile *p : ready) {
-        binio::putLe(out, p->name.size(), 4);
-        out += p->name;
-        binio::putLe(out, p->modes.size(), 4);
-        for (const auto &mp : p->modes) {
-            binio::putLe(out, mp.chunkInsts, 8);
-            binio::putLe(out, mp.lastChunkInsts, 8);
-            binio::putLe(out, mp.chunks.size(), 4);
-            out.append(
-                reinterpret_cast<const char *>(mp.chunks.data()),
-                mp.chunks.size() * sizeof(ChunkRecord));
-        }
-    }
-    if (!binio::writeFileAtomic(path, out))
-        warn("cannot write profile cache '%s'", path.c_str());
-}
-
-bool
-ProfileLibrary::load(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    auto fail = [&]() {
-        std::fclose(f);
-        return false;
-    };
-    auto r32 = [f](std::uint32_t &v) {
-        return std::fread(&v, 4, 1, f) == 1;
-    };
-    auto r64 = [f](std::uint64_t &v) {
-        return std::fread(&v, 8, 1, f) == 1;
-    };
-    std::uint32_t magic = 0, version = 0, count = 0;
-    std::uint64_t fp = 0;
-    if (!r32(magic) || magic != profileMagic)
-        return fail();
-    if (!r32(version) || version != profileVersion)
-        return fail();
-    if (!r64(fp) || fp != fingerprint())
-        return fail();
-    if (!r32(count) || count > 1024)
-        return fail();
-    std::vector<WorkloadProfile> loaded;
-    for (std::uint32_t i = 0; i < count; i++) {
-        WorkloadProfile p;
-        std::uint32_t name_len = 0;
-        if (!r32(name_len) || name_len > 256)
-            return fail();
-        p.name.resize(name_len);
-        if (std::fread(p.name.data(), 1, name_len, f) != name_len)
-            return fail();
-        std::uint32_t n_modes = 0;
-        if (!r32(n_modes) || n_modes > 64)
-            return fail();
-        for (std::uint32_t m = 0; m < n_modes; m++) {
-            ModeProfile mp;
-            std::uint32_t n_chunks = 0;
-            if (!r64(mp.chunkInsts) || !r64(mp.lastChunkInsts) ||
-                !r32(n_chunks) || n_chunks > 100'000'000)
-                return fail();
-            mp.chunks.resize(n_chunks);
-            if (std::fread(mp.chunks.data(), sizeof(ChunkRecord),
-                           n_chunks, f) != n_chunks)
-                return fail();
-            p.modes.push_back(std::move(mp));
-        }
-        loaded.push_back(std::move(p));
-    }
-    std::fclose(f);
-
-    // Merge into the live table: publish into Empty slots only.
-    // load() may run concurrently with get() (gpmd prewarms in the
-    // background while serving), so never destroy or overwrite
-    // slots — callers hold returned profile references, and waiters
-    // are parked on Building entries. Ready/Building slots already
-    // have equivalent content in flight (the fingerprint check above
-    // guarantees the file matches this library's configuration).
-    std::unique_lock<std::mutex> lock(mtx);
-    for (WorkloadProfile &p : loaded) {
-        Slot &s = slotForLocked(p.name);
-        if (s.state != Slot::State::Empty)
-            continue;
-        publishLocked(s, std::move(p), true, 0);
-    }
-    return true;
 }
 
 ProfileLibraryStats

@@ -13,7 +13,8 @@
  * semantics of the paper's simultaneous multi-trace progression.
  *
  * ProfileCursor replays a profile in wall-clock time; ProfileLibrary
- * builds or loads (disk-cached) profiles for the whole suite.
+ * builds the suite's profiles, or loads them from a content-addressed
+ * ProfileStore (see profile_store.hh).
  */
 
 #ifndef GPM_TRACE_PHASE_PROFILE_HH
@@ -195,8 +196,7 @@ struct ProfileLibraryStats
 {
     /** Profiles built by running the detailed core model. */
     std::uint64_t builds = 0;
-    /** Profiles served from the content-addressed disk store (or a
-     *  legacy monolithic cache file, counted once per profile). */
+    /** Profiles served from the content-addressed disk store. */
     std::uint64_t diskHits = 0;
     /** Cumulative detailed-sim time across (workload x mode) runs
      *  [ms]. Sums per-mode run times, so under a parallel build it
@@ -219,10 +219,9 @@ struct ProfileLibraryStats
 /**
  * Builds, caches, and serves WorkloadProfiles for a set of workloads
  * under one DvfsTable. Building runs the detailed core model (see
- * Profiler); profiles persist either in a per-workload
- * content-addressed directory store (attachStore()) or a legacy
- * monolithic cache file (load()/save()) so benchmarks and daemons
- * start quickly after the first run.
+ * Profiler); with a store attached (attachStore()), profiles persist
+ * in a per-workload content-addressed directory so benchmarks and
+ * daemons start quickly after the first run.
  *
  * Concurrency: every profile lives in its own slot with a
  * per-entry build state (Empty -> Building -> Ready), so get() is
@@ -233,10 +232,7 @@ struct ProfileLibraryStats
  * detailed-core sim. buildSuite() fans the missing
  * (workload x mode) runs out over a thread pool and assembles
  * results deterministically in suite order, bitwise-identical to a
- * serial build. load()/save()/loadOrBuild() are safe to run
- * concurrently with get(): load() merges into the live table
- * (publishing only Empty slots, never destroying existing ones) and
- * save() snapshots Ready profiles under the lock.
+ * serial build; gpmd runs it in the background while get() serves.
  */
 class ProfileLibrary
 {
@@ -280,31 +276,6 @@ class ProfileLibrary
     void buildSuite(std::size_t concurrency = 0);
 
     /**
-     * Legacy monolithic cache flow: load cached profiles from
-     * @p path if compatible; otherwise build all suite profiles (in
-     * parallel, see buildSuite()) and save them to @p path.
-     */
-    void loadOrBuild(const std::string &path,
-                     std::size_t concurrency = 0);
-
-    /** Serialize all currently Ready profiles to @p path
-     *  (atomically: temp + rename), in legacy monolithic format. */
-    void save(const std::string &path) const;
-
-    /**
-     * Try to load a legacy monolithic cache from @p path, merging
-     * its profiles into the library (slots that are already Ready
-     * or Building keep their content — existing get() references
-     * stay valid).
-     * @retval false when missing or incompatible.
-     */
-    bool load(const std::string &path);
-
-    /** Fingerprint of suite + dvfs + scale for monolithic cache
-     *  validation. */
-    std::uint64_t fingerprint() const;
-
-    /**
      * Content fingerprint of one workload's profile inputs: store
      * format version, length scale, the DvfsTable, the CoreConfig,
      * and every WorkloadSpec field. Addresses entries in the
@@ -338,16 +309,13 @@ class ProfileLibrary
     /** Core configuration profiled under (Table 1 defaults); mixed
      *  into workloadFingerprint(). */
     CoreConfig cfg;
-    /** Guards slots/order/counters; never held across a build. */
+    /** Guards slots/counters; never held across a build. */
     mutable std::mutex mtx;
     /** Signalled on every slot state change. */
     std::condition_variable cv;
     /** unique_ptr: rehashing never invalidates references handed
      *  out; map: deterministic iteration. */
     std::map<std::string, std::unique_ptr<Slot>> slots;
-    /** Slot creation order — save() emits profiles in this order so
-     *  the monolithic format round-trips byte-identically. */
-    std::vector<Slot *> order;
     std::unique_ptr<ProfileStore> store;
     ProfileLibraryStats counters;
 };

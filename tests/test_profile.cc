@@ -1,11 +1,15 @@
 /** @file Unit tests for profiles, cursors and the profile library. */
 
-#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <system_error>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "helpers.hh"
 #include "trace/phase_profile.hh"
+#include "trace/workload.hh"
 
 namespace gpm
 {
@@ -14,6 +18,24 @@ namespace
 
 using test::classicSyntheticProfile;
 using test::syntheticProfile;
+
+/** A fresh directory for a profile store, removed with its contents. */
+struct TempStoreDir
+{
+    std::string path;
+    TempStoreDir()
+    {
+        char tmpl[] = "/tmp/gpm_profile_lib_XXXXXX";
+        if (::mkdtemp(tmpl))
+            path = tmpl;
+    }
+    ~TempStoreDir()
+    {
+        std::error_code ec;
+        if (!path.empty())
+            std::filesystem::remove_all(path, ec);
+    }
+};
 
 TEST(ModeProfile, Totals)
 {
@@ -145,83 +167,78 @@ TEST(WorkloadProfile, AtChecksBounds)
 
 TEST(ProfileLibrary, SaveLoadRoundTrip)
 {
+    // A library writes each profile it builds through to its store;
+    // a second library over the same directory loads it instead of
+    // building it again.
+    TempStoreDir tmp;
+    ASSERT_FALSE(tmp.path.empty());
     auto dvfs = DvfsTable::classic3();
-    std::string path =
-        ::testing::TempDir() + "/gpm_profiles_test.bin";
     ProfileLibrary lib(dvfs, 0.002);
+    lib.attachStore(tmp.path);
     const WorkloadProfile &p = lib.get("mcf");
-    std::uint64_t insts = p.at(modes::Turbo).totalInsts();
-    lib.save(path);
+    EXPECT_EQ(lib.stats().builds, 1u);
 
     ProfileLibrary lib2(dvfs, 0.002);
-    ASSERT_TRUE(lib2.load(path));
+    lib2.attachStore(tmp.path);
     const WorkloadProfile &q = lib2.get("mcf");
-    EXPECT_EQ(q.at(modes::Turbo).totalInsts(), insts);
+    EXPECT_EQ(lib2.stats().diskHits, 1u);
+    EXPECT_EQ(lib2.stats().builds, 0u);
+    ASSERT_EQ(q.modes.size(), p.modes.size());
+    EXPECT_EQ(q.at(modes::Turbo).totalInsts(),
+              p.at(modes::Turbo).totalInsts());
     EXPECT_EQ(q.at(modes::Turbo).chunks.size(),
               p.at(modes::Turbo).chunks.size());
     EXPECT_NEAR(q.at(modes::Eff2).totalEnergyJ(),
                 p.at(modes::Eff2).totalEnergyJ(), 1e-12);
-    std::remove(path.c_str());
-}
-
-TEST(ProfileLibrary, LoadMergesWithoutInvalidatingReferences)
-{
-    // gpmd prewarms load() on a background thread while get()
-    // serves: a load must merge into the live table, never clear
-    // it — references handed out earlier stay valid.
-    auto dvfs = DvfsTable::classic3();
-    std::string path =
-        ::testing::TempDir() + "/gpm_profiles_merge.bin";
-    ProfileLibrary lib(dvfs, 0.002);
-    lib.get("mcf");
-    lib.get("art");
-    lib.save(path);
-
-    ProfileLibrary lib2(dvfs, 0.002);
-    const WorkloadProfile *mcf = &lib2.get("mcf");
-    std::uint64_t insts = mcf->at(modes::Turbo).totalInsts();
-    ASSERT_TRUE(lib2.load(path));
-    // The pre-existing Ready slot survives the load by address...
-    EXPECT_EQ(mcf, &lib2.get("mcf"));
-    EXPECT_EQ(mcf->at(modes::Turbo).totalInsts(), insts);
-    // ...and only the file's other profile merged in from disk.
-    EXPECT_EQ(lib2.stats().diskHits, 1u);
-    lib2.get("art");
-    EXPECT_EQ(lib2.stats().builds, 1u);
-    std::remove(path.c_str());
 }
 
 TEST(ProfileLibrary, LoadRejectsWrongScale)
 {
+    // The length scale is part of every entry's key: a library at
+    // another scale over the same store never loads these profiles;
+    // it builds its own beside them.
+    TempStoreDir tmp;
+    ASSERT_FALSE(tmp.path.empty());
     auto dvfs = DvfsTable::classic3();
-    std::string path =
-        ::testing::TempDir() + "/gpm_profiles_scale.bin";
     ProfileLibrary lib(dvfs, 0.002);
-    lib.get("mcf");
-    lib.save(path);
+    lib.attachStore(tmp.path);
+    const WorkloadProfile &p = lib.get("mcf");
 
     ProfileLibrary other(dvfs, 0.004);
-    EXPECT_FALSE(other.load(path));
-    std::remove(path.c_str());
-}
+    other.attachStore(tmp.path);
+    const WorkloadProfile &q = other.get("mcf");
+    ProfileLibraryStats st = other.stats();
+    EXPECT_EQ(st.diskHits, 0u);
+    EXPECT_EQ(st.builds, 1u);
+    EXPECT_EQ(st.storeQuarantined, 0u);
+    EXPECT_GT(q.at(modes::Turbo).totalInsts(),
+              p.at(modes::Turbo).totalInsts());
 
-TEST(ProfileLibrary, LoadRejectsGarbage)
-{
-    std::string path = ::testing::TempDir() + "/gpm_garbage.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a profile file", f);
-    std::fclose(f);
-    auto dvfs = DvfsTable::classic3();
-    ProfileLibrary lib(dvfs, 1.0);
-    EXPECT_FALSE(lib.load(path));
-    std::remove(path.c_str());
+    // The first scale's entry is untouched and still loads.
+    ProfileLibrary again(dvfs, 0.002);
+    again.attachStore(tmp.path);
+    again.get("mcf");
+    EXPECT_EQ(again.stats().diskHits, 1u);
+    EXPECT_EQ(again.stats().builds, 0u);
 }
 
 TEST(ProfileLibrary, LoadMissingFileFails)
 {
+    // A store whose directory cannot exist holds nothing to load and
+    // takes no write: get() still builds and serves the profile, and
+    // counts the failed write.
+    TempStoreDir tmp;
+    ASSERT_FALSE(tmp.path.empty());
     auto dvfs = DvfsTable::classic3();
-    ProfileLibrary lib(dvfs, 1.0);
-    EXPECT_FALSE(lib.load("/nonexistent/path/profiles.bin"));
+    ProfileLibrary lib(dvfs, 0.002);
+    lib.attachStore(tmp.path + "/missing/store");
+    const WorkloadProfile &p = lib.get("mcf");
+    EXPECT_GT(p.at(modes::Turbo).totalInsts(), 0u);
+    ProfileLibraryStats st = lib.stats();
+    EXPECT_EQ(st.diskHits, 0u);
+    EXPECT_EQ(st.builds, 1u);
+    EXPECT_EQ(st.storeWriteFailures, 1u);
+    EXPECT_FALSE(std::filesystem::exists(tmp.path + "/missing"));
 }
 
 TEST(ProfileLibrary, GetIsStableAcrossGrowth)
@@ -236,10 +253,31 @@ TEST(ProfileLibrary, GetIsStableAcrossGrowth)
 
 TEST(ProfileLibrary, FingerprintStable)
 {
+    // A workload's store key is the same in every library built the
+    // same way, and moves with each profile input: the scale, the
+    // DVFS table, the footprint and the phase mix.
     auto dvfs = DvfsTable::classic3();
-    ProfileLibrary a(dvfs, 0.5), b(dvfs, 0.5), c(dvfs, 0.25);
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
-    EXPECT_NE(a.fingerprint(), c.fingerprint());
+    auto subLinear = DvfsTable::subLinearVoltage();
+    ProfileLibrary a(dvfs, 0.5), b(dvfs, 0.5), c(dvfs, 0.25),
+        d(subLinear, 0.5);
+    for (const auto &w : spec2000Suite()) {
+        EXPECT_EQ(a.workloadFingerprint(w), b.workloadFingerprint(w))
+            << w.name;
+        EXPECT_NE(a.workloadFingerprint(w), c.workloadFingerprint(w))
+            << w.name;
+        EXPECT_NE(a.workloadFingerprint(w), d.workloadFingerprint(w))
+            << w.name;
+    }
+
+    const WorkloadSpec &mcf = workload("mcf");
+    WorkloadSpec bigger = mcf;
+    bigger.coldBytes *= 2;
+    EXPECT_NE(a.workloadFingerprint(bigger),
+              a.workloadFingerprint(mcf));
+    WorkloadSpec storeHeavy = mcf;
+    storeHeavy.phases.front().fracStore += 0.01;
+    EXPECT_NE(a.workloadFingerprint(storeHeavy),
+              a.workloadFingerprint(mcf));
 }
 
 } // namespace

@@ -2,15 +2,19 @@
  * @file
  * The parallel profile pipeline: buildSuite() determinism vs a
  * serial baseline (mirroring test_sweep.cc's contract), the
- * content-addressed ProfileStore (round trip, fingerprint
- * addressing, corrupt/truncated-entry quarantine, fault injection),
- * incremental invalidation, and the legacy monolithic fallback.
+ * content-addressed ProfileStore (round trip, atomic saves,
+ * fingerprint addressing, corrupt/truncated-entry quarantine, fault
+ * injection), incremental invalidation, and a background
+ * buildSuite() racing get() callers over cold and warm stores.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -108,6 +112,31 @@ TEST_F(ProfileStoreTest, StoreRoundTrip)
     ASSERT_TRUE(store.load("mcf", 0x1234, q));
     EXPECT_TRUE(identical(p, q));
     EXPECT_EQ(store.stats().hits, 1u);
+}
+
+TEST_F(ProfileStoreTest, SaveIsAtomic)
+{
+    // save() commits through a temp file and a rename, also when it
+    // replaces an existing entry: the directory only ever holds
+    // finished entries, never a stray temp file.
+    WorkloadProfile p = buildOne("mcf");
+    ProfileStore store(dir);
+    ASSERT_TRUE(store.save("mcf", 1, p));
+    ASSERT_TRUE(store.save("mcf", 1, p));
+    ASSERT_TRUE(store.save("mcf", 2, p));
+
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names,
+              (std::vector<std::string>{
+                  ProfileStore::fileNameFor("mcf", 1),
+                  ProfileStore::fileNameFor("mcf", 2)}));
+
+    WorkloadProfile q;
+    ASSERT_TRUE(store.load("mcf", 1, q));
+    EXPECT_TRUE(identical(p, q));
 }
 
 TEST_F(ProfileStoreTest, FingerprintAddressesEntries)
@@ -229,6 +258,16 @@ TEST_F(ProfileStoreTest, WarmStartBuildsNothing)
         lib.buildSuite(2);
         EXPECT_EQ(lib.stats().builds, spec2000Suite().size());
     }
+    // Every write committed through temp + rename: the directory
+    // holds one entry per workload and no stray temp file.
+    std::size_t entries = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(e.path().extension().string(), ".gpmp")
+            << e.path();
+        entries++;
+    }
+    EXPECT_EQ(entries, spec2000Suite().size());
+
     ProfileLibrary warm(dvfs, kScale);
     warm.attachStore(dir);
     warm.buildSuite(2);
@@ -274,53 +313,57 @@ TEST_F(ProfileStoreTest, ScaleChangesWorkloadFingerprint)
               a.workloadFingerprint(spec2000Suite()[1]));
 }
 
-TEST_F(ProfileStoreTest, LegacyMonolithicFallbackStillLoads)
+TEST_F(ProfileStoreTest, PrewarmRacingGetsSeeOneProfileEach)
 {
-    std::string path = dir + "/legacy.bin";
-    ProfileLibrary lib(dvfs, kScale);
-    lib.get("mcf");
-    lib.get("art");
-    lib.save(path);
+    // gpmd runs buildSuite() on a background thread while its
+    // workers call get(). Over a cold and then a warm store, every
+    // workload must be built or loaded exactly once, every caller
+    // must get the same stable profile, and that profile must match
+    // a serial build bit for bit.
+    ProfileLibrary serial(dvfs, kScale);
+    serial.buildSuite(1);
+    const auto &suite = spec2000Suite();
+    const std::size_t n = suite.size();
+    constexpr std::size_t kGetters = 4;
 
-    // loadOrBuild takes the legacy read path: everything the file
-    // holds is served without a single detailed-core run.
-    ProfileLibrary lib2(dvfs, kScale);
-    lib2.loadOrBuild(path); // file is compatible -> no build
-    ProfileLibraryStats st = lib2.stats();
-    EXPECT_EQ(st.diskHits, 2u);
-    EXPECT_TRUE(identical(lib2.get("mcf"), lib.get("mcf")));
-    EXPECT_EQ(lib2.stats().builds, 0u);
-}
+    auto race = [&](ProfileLibrary &lib) {
+        std::vector<std::vector<const WorkloadProfile *>> seen(
+            kGetters, std::vector<const WorkloadProfile *>(n));
+        std::vector<std::thread> threads;
+        threads.emplace_back([&] { lib.buildSuite(2); });
+        for (std::size_t t = 0; t < kGetters; t++)
+            threads.emplace_back([&, t] {
+                // Odd getters walk backwards, and each starts a
+                // quarter of the suite further on: four orders.
+                for (std::size_t k = 0; k < n; k++) {
+                    std::size_t i = t % 2 ? n - 1 - k : k;
+                    i = (i + t * n / kGetters) % n;
+                    seen[t][i] = &lib.get(suite[i].name);
+                }
+            });
+        for (auto &th : threads)
+            th.join();
+        for (std::size_t i = 0; i < n; i++) {
+            const WorkloadProfile *after = &lib.get(suite[i].name);
+            for (std::size_t t = 0; t < kGetters; t++)
+                EXPECT_EQ(seen[t][i], after)
+                    << suite[i].name << " getter " << t;
+            EXPECT_TRUE(identical(*after, serial.get(suite[i].name)))
+                << suite[i].name;
+        }
+    };
 
-TEST_F(ProfileStoreTest, TruncatedMonolithicFallsBackToBuild)
-{
-    std::string path = dir + "/legacy.bin";
-    ProfileLibrary lib(dvfs, kScale);
-    lib.get("mcf");
-    lib.save(path);
+    ProfileLibrary cold(dvfs, kScale);
+    cold.attachStore(dir);
+    race(cold);
+    EXPECT_EQ(cold.stats().builds, n);
+    EXPECT_EQ(cold.stats().diskHits, 0u);
 
-    struct stat st;
-    ASSERT_EQ(::stat(path.c_str(), &st), 0);
-    ASSERT_EQ(::truncate(path.c_str(), st.st_size - 8), 0);
-
-    ProfileLibrary lib2(dvfs, kScale);
-    EXPECT_FALSE(lib2.load(path));
-}
-
-TEST_F(ProfileStoreTest, SaveIsAtomic)
-{
-    // save() must never leave a partially written file at the
-    // target path; the temp is cleaned up on success.
-    std::string path = dir + "/atomic.bin";
-    ProfileLibrary lib(dvfs, kScale);
-    lib.get("mcf");
-    lib.save(path);
-    ProfileLibrary lib2(dvfs, kScale);
-    EXPECT_TRUE(lib2.load(path));
-    // No stray temp files in the directory.
-    std::string cmd =
-        "ls " + dir + " | grep -q '\\.tmp\\.' && exit 1 || exit 0";
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
+    ProfileLibrary warm(dvfs, kScale);
+    warm.attachStore(dir);
+    race(warm);
+    EXPECT_EQ(warm.stats().builds, 0u);
+    EXPECT_EQ(warm.stats().diskHits, n);
 }
 
 } // namespace
