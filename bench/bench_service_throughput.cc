@@ -43,7 +43,13 @@
  *
  *   { "bench": "service_throughput", "phase": ..., "clients": N,
  *     "scenarios": M, "wall_ms": ..., "scenarios_per_sec": ...,
- *     "p50_ms": ..., "p99_ms": ..., "failures": F }
+ *     "p50_ms": ..., "p99_ms": ..., "failures": F, "degraded": D,
+ *     "hits": H }
+ *
+ * D counts responses carrying the "degraded" marker (served a
+ * ladder rung down) and H responses with "cached":true. No phase
+ * gates on them yet: a degraded cold request is cached under its
+ * own hash, so its warm resubmit misses.
  *
  * Latencies are per-scenario completion times from the moment the
  * client starts sending its pipeline (so the p99 of the cold phase
@@ -68,6 +74,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <string>
+#include <string_view>
 #include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -136,13 +143,27 @@ struct PhaseResult
     double wallMs = 0.0;
     std::vector<double> latenciesMs; // one per scenario
     std::size_t failures = 0;
+    std::size_t degraded = 0;
+    std::size_t hits = 0;
 };
 
-/** One client: pipeline all requests, then collect all responses. */
+/** Count one response line's outcome into @p res. */
+void
+tally(PhaseResult &res, std::string_view line)
+{
+    if (line.find("\"ok\":true") == std::string_view::npos)
+        res.failures++;
+    if (line.find("\"degraded\":") != std::string_view::npos)
+        res.degraded++;
+    if (line.find("\"cached\":true") != std::string_view::npos)
+        res.hits++;
+}
+
+/** One client: pipeline all requests, then collect all responses
+ *  into @p res (latencies and outcome counts). */
 void
 runClient(std::uint16_t port, std::size_t client,
-          std::size_t perClient, std::vector<double> &latencies,
-          std::atomic<std::size_t> &failures)
+          std::size_t perClient, PhaseResult &res)
 {
     auto conn = TcpStream::connectTo("127.0.0.1", port);
     if (!conn.ok())
@@ -162,9 +183,8 @@ runClient(std::uint16_t port, std::size_t client,
             fatal("client %zu: connection lost after %zu of %zu "
                   "responses",
                   client, k, perClient);
-        latencies.push_back(timer.ms());
-        if (line.find("\"ok\":true") == std::string::npos)
-            failures++;
+        res.latenciesMs.push_back(timer.ms());
+        tally(res, line);
     }
 }
 
@@ -213,23 +233,25 @@ runPhase(std::uint16_t port, std::size_t clients,
          std::size_t perClient)
 {
     PhaseResult res;
-    std::vector<std::vector<double>> lats(clients);
-    std::atomic<std::size_t> failures{0};
+    std::vector<PhaseResult> perClientRes(clients);
     bench::WallTimer wall;
     {
         std::vector<std::thread> threads;
         for (std::size_t c = 0; c < clients; c++)
             threads.emplace_back(runClient, port, c, perClient,
-                                 std::ref(lats[c]),
-                                 std::ref(failures));
+                                 std::ref(perClientRes[c]));
         for (auto &t : threads)
             t.join();
     }
     res.wallMs = wall.ms();
-    res.failures = failures.load();
-    for (auto &l : lats)
-        res.latenciesMs.insert(res.latenciesMs.end(), l.begin(),
-                               l.end());
+    for (const auto &r : perClientRes) {
+        res.latenciesMs.insert(res.latenciesMs.end(),
+                               r.latenciesMs.begin(),
+                               r.latenciesMs.end());
+        res.failures += r.failures;
+        res.degraded += r.degraded;
+        res.hits += r.hits;
+    }
     std::sort(res.latenciesMs.begin(), res.latenciesMs.end());
     return res;
 }
@@ -259,18 +281,19 @@ report(const char *phase, std::size_t clients,
     double p50 = percentile(res.latenciesMs, 0.50);
     double p99 = percentile(res.latenciesMs, 0.99);
     std::printf("%-18s %7.0f scen/s  p50 %8.1f ms  p99 %8.1f ms  "
-                "wall %8.1f ms%s\n",
-                phase, perSec, p50, p99, res.wallMs,
-                res.failures ? "  [FAILURES]" : "");
-    char buf[352];
+                "wall %8.1f ms  degraded %zu  hits %zu%s\n",
+                phase, perSec, p50, p99, res.wallMs, res.degraded,
+                res.hits, res.failures ? "  [FAILURES]" : "");
+    char buf[416];
     std::snprintf(
         buf, sizeof(buf),
         "{ \"bench\": \"service_throughput\", \"phase\": \"%s\", "
         "\"clients\": %zu, \"scenarios\": %zu, \"wall_ms\": %.1f, "
         "\"scenarios_per_sec\": %.1f, \"p50_ms\": %.1f, "
-        "\"p99_ms\": %.1f, \"failures\": %zu }",
+        "\"p99_ms\": %.1f, \"failures\": %zu, \"degraded\": %zu, "
+        "\"hits\": %zu }",
         phase, clients, perClient, res.wallMs, perSec, p50, p99,
-        res.failures);
+        res.failures, res.degraded, res.hits);
     bench::appendBenchLine(buf);
     return perSec;
 }
@@ -638,9 +661,7 @@ driveConns(std::uint16_t port, std::size_t nConns,
                            LineScanner::Scan::Line) {
                         c.got++;
                         res.latenciesMs.push_back(timer.ms());
-                        if (line.find("\"ok\":true") ==
-                            std::string_view::npos)
-                            res.failures++;
+                        tally(res, line);
                     }
                     if (c.got >= c.expect) {
                         finish(c);
@@ -694,6 +715,8 @@ driveChurn(std::uint16_t port, std::size_t totalConns,
                 return warmSubmitLine(base + conn, 0);
             });
         res.failures += w.failures;
+        res.degraded += w.degraded;
+        res.hits += w.hits;
         res.latenciesMs.insert(res.latenciesMs.end(),
                                w.latenciesMs.begin(),
                                w.latenciesMs.end());

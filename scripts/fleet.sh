@@ -1,33 +1,30 @@
 #!/usr/bin/env bash
-# Launch a sharded gpmd fleet: N backends on ephemeral ports over a
-# shared cache/profile directory tree, fronted by one gpm-router.
-# Prints the router address, then waits; Ctrl-C (or SIGTERM) drains
-# the router and stops the backends.
+# Launch a gpmd fleet: N daemons on ephemeral ports over a shared
+# cache/profile directory tree. Prints the gpmctl --host list that
+# shards over them (gpmctl sends each scenario to its ring owner and
+# fails over down the key's ranking), then waits; Ctrl-C (or
+# SIGTERM) drains and stops the daemons.
 #
 # Usage: scripts/fleet.sh [N] [build-dir]
-#   N          backends to launch (default 2)
+#   N          daemons to launch (default 2)
 #   build-dir  cmake build directory (default build)
 #
-# Knobs (env): GPM_FLEET_PORT (router port, default 7420; 0 =
-# ephemeral), GPM_FLEET_CACHE_DIR (shared result-cache directory,
+# Knobs (env): GPM_FLEET_CACHE_DIR (shared result-cache directory,
 # default a fresh mktemp -d), GPM_FLEET_PROFILE_DIR (shared
 # profile store, default <cache>/profiles), GPM_FLEET_SCALE
 # (passed as gpmd --scale), GPM_FLEET_GPMD_ARGS (extra gpmd
-# flags), GPM_FLEET_ROUTER_ARGS (extra gpm-router flags).
+# flags).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 N="${1:-2}"
 BUILD="${2:-build}"
 GPMD="$BUILD/src/service/gpmd"
-ROUTER="$BUILD/src/router/gpm-router"
 
-[ -x "$GPMD" ] && [ -x "$ROUTER" ] ||
-    { echo "fleet: build $GPMD and $ROUTER first" >&2; exit 1; }
+[ -x "$GPMD" ] || { echo "fleet: build $GPMD first" >&2; exit 1; }
 [ "$N" -ge 1 ] 2>/dev/null ||
     { echo "fleet: N must be a positive integer" >&2; exit 1; }
 
-ROUTER_PORT="${GPM_FLEET_PORT:-7420}"
 CACHE_DIR="${GPM_FLEET_CACHE_DIR:-$(mktemp -d /tmp/gpm_fleet_XXXXXX)}"
 PROFILE_DIR="${GPM_FLEET_PROFILE_DIR:-$CACHE_DIR/profiles}"
 mkdir -p "$CACHE_DIR" "$PROFILE_DIR"
@@ -36,9 +33,6 @@ LOG_DIR=$(mktemp -d /tmp/gpm_fleet_logs_XXXXXX)
 PIDS=()
 
 cleanup() {
-    # Router first (drains in-flight work), then the backends.
-    [ -n "${RPID:-}" ] && kill -TERM "$RPID" 2>/dev/null || true
-    [ -n "${RPID:-}" ] && wait "$RPID" 2>/dev/null || true
     for pid in "${PIDS[@]}"; do
         kill -TERM "$pid" 2>/dev/null || true
     done
@@ -47,25 +41,26 @@ cleanup() {
     done
     echo "fleet: stopped (logs in $LOG_DIR)"
 }
-trap cleanup EXIT INT TERM
+trap cleanup EXIT
+trap 'exit 130' INT TERM
 
-wait_port() { # $1 = pid, $2 = log, $3 = line prefix
+wait_port() { # $1 = pid, $2 = log
     local port="" i
     for i in $(seq 1 600); do
-        port=$(sed -n "s/^$3: listening on .*:\([0-9]*\)$/\1/p" \
+        port=$(sed -n 's/^gpmd: listening on .*:\([0-9]*\)$/\1/p' \
             "$2")
         [ -n "$port" ] && { echo "$port"; return 0; }
         kill -0 "$1" 2>/dev/null ||
-            { echo "fleet: $3 exited early:" >&2; cat "$2" >&2
+            { echo "fleet: gpmd exited early:" >&2; cat "$2" >&2
               return 1; }
         sleep 0.5
     done
-    echo "fleet: $3 never listened:" >&2
+    echo "fleet: gpmd never listened:" >&2
     cat "$2" >&2
     return 1
 }
 
-BACKENDS=""
+HOSTS=""
 for i in $(seq 1 "$N"); do
     LOG="$LOG_DIR/gpmd-$i.log"
     # shellcheck disable=SC2086
@@ -75,20 +70,14 @@ for i in $(seq 1 "$N"); do
         ${GPM_FLEET_SCALE:+--scale "$GPM_FLEET_SCALE"} \
         ${GPM_FLEET_GPMD_ARGS:-} >"$LOG" 2>&1 &
     PIDS+=($!)
-    PORT=$(wait_port "${PIDS[-1]}" "$LOG" gpmd)
-    BACKENDS="${BACKENDS:+$BACKENDS,}127.0.0.1:$PORT"
-    echo "fleet: backend $i on 127.0.0.1:$PORT (pid ${PIDS[-1]})"
+    PORT=$(wait_port "${PIDS[-1]}" "$LOG")
+    HOSTS="${HOSTS:+$HOSTS,}127.0.0.1:$PORT"
+    echo "fleet: gpmd $i on 127.0.0.1:$PORT (pid ${PIDS[-1]})"
 done
 
-RLOG="$LOG_DIR/router.log"
-# shellcheck disable=SC2086
-"$ROUTER" --port "$ROUTER_PORT" --backends "$BACKENDS" \
-    ${GPM_FLEET_ROUTER_ARGS:-} >"$RLOG" 2>&1 &
-RPID=$!
-RPORT=$(wait_port "$RPID" "$RLOG" gpm-router)
-
-echo "fleet: $N backends behind 127.0.0.1:$RPORT (router pid $RPID)"
-echo "fleet: shared cache dir $CACHE_DIR"
-echo "fleet: try: $BUILD/src/service/gpmctl --port $RPORT ping"
+echo "fleet: $N daemons; shared cache dir $CACHE_DIR"
+echo "fleet: --host $HOSTS"
+echo "fleet: try: $BUILD/src/service/gpmctl --host $HOSTS submit" \
+    "--combo mcf,crafty --policy MaxBIPS --budget 0.8"
 echo "fleet: Ctrl-C to drain and stop"
-wait "$RPID"
+wait "${PIDS[@]}"

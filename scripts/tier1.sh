@@ -21,14 +21,12 @@
 # Prometheus text carrying the service counters — no curl
 # dependency), a throughput smoke (the serving-path bench at small
 # scale under a raised fd limit: every transport phase must finish
-# with zero request errors), a shard smoke (gpm-router over two
-# gpmd backends sharing a --cache-dir: submits and cache-hit
-# resubmits through the router, a SIGKILLed backend failing over
-# to the survivor with zero gpmctl failures, clean router drain),
-# then a ThreadSanitizer build
+# with zero request errors), then a ThreadSanitizer build
 # running the concurrency-sensitive tests (thread pool + sweep
-# determinism) and the same smokes under TSan. The TSan stage can be
-# skipped with GPM_SKIP_TSAN=1 (e.g. on toolchains without libtsan).
+# determinism), the same smokes and the `process` ctest label (the
+# SIGKILL failover across gpmd processes) under TSan. The TSan
+# stage can be skipped with GPM_SKIP_TSAN=1 (e.g. on toolchains
+# without libtsan).
 #
 # Usage: scripts/tier1.sh [build-dir]
 set -euo pipefail
@@ -603,147 +601,6 @@ service_throughput_smoke() {
     rm -f "$out"
 }
 
-# Wait until the router ($1 = pid, $2 = log) prints
-# "gpm-router: listening on HOST:PORT" and echo the port.
-wait_router_port() {
-    local pid=$1 log=$2 port="" i
-    for i in $(seq 1 600); do
-        port=$(sed -n \
-            's/^gpm-router: listening on .*:\([0-9]*\)$/\1/p' \
-            "$log")
-        [ -n "$port" ] && { echo "$port"; return 0; }
-        kill -0 "$pid" 2>/dev/null ||
-            { echo "gpm-router exited early:" >&2; cat "$log" >&2
-              return 1; }
-        sleep 0.5
-    done
-    echo "gpm-router never listened:" >&2
-    cat "$log" >&2
-    return 1
-}
-
-# Shard smoke: gpm-router over two gpmd backends sharing one
-# --cache-dir. gpmctl pointed at the router must behave exactly as
-# against a single gpmd: submits succeed, resubmits are cache hits.
-# Then one backend is SIGKILLed mid-fleet and a retrying gpmctl
-# must converge with zero failures — the dead backend's shard
-# re-resolves onto the survivor, which answers byte-identically
-# from the shared disk tier. Finally the router must drain clean
-# on SIGTERM, leaving the surviving backend running.
-gpmd_shard_smoke() {
-    local bdir=$1
-    local gpmd="$bdir/src/service/gpmd"
-    local gpmctl="$bdir/src/service/gpmctl"
-    local router="$bdir/src/router/gpm-router"
-    local log1 log2 rlog cache_dir b
-    log1=$(mktemp); log2=$(mktemp); rlog=$(mktemp)
-    cache_dir=$(mktemp -d)
-
-    "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache-dir "$SMOKE_STORE" \
-        --cache-dir "$cache_dir" >"$log1" 2>&1 &
-    local pid1=$!
-    "$gpmd" --port 0 --scale "$SMOKE_SCALE" \
-        --profile-cache-dir "$SMOKE_STORE" \
-        --cache-dir "$cache_dir" >"$log2" 2>&1 &
-    local pid2=$!
-    trap 'kill -9 "$pid1" "$pid2" "${rpid:-}" 2>/dev/null || true' \
-        RETURN
-
-    local port1 port2
-    port1=$(wait_gpmd_port "$pid1" "$log1") || return 1
-    port2=$(wait_gpmd_port "$pid2" "$log2") || return 1
-
-    # Fast-failover breaker tuning: the smoke's handful of
-    # post-kill submits must be enough samples to open the dead
-    # backend's breaker.
-    "$router" --port 0 \
-        --backends "127.0.0.1:$port1,127.0.0.1:$port2" \
-        --breaker-window 4 --breaker-min-samples 2 \
-        --breaker-cooldown-ms 100 \
-        >"$rlog" 2>&1 &
-    local rpid=$!
-    local rport
-    rport=$(wait_router_port "$rpid" "$rlog") || return 1
-
-    "$gpmctl" --port "$rport" ping ||
-        { echo "shard: ping via router failed"; return 1; }
-    "$gpmctl" --port "$rport" stats |
-        grep -q '"backendsLive":2' ||
-        { echo "shard: router does not see 2 live backends"
-          return 1; }
-
-    # Four distinct budgets spread over both shards: every submit
-    # computes once, the resubmit must be a cache hit whichever
-    # backend owns it.
-    for b in 0.60 0.66 0.72 0.78; do
-        "$gpmctl" --port "$rport" submit \
-            --combo mcf,crafty --policy MaxBIPS --budget "$b" |
-            grep -q '"ok":true' ||
-            { echo "shard: submit budget=$b via router failed"
-              return 1; }
-    done
-    for b in 0.60 0.66 0.72 0.78; do
-        "$gpmctl" --port "$rport" submit \
-            --combo mcf,crafty --policy MaxBIPS --budget "$b" |
-            grep -q '"cached":true' ||
-            { echo "shard: resubmit budget=$b not a cache hit"
-              return 1; }
-    done
-
-    # SIGKILL a backend that actually received traffic (the ring
-    # may put every smoke budget on one shard; connection pools
-    # are lazy, so killing the idle backend would never feed the
-    # breaker). The router's breaker opens, the dead shard
-    # re-resolves onto the survivor, and a retrying gpmctl
-    # converges with zero failures — served from the shared disk
-    # tier, so still cached:true.
-    local victim_port
-    victim_port=$("$gpmctl" --port "$rport" stats | tr '{' '\n' |
-        sed -n 's/.*"name":"127\.0\.0\.1:\([0-9]*\)".*"routed":[1-9].*/\1/p' |
-        head -1)
-    [ -n "$victim_port" ] ||
-        { echo "shard: no backend with routed traffic found"
-          return 1; }
-    local victim_pid surv_pid surv_log
-    if [ "$victim_port" = "$port1" ]; then
-        victim_pid=$pid1; surv_pid=$pid2; surv_log=$log2
-    else
-        victim_pid=$pid2; surv_pid=$pid1; surv_log=$log1
-    fi
-    kill -9 "$victim_pid"
-    wait "$victim_pid" 2>/dev/null || true
-    for b in 0.60 0.66 0.72 0.78; do
-        "$gpmctl" --port "$rport" --retries 8 submit \
-            --combo mcf,crafty --policy MaxBIPS --budget "$b" |
-            grep -q '"cached":true' ||
-            { echo "shard: post-kill submit budget=$b failed"
-              cat "$rlog"; return 1; }
-    done
-    "$gpmctl" --port "$rport" stats |
-        grep -q '"backendsLive":1' ||
-        { echo "shard: router still counts the dead backend live"
-          return 1; }
-
-    # Router drains clean on SIGTERM; the survivor keeps running.
-    local rc=0
-    kill -TERM "$rpid"
-    wait "$rpid" || rc=$?
-    [ "$rc" -eq 0 ] ||
-        { echo "gpm-router exit code $rc:"; cat "$rlog"
-          return 1; }
-    grep -q 'gpm-router: shutdown complete' "$rlog" ||
-        { echo "shard: no clean router shutdown:"; cat "$rlog"
-          return 1; }
-    kill -0 "$surv_pid" 2>/dev/null ||
-        { echo "shard: surviving backend died with the router"
-          cat "$surv_log"; return 1; }
-
-    stop_gpmd "$surv_pid" "$surv_log" || return 1
-    rm -rf "$cache_dir"
-    rm -f "$log1" "$log2" "$rlog"
-}
-
 echo "== tier-1: standard build + ctest =="
 cmake -B "$BUILD" -S . -DGPM_WERROR=ON
 cmake --build "$BUILD" -j
@@ -773,9 +630,6 @@ gpmd_metrics_smoke "$BUILD"
 echo "== tier-1: serving-path throughput smoke (reactor vs tpc) =="
 service_throughput_smoke "$BUILD"
 
-echo "== tier-1: shard smoke (router / failover / shared cache) =="
-gpmd_shard_smoke "$BUILD"
-
 if [ "${GPM_SKIP_TSAN:-0}" = "1" ]; then
     echo "== tier-1: TSan stage skipped (GPM_SKIP_TSAN=1) =="
     exit 0
@@ -783,7 +637,7 @@ fi
 
 echo "== tier-1: ThreadSanitizer build (pool + sweep tests) =="
 cmake -B "$BUILD-tsan" -S . -DGPM_SANITIZE=thread -DGPM_WERROR=ON
-cmake --build "$BUILD-tsan" -j --target gpm_tests gpmd gpmctl gpm-router
+cmake --build "$BUILD-tsan" -j --target gpm_tests gpmd gpmctl
 # Profile building under TSan is slow; the sweep tests rebuild their
 # small-scale profiles on first use, so give them a large timeout.
 "$BUILD-tsan/tests/gpm_tests" \
@@ -807,7 +661,7 @@ gpmd_overload "$BUILD-tsan"
 echo "== tier-1: gpmd metrics smoke under TSan =="
 gpmd_metrics_smoke "$BUILD-tsan"
 
-echo "== tier-1: shard smoke under TSan =="
-gpmd_shard_smoke "$BUILD-tsan"
+echo "== tier-1: process tests under TSan (SIGKILL failover) =="
+ctest --test-dir "$BUILD-tsan" -L process --output-on-failure
 
 echo "== tier-1: all stages passed =="

@@ -24,19 +24,30 @@
  * POLICY; --policy then names the facility-level arbitration
  * kernel. See docs/SERVICE.md for the scenario schema.
  *
- * submit-batch reads one scenario object per line from FILE, sends
- * them as a single submit_batch request, and prints one result line
- * per scenario on stdout in input order (the server answers in
- * completion order; gpmctl reorders by "index"). Exit 0 only when
- * every scenario succeeded. Retries (below) re-send the whole
- * batch, never a subset, and nothing is printed until the full
+ * --host takes a comma-separated HOST[:PORT] list, and gpmctl
+ * shards over it itself: a submit goes to the endpoint that owns the
+ * scenario's canonical hash on a RendezvousRing over the "host:port"
+ * names, so a scenario always lands on the daemon whose memory tier
+ * holds it, and each retried failure moves to the next endpoint in
+ * that hash's ranking. A scenario that does not parse, and
+ * ping/stats/shutdown, start at the first endpoint and move down
+ * the list.
+ *
+ * submit-batch reads one scenario object per line from FILE, groups
+ * the scenarios by owning endpoint (input order kept within each
+ * group), sends each group as submit_batch requests, and prints one
+ * result line per scenario on stdout in input order, every line's
+ * "index" set to its input-file position (the server answers in
+ * completion order and indexes within its own request; gpmctl
+ * reorders and re-indexes). Exit 0 only when every scenario
+ * succeeded. Retries (below) re-send a whole request, never a
+ * subset, and a request's lines are printed only once its full
  * response set arrived — a mid-stream retry cannot duplicate
  * output. --max-inflight N caps how many scenarios one request
- * keeps in flight: a larger file is sent as consecutive windows of
- * N, each retried as a unit, results still printed in input order
- * with every line's "index" shifted back to its input-file
- * position. This keeps one gpmctl from monopolizing the server's
- * per-client queue share.
+ * keeps in flight: a group larger than N is sent as consecutive
+ * windows of N, each retried as a unit down the ranking of its
+ * first scenario. This keeps one gpmctl from monopolizing a
+ * server's per-client queue share.
  *
  * Retry options (see docs/ROBUSTNESS.md): --retries N (additional
  * attempts after the first, default 0), --retry-base-ms B (backoff
@@ -55,8 +66,9 @@
  * drain rate.
  *
  * Prints the server's one-line JSON response on stdout. Exit codes:
- * 0 = ok:true, 2 = server returned an error, 1 = usage or
- * transport failure (including deadline exhaustion).
+ * 0 = ok:true, 2 = server returned an error, 1 = usage (including
+ * a malformed numeric flag) or transport failure (including
+ * deadline exhaustion).
  */
 
 #include <algorithm>
@@ -64,6 +76,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -71,8 +85,11 @@
 
 #include "service/json.hh"
 #include "service/net.hh"
+#include "service/ring.hh"
+#include "service/scenario.hh"
 #include "trace/workload.hh"
 #include "util/backoff.hh"
+#include "util/flags.hh"
 
 namespace
 {
@@ -88,10 +105,13 @@ usage()
         "[retry options] "
         "<ping|stats|shutdown|submit|submit-batch> "
         "[submit options | @FILE.ndjson]\n"
-        "  --host takes a comma-separated HOST[:PORT] list; "
-        "retries rotate\n"
-        "  through the endpoints (entries without :PORT use "
-        "--port)\n"
+        "  --host takes a comma-separated HOST[:PORT] list; a "
+        "submit goes to the\n"
+        "  endpoint owning its scenario and retries move down "
+        "that scenario's\n"
+        "  ranking; other verbs start at the first endpoint "
+        "(entries without\n"
+        "  :PORT use --port)\n"
         "retry options: [--retries N] [--retry-base-ms B] "
         "[--deadline MS]\n"
         "  [--timeout-ms T] [--seed S] [--max-inflight N]\n"
@@ -168,11 +188,11 @@ parseChipArg(const std::string &arg)
     chip.set("combo", chipComboJson(combo));
     chip.set("policy", chip_policy);
     if (p2 != std::string::npos) {
-        long count = std::atol(arg.c_str() + p2 + 1);
-        if (count < 1)
-            die("--cluster-chip COUNT must be >= 1 in '" + arg +
-                "'");
-        chip.set("count", static_cast<double>(count));
+        auto count = gpm::parseNumber<long>(arg.c_str() + p2 + 1);
+        if (!count || *count < 1)
+            die("--cluster-chip COUNT must be an integer >= 1 in '" +
+                arg + "'");
+        chip.set("count", static_cast<double>(*count));
     }
     return chip;
 }
@@ -186,17 +206,12 @@ main(int argc, char **argv)
     std::uint16_t port = 7421;
     std::string command;
 
-    // Endpoint rotation (--host a,b,c): each retryable failure
-    // moves to the next endpoint, so a dead daemon or a router
-    // answering only open-breaker refusals is routed around
-    // client-side while the usual retry budget funds the attempts.
     struct Endpoint
     {
         std::string host;
         std::uint16_t port;
     };
     std::vector<Endpoint> endpoints;
-    std::size_t ep_idx = 0;
 
     // Scenario pieces for `submit`.
     std::string combo_arg, combo_key, policy, budget_arg,
@@ -224,11 +239,15 @@ main(int argc, char **argv)
     };
     for (int i = 1; i < argc; i++) {
         std::string a = argv[i];
+        // The value of a numeric flag, which must fit a T.
+        auto num = [&]<typename T>(T &field) {
+            field = gpm::numericFlag<T>(argv[i], need(i));
+            i++;
+        };
         if (a == "--host")
             host = need(i), i++;
         else if (a == "--port")
-            port = static_cast<std::uint16_t>(std::atoi(need(i))),
-            i++;
+            num(port);
         else if (a == "--combo")
             combo_arg = need(i), i++;
         else if (a == "--combo-key")
@@ -242,37 +261,37 @@ main(int argc, char **argv)
         else if (a == "--static-fit")
             static_fit = need(i), i++;
         else if (a == "--explore-us")
-            explore_us = std::atof(need(i)), i++;
+            num(explore_us);
         else if (a == "--delta-us")
-            delta_us = std::atof(need(i)), i++;
+            num(delta_us);
         else if (a == "--sensor-noise")
-            sensor_noise = std::atof(need(i)), i++;
+            num(sensor_noise);
         else if (a == "--deadline-ms")
-            request_deadline_ms = std::atof(need(i)), i++;
+            num(request_deadline_ms);
         else if (a == "--contention")
             contention = true;
         else if (a == "--cluster-chip")
             cluster_chips.push_back(need(i)), i++;
         else if (a == "--epochs")
-            cluster_epochs = std::atol(need(i)), i++;
+            num(cluster_epochs);
         else if (a == "--epoch-us")
-            cluster_epoch_us = std::atof(need(i)), i++;
+            num(cluster_epoch_us);
         else if (a == "--levels")
-            cluster_levels = std::atol(need(i)), i++;
+            num(cluster_levels);
         else if (a == "--json")
             json_arg = need(i), i++;
         else if (a == "--retries")
-            retries = std::atol(need(i)), i++;
+            num(retries);
         else if (a == "--retry-base-ms")
-            retry_base_ms = std::atof(need(i)), i++;
+            num(retry_base_ms);
         else if (a == "--deadline")
-            deadline_ms = std::atof(need(i)), i++;
+            num(deadline_ms);
         else if (a == "--timeout-ms")
-            timeout_ms = std::atof(need(i)), i++;
+            num(timeout_ms);
         else if (a == "--seed")
-            seed = std::strtoull(need(i), nullptr, 10), i++;
+            num(seed);
         else if (a == "--max-inflight")
-            max_inflight = std::atol(need(i)), i++;
+            num(max_inflight);
         else if (a == "--help" || a == "-h") {
             usage();
             return 0;
@@ -296,7 +315,9 @@ main(int argc, char **argv)
 
     // --host may be a comma-separated HOST[:PORT] list; entries
     // without a port inherit --port (parsed here, after the arg
-    // loop, so --host and --port order does not matter).
+    // loop, so --host and --port order does not matter). The ring
+    // names each endpoint "host:port".
+    std::vector<std::string> names;
     for (const auto &tok : splitCommas(host)) {
         if (tok.empty())
             continue;
@@ -305,17 +326,35 @@ main(int argc, char **argv)
             colon + 1 < tok.size() &&
             tok.find_first_not_of("0123456789", colon + 1) ==
                 std::string::npos) {
-            int p = std::atoi(tok.c_str() + colon + 1);
-            if (p <= 0 || p > 65535)
+            auto p = gpm::parseNumber<std::uint16_t>(tok.c_str() +
+                                                     colon + 1);
+            if (!p || *p == 0)
                 die("bad port in endpoint '" + tok + "'");
-            endpoints.push_back({tok.substr(0, colon),
-                                 static_cast<std::uint16_t>(p)});
+            endpoints.push_back({tok.substr(0, colon), *p});
         } else {
             endpoints.push_back({tok, port});
         }
+        names.push_back(endpoints.back().host + ":" +
+                        std::to_string(endpoints.back().port));
     }
     if (endpoints.empty())
         die("--host named no endpoints");
+    gpm::RendezvousRing ring(std::move(names));
+    // The endpoints one request tries, in order: a scenario's ring
+    // ranking, owner first (the same placement for any order of the
+    // --host list); the list itself for other verbs and for a
+    // scenario that does not parse, which the first endpoint then
+    // answers with its structured "invalid" error.
+    auto endpointOrder = [&](const Value *scenario) {
+        if (scenario) {
+            auto spec = gpm::parseScenario(*scenario);
+            if (spec.ok())
+                return ring.rank(spec.value().hash());
+        }
+        std::vector<std::size_t> order(endpoints.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        return order;
+    };
 
     Value request = Value::object();
     request.set("id", "gpmctl");
@@ -369,11 +408,14 @@ main(int argc, char **argv)
             }
             scenario.set("policy", policy);
             if (!budget_arg.empty())
-                scenario.set("budget", std::atof(budget_arg.c_str()));
+                scenario.set("budget", gpm::numericFlag<double>(
+                                           "--budget",
+                                           budget_arg.c_str()));
             if (!budgets_arg.empty()) {
                 Value budgets = Value::array();
                 for (const auto &b : splitCommas(budgets_arg))
-                    budgets.push(std::atof(b.c_str()));
+                    budgets.push(gpm::numericFlag<double>(
+                        "--budgets", b.c_str()));
                 scenario.set("budgets", std::move(budgets));
             }
             if (!static_fit.empty())
@@ -466,14 +508,30 @@ main(int argc, char **argv)
         return h && h->isNumber() ? h->asNumber() : 0.0;
     };
 
-    // One request's full send/retry cycle. For submit_batch
-    // requests @p expect is the scenario count (responses are
-    // buffered, sorted by index and printed together); 0 means a
-    // single-response verb. Returns the exit code; transport
-    // failures past the retry budget die(1) from inside.
+    // submit-batch output by input-file position: empty until the
+    // scenario's request is answered, then the line to print ("" for
+    // none). Lines print as soon as every line before them is known,
+    // so output stays in input order however the batch was split.
+    std::vector<std::optional<std::string>> pending(batch_count);
+    std::size_t printed = 0;
+    auto settle = [&](std::size_t pos, std::string line) {
+        pending[pos] = std::move(line);
+        for (; printed < pending.size() && pending[printed]; printed++)
+            if (!pending[printed]->empty())
+                std::printf("%s\n", pending[printed]->c_str());
+    };
+
+    // One request's full send/retry cycle; attempt k goes to
+    // endpoint order[k % size]. For submit_batch requests
+    // @p positions holds each scenario's input-file position (the
+    // responses are buffered, sorted by index and settled together);
+    // empty means a single-response verb. Returns the exit code;
+    // transport failures past the retry budget die(1) from inside.
     auto runWire = [&](const std::string &wire,
-                       std::size_t expect,
-                       std::size_t index_base) -> int {
+                       const std::vector<std::size_t> &order,
+                       const std::vector<std::size_t> &positions)
+        -> int {
+        const std::size_t expect = positions.size();
         for (long attempt = 0;; attempt++) {
             double remaining_ms = deadline_ms > 0.0
                 ? deadline_ms - elapsed_ms()
@@ -488,8 +546,8 @@ main(int argc, char **argv)
             bool got_response = false;
             double retry_floor_ms = 0.0;
 
-            const Endpoint &ep =
-                endpoints[ep_idx % endpoints.size()];
+            const Endpoint &ep = endpoints[order[static_cast<
+                std::size_t>(attempt) % order.size()]];
             auto conn = gpm::TcpStream::connectTo(ep.host, ep.port);
             if (!conn.ok()) {
                 failure = conn.error();
@@ -537,6 +595,13 @@ main(int argc, char **argv)
                                 batch_error = ln;
                                 break;
                             }
+                            if (!(idx->asNumber() >= 0.0 &&
+                                  idx->asNumber() <
+                                      static_cast<double>(expect))) {
+                                failure = "response index out of "
+                                          "range";
+                                break;
+                            }
                             results.emplace_back(
                                 static_cast<std::size_t>(
                                     idx->asNumber()),
@@ -561,8 +626,9 @@ main(int argc, char **argv)
                             code = err->find("code")->asString();
                         if (!transientCode(code) ||
                             !canRetry(attempt)) {
-                            std::printf("%s\n",
-                                        batch_error.c_str());
+                            settle(positions[0], batch_error);
+                            for (std::size_t k = 1; k < expect; k++)
+                                settle(positions[k], "");
                             return 2;
                         }
                         retry_floor_ms = retryHintOf(err);
@@ -570,7 +636,7 @@ main(int argc, char **argv)
                             "server rejected the batch with '" +
                             code + "'";
                     } else if (failure.empty()) {
-                        // Full set received: print in input order,
+                        // Full set received: settle in input order,
                         // exit non-zero if any scenario failed.
                         std::sort(results.begin(), results.end(),
                                   [](const auto &a, const auto &b) {
@@ -587,19 +653,16 @@ main(int argc, char **argv)
                                   ok->asBool()))
                                 rc = 2;
                             // The daemon indexes within *its*
-                            // request; shift windowed responses
-                            // back to input-file positions so
-                            // callers can match lines by index.
-                            if (index_base > 0 && parsed.ok()) {
-                                parsed.value().set(
-                                    "index",
-                                    Value(index_base + r.first));
-                                std::printf(
-                                    "%s\n",
-                                    parsed.value().dump().c_str());
+                            // request; re-index lines to their
+                            // input-file positions so callers can
+                            // match lines by index.
+                            std::size_t pos = positions[r.first];
+                            if (pos != r.first && parsed.ok()) {
+                                parsed.value().set("index",
+                                                   Value(pos));
+                                settle(pos, parsed.value().dump());
                             } else {
-                                std::printf("%s\n",
-                                            r.second.c_str());
+                                settle(pos, r.second);
                             }
                         }
                         return rc;
@@ -676,16 +739,14 @@ main(int argc, char **argv)
             }
 
             // Any retried failure — transport or a transient
-            // refusal — rotates to the next endpoint so the retry
-            // budget is spent across the fleet, not on one dead
-            // replica.
-            if (endpoints.size() > 1) {
-                ep_idx++;
-                const Endpoint &next =
-                    endpoints[ep_idx % endpoints.size()];
-                failure += "; rotating to " + next.host + ":" +
-                    std::to_string(next.port);
-            }
+            // refusal — moves to the next endpoint in @p order, so
+            // the retry budget is spent across the fleet, not on one
+            // dead replica.
+            if (order.size() > 1)
+                failure += "; moving to " +
+                    ring.name(order[static_cast<std::size_t>(
+                                        attempt + 1) %
+                                    order.size()]);
 
             // The server's retryAfterMs hint is a floor under the
             // exponential backoff: never poke an overloaded daemon
@@ -724,30 +785,42 @@ main(int argc, char **argv)
     };
 
     if (command != "submit-batch")
-        return runWire(request.dump() + "\n", 0, 0);
+        return runWire(request.dump() + "\n",
+                       endpointOrder(request.find("scenario")), {});
 
-    // Window the batch under --max-inflight: consecutive
-    // submit_batch requests of at most N scenarios each, every
-    // window retried as a unit. Sequential windows plus per-window
-    // input-order printing preserves overall input order, and each
-    // window's daemon-relative indices are shifted back to
-    // input-file positions before printing.
+    // Split the batch by owning endpoint, keeping input order within
+    // each group, and send each group as consecutive submit_batch
+    // windows of at most --max-inflight scenarios. A window is
+    // retried as a unit down the ranking of its first scenario.
+    std::vector<std::vector<std::size_t>> orders;
+    std::vector<std::vector<std::size_t>> groups(endpoints.size());
+    for (std::size_t i = 0; i < batch_count; i++) {
+        orders.push_back(endpointOrder(&batch_scenarios[i]));
+        groups[orders.back()[0]].push_back(i);
+    }
     std::size_t window = max_inflight > 0
         ? static_cast<std::size_t>(max_inflight)
         : batch_count;
     int rc = 0;
-    for (std::size_t off = 0; off < batch_count; off += window) {
-        std::size_t n = std::min(window, batch_count - off);
-        Value scenarios = Value::array();
-        for (std::size_t i = 0; i < n; i++)
-            scenarios.push(batch_scenarios[off + i]);
-        Value req = Value::object();
-        req.set("id", "gpmctl");
-        req.set("verb", "submit_batch");
-        req.set("scenarios", std::move(scenarios));
-        int wrc = runWire(req.dump() + "\n", n, off);
-        if (wrc != 0)
-            rc = wrc;
+    for (const auto &group : groups) {
+        for (std::size_t off = 0; off < group.size(); off += window) {
+            std::vector<std::size_t> positions(
+                group.begin() + static_cast<std::ptrdiff_t>(off),
+                group.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(group.size(),
+                                             off + window)));
+            Value scenarios = Value::array();
+            for (std::size_t pos : positions)
+                scenarios.push(batch_scenarios[pos]);
+            Value req = Value::object();
+            req.set("id", "gpmctl");
+            req.set("verb", "submit_batch");
+            req.set("scenarios", std::move(scenarios));
+            int wrc = runWire(req.dump() + "\n", orders[positions[0]],
+                              positions);
+            if (wrc != 0)
+                rc = wrc;
+        }
     }
     return rc;
 }

@@ -19,6 +19,7 @@
 
 #include "power/dvfs.hh"
 #include "util/fault.hh"
+#include "util/flags.hh"
 #include "service/server.hh"
 #include "service/service.hh"
 #include "trace/phase_profile.hh"
@@ -144,86 +145,72 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; i++) {
         std::string a = argv[i];
+        // The value of a numeric flag, which must fit a T.
+        auto num = [&]<typename T>(T &field) {
+            field = gpm::numericFlag<T>(argv[i], need(i));
+            i++;
+        };
         if (a == "--host")
             cfg.host = need(i), i++;
         else if (a == "--port")
-            cfg.port =
-                static_cast<std::uint16_t>(std::atoi(need(i))), i++;
+            num(cfg.port);
         else if (a == "--metrics-port") {
-            cfg.metricsPort =
-                static_cast<std::uint16_t>(std::atoi(need(i)));
+            num(cfg.metricsPort);
             cfg.metricsPortSet = true;
-            i++;
         } else if (a == "--reactor-threads") {
-            long v = std::atol(need(i));
+            long v = 0;
+            num(v);
             cfg.server.reactorThreads =
                 v > 0 ? static_cast<std::size_t>(v) : 1;
-            i++;
         } else if (a == "--listen-backlog") {
-            int v = std::atoi(need(i));
+            int v = 0;
+            num(v);
             cfg.listenBacklog = v > 0 ? v : 1024;
-            i++;
         }
         else if (a == "--workers")
-            cfg.service.workers =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
+            num(cfg.service.workers);
         else if (a == "--queue")
-            cfg.service.queueCapacity =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
+            num(cfg.service.queueCapacity);
         else if (a == "--cache")
-            cfg.service.cacheCapacity =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
+            num(cfg.service.cacheCapacity);
         else if (a == "--sweep-threads")
-            cfg.service.sweepConcurrency =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
+            num(cfg.service.sweepConcurrency);
         else if (a == "--cache-dir")
             cfg.service.cacheDir = need(i), i++;
         else if (a == "--cache-disk-bytes")
-            cfg.service.cacheDiskBytes = static_cast<std::uint64_t>(
-                                             std::atoll(need(i))),
-            i++;
+            num(cfg.service.cacheDiskBytes);
         else if (a == "--scale") {
-            double v = std::atof(need(i));
+            double v = 0.0;
+            num(v);
             cfg.scale = v > 0.0 ? v : 1.0;
-            i++;
         } else if (a == "--profile-cache-dir")
             cfg.profileCacheDir = need(i), i++;
         else if (a == "--idle-timeout-ms")
-            cfg.server.idleTimeoutMs = std::atoi(need(i)), i++;
+            num(cfg.server.idleTimeoutMs);
         else if (a == "--write-timeout-ms")
-            cfg.server.writeTimeoutMs = std::atoi(need(i)), i++;
+            num(cfg.server.writeTimeoutMs);
         else if (a == "--max-line-bytes")
-            cfg.server.maxLineBytes =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
+            num(cfg.server.maxLineBytes);
         else if (a == "--fault")
             cfg.faultSpec = need(i), i++;
         else if (a == "--overload-off")
             cfg.service.admission.enabled = false;
         else if (a == "--overload-fair-share")
-            cfg.service.admission.fairShare = std::atof(need(i)),
-            i++;
+            num(cfg.service.admission.fairShare);
         else if (a == "--overload-headroom")
-            cfg.service.admission.headroom = std::atof(need(i)),
-            i++;
+            num(cfg.service.admission.headroom);
         else if (a == "--overload-degrade-depth")
-            cfg.service.admission.degradeDepth =
-                std::atof(need(i)),
-            i++;
-        else if (a == "--degrade-ladder")
-            cfg.service.degradeLadder = std::atoi(need(i)) != 0,
-            i++;
-        else if (a == "--breaker-window")
-            cfg.service.resultBreaker.window =
-                static_cast<std::size_t>(std::atol(need(i))),
-            i++;
+            num(cfg.service.admission.degradeDepth);
+        else if (a == "--degrade-ladder") {
+            int v = 0;
+            num(v);
+            cfg.service.degradeLadder = v != 0;
+        } else if (a == "--breaker-window")
+            num(cfg.service.resultBreaker.window);
         else if (a == "--breaker-threshold")
-            cfg.service.resultBreaker.failureThreshold =
-                std::atof(need(i)),
-            i++;
+            num(cfg.service.resultBreaker.failureThreshold);
         else if (a == "--breaker-cooldown-ms")
-            cfg.service.resultBreaker.cooldownMs =
-                std::atof(need(i)),
-            i++;
+            num(cfg.service.resultBreaker.cooldownMs);
         else if (a == "--help" || a == "-h") {
             usage(argv[0]);
             std::exit(0);

@@ -14,6 +14,10 @@ namespace gpm
 #define GPM_BUILD_REVISION "unknown"
 #endif
 
+namespace
+{
+
+/** Append one HELP/TYPE/sample counter block to @p out. */
 void
 promCounter(std::string &out, const char *name, const char *help,
             std::uint64_t v)
@@ -26,6 +30,7 @@ promCounter(std::string &out, const char *name, const char *help,
     out += buf;
 }
 
+/** Append one HELP/TYPE/sample gauge block to @p out. */
 void
 promGauge(std::string &out, const char *name, const char *help,
           double v)
@@ -37,6 +42,13 @@ promGauge(std::string &out, const char *name, const char *help,
     out += buf;
 }
 
+/**
+ * Append the gpm_build_info series: the idiomatic always-1 gauge
+ * whose labels carry the build's version (git describe) and
+ * revision, so dashboards can tell which replica runs what. Labels
+ * come from the GPM_BUILD_VERSION / GPM_BUILD_REVISION compile
+ * definitions ("unknown" outside a git checkout).
+ */
 void
 promBuildInfo(std::string &out)
 {
@@ -46,9 +58,6 @@ promBuildInfo(std::string &out)
            "gpm_build_info{version=\"" GPM_BUILD_VERSION
            "\",revision=\"" GPM_BUILD_REVISION "\"} 1\n";
 }
-
-namespace
-{
 
 void
 breakerState(std::string &out, const char *breaker,

@@ -38,25 +38,6 @@ std::string renderPrometheus(const ServiceStats &svc,
                              const ReactorStats &reactor,
                              const ServerCounters &server);
 
-/** Append one HELP/TYPE/sample counter block to @p out. Shared
- *  with the router's exposition (gpm_router_* series). */
-void promCounter(std::string &out, const char *name,
-                 const char *help, std::uint64_t v);
-
-/** Append one HELP/TYPE/sample gauge block to @p out. */
-void promGauge(std::string &out, const char *name,
-               const char *help, double v);
-
-/**
- * Append the gpm_build_info series: the idiomatic always-1 gauge
- * whose labels carry the build's version (git describe) and
- * revision, so dashboards can join router and backend series per
- * build. Labels come from the GPM_BUILD_VERSION /
- * GPM_BUILD_REVISION compile definitions ("unknown" outside a git
- * checkout).
- */
-void promBuildInfo(std::string &out);
-
 } // namespace gpm
 
 #endif // GPM_SERVICE_PROM_HH

@@ -1,4 +1,4 @@
-#include "router/ring.hh"
+#include "service/ring.hh"
 
 #include <algorithm>
 

@@ -1,33 +1,35 @@
 /**
  * @file
- * RendezvousRing — highest-random-weight (HRW) consistent hashing
- * for the sharding router.
+ * RendezvousRing — highest-random-weight (HRW) consistent hashing,
+ * with which gpmctl places each scenario on one of the gpmd
+ * endpoints its --host list names.
  *
- * Each backend contributes a seed derived from its *name* (FNV-1a
- * of "host:port"), and a key's score against a backend is a 64-bit
- * mix of (key ^ seed). The key's owner is the highest-scoring
- * backend. Properties the router leans on:
+ * Each endpoint contributes a seed derived from its *name* (FNV-1a
+ * of "host:port"), and a key's score against an endpoint is a
+ * 64-bit mix of (key ^ seed). The key's owner is the
+ * highest-scoring endpoint. Properties the client leans on:
  *
- *  - Determinism: the mapping is a pure function of (key, backend
- *    names) — every router process, restart, and replica computes
- *    the same placement with no coordination or persisted state.
- *  - Minimal remap: adding or removing one backend only moves the
- *    keys that backend wins (~1/N of the space); everything else
+ *  - Determinism: the mapping is a pure function of (key, endpoint
+ *    names) — every client process computes the same placement
+ *    with no coordination or persisted state, whatever order its
+ *    --host list is written in.
+ *  - Minimal remap: adding or removing one endpoint only moves the
+ *    keys that endpoint wins (~1/N of the space); everything else
  *    keeps its owner, so fleet membership changes do not churn the
- *    per-backend memory caches.
- *  - Natural failover ranking: scores order ALL backends per key,
- *    so "the next replica" for a key is well-defined — owner()
- *    with an eligibility mask walks that ranking, skipping
- *    backends whose circuit breaker is open.
+ *    per-daemon memory caches.
+ *  - Natural failover ranking: scores order ALL endpoints per key,
+ *    so "the next replica" for a key is well-defined — a retried
+ *    failure moves to the next endpoint in rank() order, and
+ *    owner() with an eligibility mask gives that replica directly.
  *
  * Keys are canonical scenario hashes (ScenarioSpec::hash()), i.e.
  * exactly the result-cache key: a scenario always lands on the
- * same backend, so each backend's memory LRU only warms its own
+ * same daemon, so each daemon's memory LRU only warms its own
  * shard of the keyspace.
  */
 
-#ifndef GPM_ROUTER_RING_HH
-#define GPM_ROUTER_RING_HH
+#ifndef GPM_SERVICE_RING_HH
+#define GPM_SERVICE_RING_HH
 
 #include <cstddef>
 #include <cstdint>
@@ -78,4 +80,4 @@ class RendezvousRing
 
 } // namespace gpm
 
-#endif // GPM_ROUTER_RING_HH
+#endif // GPM_SERVICE_RING_HH
