@@ -27,6 +27,7 @@
 #include "metrics/experiment.hh"
 #include "trace/phase_profile.hh"
 #include "trace/workload.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
@@ -34,14 +35,15 @@
 namespace gpm::bench
 {
 
-/** Workload length scale from GPM_SCALE (default 1.0). */
+/** Workload length scale from GPM_SCALE (default 1.0); a value
+ *  that is not a number exits 1. */
 inline double
 scaleFromEnv()
 {
     const char *s = std::getenv("GPM_SCALE");
-    if (!s)
+    if (!s || !*s)
         return 1.0;
-    double v = std::atof(s);
+    double v = numericFlag<double>("GPM_SCALE", s);
     return v > 0.0 ? v : 1.0;
 }
 

@@ -1,11 +1,25 @@
 #include "core/policies.hh"
 
-#include <cstdlib>
-
+#include "util/flags.hh"
 #include "util/logging.hh"
 
 namespace gpm
 {
+
+/**
+ * The numeric suffix of a policy name such as "MaxBIPS-DP256" or
+ * "MinPower85": decimal digits only, with a value in [lo, hi], or
+ * -1. A prefix parse would read "MinPower90abc" or "MinPower0x5A"
+ * as a valid target.
+ */
+static long
+digitSuffix(const std::string &suffix, long lo, long hi)
+{
+    if (suffix.find_first_not_of("0123456789") != std::string::npos)
+        return -1;
+    auto v = parseNumber<long>(suffix.c_str());
+    return !v || *v < lo || *v > hi ? -1 : *v;
+}
 
 /** makePolicy without the fatal(): nullptr on unknown/malformed. */
 static std::unique_ptr<Policy>
@@ -16,12 +30,8 @@ tryMakePolicy(const std::string &name)
     if (name.rfind("MaxBIPS-DP", 0) == 0) {
         unsigned grid = MaxBipsDpPolicy::defaultGrid;
         if (name.size() > 10) {
-            const std::string suffix = name.substr(10);
-            if (suffix.find_first_not_of("0123456789") !=
-                std::string::npos)
-                return nullptr;
-            long g = std::atol(suffix.c_str());
-            if (g < 2 || g > 65536)
+            long g = digitSuffix(name.substr(10), 2, 65536);
+            if (g < 0)
                 return nullptr;
             grid = static_cast<unsigned>(g);
         }
@@ -48,9 +58,10 @@ tryMakePolicy(const std::string &name)
     if (name.rfind("MinPower", 0) == 0) {
         double frac = 0.95;
         if (name.size() > 8) {
-            frac = std::atof(name.substr(8).c_str()) / 100.0;
-            if (frac <= 0.0 || frac > 1.0)
+            long pct = digitSuffix(name.substr(8), 1, 100);
+            if (pct < 0)
                 return nullptr;
+            frac = static_cast<double>(pct) / 100.0;
         }
         return std::make_unique<MinPowerPolicy>(frac);
     }

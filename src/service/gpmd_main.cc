@@ -130,8 +130,10 @@ parseArgs(int argc, char **argv)
     DaemonConfig cfg;
     cfg.server.idleTimeoutMs = 60000;
     cfg.server.writeTimeoutMs = 30000;
-    if (const char *s = std::getenv("GPM_SCALE"); s && *s)
-        cfg.scale = std::atof(s) > 0.0 ? std::atof(s) : 1.0;
+    if (const char *s = std::getenv("GPM_SCALE"); s && *s) {
+        double v = gpm::numericFlag<double>("GPM_SCALE", s);
+        cfg.scale = v > 0.0 ? v : 1.0;
+    }
     if (const char *s = std::getenv("GPM_PROFILE_CACHE_DIR");
         s && *s)
         cfg.profileCacheDir = s;

@@ -1,12 +1,15 @@
-/** @file Client-side sharding: the built gpmctl, run as a child
- *  process with --host over two in-process gpmd backends, places
- *  each scenario on its RendezvousRing owner, serves payloads
+/** @file The built gpmctl, run as a child process with --host over
+ *  two in-process gpmd backends: it places each scenario (cluster
+ *  scenarios included) on its RendezvousRing owner, serves payloads
  *  byte-identical to a direct submit, splits and reorders batches,
- *  leaves invalid scenarios to the first endpoint's validation, and
- *  gives up with exit 1 when no endpoint answers. */
+ *  leaves invalid scenarios to the first endpoint's validation,
+ *  exits 2 on a server-side error such as an expired deadline,
+ *  pretty-prints stats key-sorted on stderr, and gives up with exit
+ *  1 when no endpoint answers. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -18,24 +21,28 @@
 #include "service/ring.hh"
 #include "service/scenario.hh"
 #include "service/server.hh"
+#include "util/fault.hh"
 
 namespace gpm
 {
 namespace
 {
 
-/** gpmctl's exit status and stdout. */
+/** gpmctl's exit status and what it printed. */
 struct CtlRun
 {
     int status = -1;
     std::string out;
 };
 
+/** Run gpmctl @p args; @p redirect picks the captured stream (by
+ *  default stdout, with stderr discarded). */
 CtlRun
-runGpmctl(const std::string &args)
+runGpmctl(const std::string &args,
+          const std::string &redirect = "2>/dev/null")
 {
     std::string cmd =
-        std::string(GPM_GPMCTL_PATH) + " " + args + " 2>/dev/null";
+        std::string(GPM_GPMCTL_PATH) + " " + args + " " + redirect;
     CtlRun run;
     std::FILE *p = ::popen(cmd.c_str(), "r");
     if (!p)
@@ -47,6 +54,20 @@ runGpmctl(const std::string &args)
     int st = ::pclose(p);
     run.status = WIFEXITED(st) ? WEXITSTATUS(st) : -1;
     return run;
+}
+
+/** The "result" payload a submit response line splices in
+ *  verbatim. */
+std::string
+resultOf(const std::string &line)
+{
+    const std::string key = ",\"result\":";
+    std::size_t at = line.find(key);
+    std::size_t end = line.rfind('}');
+    if (at == std::string::npos || end == std::string::npos ||
+        end < at + key.size())
+        return "";
+    return line.substr(at + key.size(), end - at - key.size());
 }
 
 std::vector<std::string>
@@ -101,6 +122,7 @@ class GpmctlShardTest : public ::testing::Test
     void
     TearDown() override
     {
+        fault::disarm();
         for (std::size_t i = 0; i < nBackends; i++)
             stopBackend(i);
     }
@@ -240,6 +262,84 @@ TEST_F(GpmctlShardTest, BatchSplitsByOwnerAndPrintsInInputOrder)
     for (std::size_t b = 0; b < nBackends; b++)
         EXPECT_EQ(svcs[b]->stats().cacheMisses, share[b])
             << names[b];
+}
+
+TEST_F(GpmctlShardTest, PingAndClusterSubmitReachTheOwner)
+{
+    CtlRun ping = runGpmctl(hosts + " ping");
+    EXPECT_EQ(ping.status, 0) << ping.out;
+    EXPECT_NE(ping.out.find("\"pong\":true"), std::string::npos)
+        << ping.out;
+
+    const std::string args =
+        "submit --cluster-chip mcf,crafty:MaxBIPS "
+        "--cluster-chip gcc,mesa:WaterFill --policy GreedyTurbo "
+        "--epochs 2 --epoch-us 1000 --levels 8 --budget 0.8";
+    auto spec = parseScenario(
+        json::parse(R"({"cluster": {"chips": [)"
+                    R"({"combo": ["mcf", "crafty"], "policy": "MaxBIPS"},)"
+                    R"({"combo": ["gcc", "mesa"], "policy": "WaterFill"}],)"
+                    R"( "epochs": 2, "epochUs": 1000, "levels": 8},)"
+                    R"( "policy": "GreedyTurbo", "budget": 0.8})")
+            .value());
+    ASSERT_TRUE(spec.ok()) << spec.error();
+    std::size_t owner = RendezvousRing(names).owner(spec.value().hash());
+
+    // Ground truth: the equivalent scenario submitted in-process.
+    ScenarioService direct(lib(), dvfs());
+    auto want = direct.submit(spec.value());
+    ASSERT_TRUE(want.ok) << want.errorCode << ": " << want.errorMessage;
+
+    CtlRun first = runGpmctl(hosts + " " + args);
+    ASSERT_EQ(first.status, 0) << first.out;
+    EXPECT_NE(first.out.find("\"cached\":false"), std::string::npos)
+        << first.out;
+    EXPECT_EQ(resultOf(first.out), want.payload);
+
+    CtlRun again = runGpmctl(hosts + " " + args);
+    ASSERT_EQ(again.status, 0) << again.out;
+    EXPECT_NE(again.out.find("\"cached\":true"), std::string::npos)
+        << again.out;
+    EXPECT_EQ(resultOf(again.out), want.payload);
+    EXPECT_EQ(svcs[owner]->stats().clusterRequests, 1u);
+    EXPECT_EQ(svcs[1 - owner]->stats().clusterRequests, 0u);
+}
+
+TEST_F(GpmctlShardTest, ExpiredDeadlineExitsTwoAndCancelsMidSweep)
+{
+    // The stall outlives the 100 ms deadline, so the owner's sweep
+    // cancels at its first budget-point check.
+    ASSERT_FALSE(fault::arm("worker-stall:1:400"));
+    CtlRun r =
+        runGpmctl(hosts + " " + submitArgs("0.800") + " --deadline-ms 100");
+    EXPECT_EQ(r.status, 2) << r.out;
+    EXPECT_NE(r.out.find("deadline_exceeded"), std::string::npos)
+        << r.out;
+    std::size_t owner = ownerOf("0.800");
+    EXPECT_EQ(svcs[owner]->stats().cancelledMidSweep, 1u);
+    EXPECT_EQ(svcs[1 - owner]->stats().cancelledMidSweep, 0u);
+}
+
+TEST_F(GpmctlShardTest, StatsPrintsKeySortedCountersOnStderr)
+{
+    // Capture stderr only: the raw JSON line stays on stdout.
+    CtlRun r = runGpmctl(hosts + " stats", "2>&1 >/dev/null");
+    EXPECT_EQ(r.status, 0) << r.out;
+    std::vector<std::string> keys;
+    for (const std::string &line : splitLines(r.out)) {
+        ASSERT_EQ(line.rfind("gpmctl: ", 0), 0u) << line;
+        std::size_t colon = line.find(": ", 8);
+        ASSERT_NE(colon, std::string::npos) << line;
+        keys.push_back(line.substr(8, colon - 8));
+    }
+    EXPECT_GT(keys.size(), 10u) << r.out;
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << r.out;
+    EXPECT_NE(r.out.find("gpmctl: breakerStateDisk: closed\n"),
+              std::string::npos)
+        << r.out;
+    EXPECT_NE(r.out.find("gpmctl: breakerStateProfile: closed\n"),
+              std::string::npos)
+        << r.out;
 }
 
 TEST_F(GpmctlShardTest, InvalidScenarioIsAnsweredByTheFirstEndpoint)

@@ -310,6 +310,10 @@ TEST_F(OverloadServiceTest,
     // it, so execution steps one rung down.
     svc.admissionController().recordService("MaxBIPS", 60000.0);
     svc.admissionController().recordService("WaterFill", 1.0);
+    // Build the profiles before the clock starts: under a sanitizer
+    // a lazy build alone can outlast the deadline.
+    lib().get("mcf");
+    lib().get("crafty");
 
     ScenarioSpec spec = scenario();
     spec.deadlineMs = 5000.0;

@@ -142,6 +142,18 @@ TEST(MinPowerPolicy, FactoryParsesTargets)
     auto *mp = dynamic_cast<MinPowerPolicy *>(q.get());
     ASSERT_NE(mp, nullptr);
     EXPECT_NEAR(mp->targetFraction(), 0.85, 1e-12);
+
+    EXPECT_TRUE(isPolicyName("MinPower"));
+    EXPECT_TRUE(isPolicyName("MinPower85"));
+    EXPECT_TRUE(isPolicyName("MinPower100"));
+    // The suffix is a whole percentage in (0, 100] in decimal
+    // digits: a prefix parse would serve "MinPower90abc" under a
+    // second cache key for MinPower90.
+    for (const char *bad :
+         {"MinPower0", "MinPower101", "MinPower90abc", "MinPower 90",
+          "MinPower0x5A", "MinPower1e2", "MinPower90.0", "MinPower-5",
+          "MinPower+90", "MinPower99999999999999999999"})
+        EXPECT_FALSE(isPolicyName(bad)) << bad;
 }
 
 } // namespace

@@ -323,6 +323,9 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
 
     std::string resp = httpGet("/metrics");
     EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
+    EXPECT_NE(resp.find("text/plain; version=0.0.4"),
+              std::string::npos)
+        << resp;
     // Every ServiceStats field, as rendered by prom.cc.
     for (const char *name : {
              "gpm_served_total", "gpm_cache_hits_total",
@@ -370,6 +373,10 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
         resp.find("gpm_breaker_state{breaker=\"disk\","
                   "state=\"closed\"} 1"),
         std::string::npos);
+
+    // The NDJSON plane keeps serving after the scrape.
+    EXPECT_NE(roundTrip(c, R"({"verb":"ping"})").find("\"pong\":true"),
+              std::string::npos);
 }
 
 TEST_F(ReactorServerTest, MetricsSurfaceRejectsOtherRequests)

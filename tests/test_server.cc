@@ -1,7 +1,8 @@
 /** @file gpmd's protocol layer over real loopback sockets: an
  *  in-process GpmServer on an ephemeral port driven with TcpStream —
- *  ping/stats/submit verbs, byte-identical cached resubmits,
- *  malformed-line rejection, and graceful stop. */
+ *  ping/stats/submit verbs, byte-identical cached resubmits, the
+ *  wire fields of shed and degraded submits, malformed-line
+ *  rejection, and graceful stop. */
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,50 @@ TEST_F(ServerTest, SubmitThenCachedResubmitIsByteIdentical)
     EXPECT_EQ(sr->find("served")->asNumber(), 2.0);
     EXPECT_GE(sr->find("uptimeSec")->asNumber(), 0.0);
     EXPECT_GE(sr->find("connections")->asNumber(), 2.0);
+}
+
+TEST_F(ServerTest, ShedAndDegradedSubmitsCarryTheirWireFields)
+{
+    // Teach admission that exact MaxBIPS takes ~60 s and the ladder
+    // floor ~1 ms, and build the profiles before any deadline runs.
+    svc->admissionController().recordService("MaxBIPS", 60000.0);
+    svc->admissionController().recordService("WaterFill", 1.0);
+    lib().get("mcf");
+    lib().get("crafty");
+    auto submit = [](const char *budget, const char *deadline_ms) {
+        return std::string(R"({"verb": "submit", "scenario": )"
+                           R"({"combo": ["mcf", "crafty"], )"
+                           R"("policy": "MaxBIPS", "budget": )") +
+            budget + R"(, "deadlineMs": )" + deadline_ms + "}}";
+    };
+    TcpStream c = connect();
+
+    // Not even the floor meets 0.5 ms: shed at admission, with a
+    // backoff hint.
+    json::Value shed = parseOk(roundTrip(c, submit("0.7", "0.5")));
+    EXPECT_FALSE(shed.find("ok")->asBool());
+    const json::Value *err = shed.find("error");
+    ASSERT_TRUE(err);
+    EXPECT_EQ(err->find("code")->asString(), "rejected_overload");
+    ASSERT_TRUE(err->find("retryAfterMs"));
+    EXPECT_GT(err->find("retryAfterMs")->asNumber(), 0.0);
+
+    // 5 s passes admission (the floor could meet it), but exact
+    // MaxBIPS predictably blows it: served one rung down, marked.
+    std::string line = roundTrip(c, submit("0.8", "5000"));
+    json::Value served = parseOk(line);
+    ASSERT_TRUE(served.find("ok")->asBool()) << line;
+    const json::Value *deg = served.find("degraded");
+    ASSERT_TRUE(deg) << line;
+    EXPECT_EQ(deg->find("from")->asString(), "MaxBIPS");
+    EXPECT_EQ(deg->find("to")->asString(), "MaxBIPS-DP");
+    EXPECT_EQ(deg->find("reason")->asString(), "deadline");
+
+    json::Value stats = parseOk(roundTrip(c, R"({"verb": "stats"})"));
+    const json::Value *sr = stats.find("result");
+    ASSERT_TRUE(sr);
+    EXPECT_EQ(sr->find("shedOverload")->asNumber(), 1.0);
+    EXPECT_EQ(sr->find("degradedRequests")->asNumber(), 1.0);
 }
 
 TEST_F(ServerTest, MalformedAndInvalidLinesGetStructuredErrors)

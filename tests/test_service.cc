@@ -49,38 +49,43 @@ class ServiceTest : public ::testing::Test
 
 TEST_F(ServiceTest, SubmitMatchesDirectSweep)
 {
-    ScenarioSpec spec = scenario();
+    // The exact solver and a many-core approximate engine alike.
+    for (const char *policy : {"MaxBIPS", "WaterFill"}) {
+        SCOPED_TRACE(policy);
+        ScenarioSpec spec = scenario();
+        spec.policy = policy;
 
-    ScenarioService svc(lib(), dvfs());
-    auto r = svc.submit(spec);
-    ASSERT_TRUE(r.ok) << r.errorCode << ": " << r.errorMessage;
-    EXPECT_FALSE(r.cacheHit);
-    EXPECT_EQ(r.hash, spec.hash());
+        ScenarioService svc(lib(), dvfs());
+        auto r = svc.submit(spec);
+        ASSERT_TRUE(r.ok) << r.errorCode << ": " << r.errorMessage;
+        EXPECT_FALSE(r.cacheHit);
+        EXPECT_EQ(r.hash, spec.hash());
 
-    // Ground truth: a direct sweep on an equivalent runner.
-    ExperimentRunner direct(lib(), dvfs(), spec.simConfig());
-    auto evals = direct.sweep(spec.sweepSpec());
-    EXPECT_EQ(r.payload, serializeResults(spec, evals));
+        // Ground truth: a direct sweep on an equivalent runner.
+        ExperimentRunner direct(lib(), dvfs(), spec.simConfig());
+        auto evals = direct.sweep(spec.sweepSpec());
+        EXPECT_EQ(r.payload, serializeResults(spec, evals));
 
-    // And the payload's numbers parse back bit-exactly.
-    auto parsed = json::parse(r.payload);
-    ASSERT_TRUE(parsed.ok());
-    const json::Value *results = parsed.value().find("results");
-    ASSERT_TRUE(results && results->isArray());
-    ASSERT_EQ(results->asArray().size(), evals.size());
-    for (std::size_t i = 0; i < evals.size(); i++) {
-        const json::Value &res = results->asArray()[i];
-        EXPECT_EQ(res.find("policy")->asString(), evals[i].policy);
-        EXPECT_EQ(res.find("budget")->asNumber(),
-                  evals[i].budgetFrac);
-        const json::Value *m = res.find("metrics");
-        ASSERT_TRUE(m);
-        EXPECT_EQ(m->find("perfDegradation")->asNumber(),
-                  evals[i].metrics.perfDegradation);
-        EXPECT_EQ(m->find("chipBips")->asNumber(),
-                  evals[i].metrics.chipBips);
-        EXPECT_EQ(m->find("avgChipPowerW")->asNumber(),
-                  evals[i].metrics.avgChipPowerW);
+        // And the payload's numbers parse back bit-exactly.
+        auto parsed = json::parse(r.payload);
+        ASSERT_TRUE(parsed.ok());
+        const json::Value *results = parsed.value().find("results");
+        ASSERT_TRUE(results && results->isArray());
+        ASSERT_EQ(results->asArray().size(), evals.size());
+        for (std::size_t i = 0; i < evals.size(); i++) {
+            const json::Value &res = results->asArray()[i];
+            EXPECT_EQ(res.find("policy")->asString(), evals[i].policy);
+            EXPECT_EQ(res.find("budget")->asNumber(),
+                      evals[i].budgetFrac);
+            const json::Value *m = res.find("metrics");
+            ASSERT_TRUE(m);
+            EXPECT_EQ(m->find("perfDegradation")->asNumber(),
+                      evals[i].metrics.perfDegradation);
+            EXPECT_EQ(m->find("chipBips")->asNumber(),
+                      evals[i].metrics.chipBips);
+            EXPECT_EQ(m->find("avgChipPowerW")->asNumber(),
+                      evals[i].metrics.avgChipPowerW);
+        }
     }
 }
 
