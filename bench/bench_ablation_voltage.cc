@@ -54,8 +54,8 @@ main()
         ExperimentRunner runner(lib, sc.dvfs);
         SweepSpec spec;
         spec.addGrid({combo}, {"MaxBIPS"}, budgets);
-        // Nested parallelFor runs inline on a pool worker, so this
-        // stays one simulation at a time per scenario thread.
+        // Nested parallelFor runs inline on a pool worker; on the
+        // calling thread it shares the same process-wide pool.
         sc.evals = bench::sweepChecked(runner, spec, threads);
     });
     double par_ms = timer.ms();

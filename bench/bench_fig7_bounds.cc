@@ -8,7 +8,9 @@
  * through the parallel sweep engine.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "common.hh"
 #include "util/table.hh"
@@ -44,11 +46,11 @@ main()
     std::printf("(a) Policy curves: performance degradation\n");
     Table ta({"Budget", "ChipWideDVFS", "Static", "MaxBIPS",
               "Oracle", "MaxBIPS-Oracle"});
-    double worst_gap = 0.0;
+    std::vector<double> gaps;
     for (std::size_t b = 0; b < budgets.size(); b++) {
         double gap = at(2, b).metrics.perfDegradation -
             at(3, b).metrics.perfDegradation;
-        worst_gap = std::max(worst_gap, gap);
+        gaps.push_back(gap);
         ta.addRow({Table::pct(budgets[b], 1),
                    Table::pct(at(0, b).metrics.perfDegradation),
                    Table::pct(at(1, b).metrics.perfDegradation),
@@ -74,9 +76,11 @@ main()
     bench::appendSweepJson("fig7_bounds", spec.size(), threads, 0.0,
                            par_ms);
 
-    std::printf("\nMaxBIPS vs oracle: worst-case gap %.2f%% "
-                "(paper: within ~1%%). Static and chip-wide sit "
-                "above both dynamic per-core methods.\n",
-                worst_gap * 100.0);
+    // Signed: at small scales the oracle can degrade more than
+    // MaxBIPS, and that negative gap must show.
+    auto [lo, hi] = std::minmax_element(gaps.begin(), gaps.end());
+    std::printf("\nMaxBIPS - oracle degradation: %+.2f%% to %+.2f%% "
+                "across budgets (paper: within ~1%%).\n",
+                *lo * 100.0, *hi * 100.0);
     return 0;
 }

@@ -25,7 +25,8 @@ TSAN_FILTER+=":ClusterTest.ServiceServesAndCachesClusterScenarios"
 echo "== tier-1: standard build + ctest =="
 cmake -B "$BUILD" -S . -DGPM_WERROR=ON
 cmake --build "$BUILD" -j
-ctest --test-dir "$BUILD" --output-on-failure -j
+# CMake 3.25 runs a bare `ctest -j` one case at a time.
+ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
 if [ "${GPM_SKIP_TSAN:-0}" = "1" ]; then
     echo "== tier-1: TSan stage skipped (GPM_SKIP_TSAN=1) =="

@@ -231,10 +231,6 @@ ExperimentRunner::sweep(const SweepSpec &spec,
     std::vector<PolicyEval> out(spec.points.size());
     if (spec.points.empty())
         return out;
-    if (concurrency == 0)
-        concurrency = defaultConcurrency();
-
-    ThreadPool pool(concurrency);
 
     // Warm the per-combo caches first, in parallel over *unique*
     // combos: otherwise every thread whose point shares the first
@@ -251,7 +247,7 @@ ExperimentRunner::sweep(const SweepSpec &spec,
             }
         }
     }
-    pool.parallelFor(unique_combos.size(), [&](std::size_t i) {
+    parallelFor(concurrency, unique_combos.size(), [&](std::size_t i) {
         if (cancel && cancel->cancelled())
             return;
         cacheFor(unique_combos[i]->combo);
@@ -262,7 +258,7 @@ ExperimentRunner::sweep(const SweepSpec &spec,
     // interrupts one in flight, so every computed point is still
     // bitwise-identical to its serial evaluation.
     std::atomic<bool> skipped{false};
-    pool.parallelFor(spec.points.size(), [&](std::size_t i) {
+    parallelFor(concurrency, spec.points.size(), [&](std::size_t i) {
         if (cancel && cancel->cancelled()) {
             skipped.store(true, std::memory_order_relaxed);
             return;

@@ -157,7 +157,8 @@ class ExperimentRunner
 
     /**
      * Evaluate every point of @p spec, fanning independent points
-     * across a thread pool, and return the PolicyEvals in spec
+     * across the process-wide thread pool (a one-point spec runs on
+     * the calling thread), and return the PolicyEvals in spec
      * order. Results are bitwise-identical to a serial
      * evaluate()/evaluateStatic() loop over the same points for any
      * concurrency (every point is an independent, deterministic
@@ -173,7 +174,8 @@ class ExperimentRunner
      * outcome). Completed points are unaffected — cancellation
      * decides *whether* a point runs, never what it computes.
      *
-     * @param concurrency thread count; 0 = GPM_THREADS env or
+     * @param concurrency threads this sweep uses from the pool,
+     *        the calling thread included; 0 = GPM_THREADS env or
      *        hardware concurrency
      * @param cancel optional cooperative cancellation token
      */

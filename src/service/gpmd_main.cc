@@ -82,7 +82,8 @@ usage(const char *argv0)
         "  --queue N          queue high-water mark (default 64)\n"
         "  --cache N          LRU result-cache entries (default "
         "128)\n"
-        "  --sweep-threads N  threads per sweep; 0 = auto\n"
+        "  --sweep-threads N  threads one request's sweep uses from\n"
+        "                     the shared pool; 0 = hardware threads\n"
         "  --cache-dir DIR    persistent result-cache directory\n"
         "                     (unset = memory-only caching)\n"
         "  --cache-disk-bytes N  disk-cache LRU byte budget\n"

@@ -1,6 +1,7 @@
 #include "service/json.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -103,8 +104,15 @@ formatDouble(double d)
 {
     if (!std::isfinite(d))
         return "null";
+    // No string shorter than the shortest round-trip form parses
+    // back to d, so the search starts at its digit count.
     char buf[32];
-    for (int prec = 1; prec <= 17; prec++) {
+    auto shortest = std::to_chars(buf, buf + sizeof(buf), d,
+                                  std::chars_format::scientific);
+    int prec = 0;
+    for (const char *c = buf; c != shortest.ptr && *c != 'e'; c++)
+        prec += *c >= '0' && *c <= '9';
+    for (; prec <= 17; prec++) {
         std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
         if (std::strtod(buf, nullptr) == d)
             break;

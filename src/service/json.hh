@@ -140,6 +140,14 @@ Expected<Value, ParseError> parse(std::string_view text);
  * Shortest "%.Ng" printf form of @p d that strtod()s back to the
  * bit-identical double; "null" for non-finite inputs (which valid
  * JSON cannot carry).
+ *
+ * The search starts at the digit count of std::to_chars's shortest
+ * form, since no shorter string round-trips. The strtod() check
+ * stays: at a power of two the gap below d is half the gap above,
+ * so the correctly rounded N-digit string can miss d even though
+ * some other N-digit string hits it (0x1p-1017 prints
+ * 7.120236347223044e-307 at 16 digits, which reads back as a
+ * different double), and then N + 1 digits are needed.
  */
 std::string formatDouble(double d);
 

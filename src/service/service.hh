@@ -98,8 +98,9 @@ struct ServiceOptions
     /** In-memory LRU result-cache capacity in entries (0 disables
      *  the memory tier). */
     std::size_t cacheCapacity = 128;
-    /** Threads per sweep (ExperimentRunner::sweep concurrency);
-     *  0 = GPM_THREADS / hardware concurrency. */
+    /** Threads one request's sweep uses from the process-wide pool
+     *  (ExperimentRunner::sweep concurrency, calling worker
+     *  included); 0 = GPM_THREADS / hardware concurrency. */
     std::size_t sweepConcurrency = 0;
     /** Persistent cache directory; empty disables the disk tier. */
     std::string cacheDir;

@@ -1,7 +1,9 @@
 #include "thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 namespace gpm
@@ -12,6 +14,59 @@ namespace
 
 /** Set while a pool worker is executing, to detect nesting. */
 thread_local bool inside_pool_worker = false;
+
+/**
+ * One parallelFor call. Helpers hold it by shared_ptr, so one that
+ * starts after the call returned still finds it alive, with the
+ * range exhausted; fn is touched only for claimed indices, all of
+ * which complete before the caller returns.
+ */
+struct Loop
+{
+    Loop(std::size_t n, const std::function<void(std::size_t)> &fn)
+        : n(n), fn(fn), pending(n)
+    {
+    }
+
+    const std::size_t n;
+    const std::function<void(std::size_t)> &fn;
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+
+    std::mutex mtx;
+    std::condition_variable finished;
+    /** Indices not yet run or skipped; the caller waits for 0. */
+    std::size_t pending;
+    std::exception_ptr error;
+
+    /** Claim indices until the range is exhausted. */
+    void drain()
+    {
+        std::size_t claimed = 0;
+        for (;;) {
+            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                break;
+            claimed++;
+            if (failed.load(std::memory_order_relaxed))
+                continue;
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mtx);
+                if (!error)
+                    error = std::current_exception();
+                failed.store(true, std::memory_order_relaxed);
+            }
+        }
+        if (claimed == 0)
+            return;
+        std::lock_guard<std::mutex> lock(mtx);
+        pending -= claimed;
+        if (pending == 0)
+            finished.notify_one();
+    }
+};
 
 } // namespace
 
@@ -47,6 +102,13 @@ ThreadPool::~ThreadPool()
         w.join();
 }
 
+std::size_t
+ThreadPool::concurrency() const
+{
+    std::lock_guard<std::mutex> lock(mtx);
+    return workers.size() + 1;
+}
+
 void
 ThreadPool::workerLoop()
 {
@@ -66,93 +128,57 @@ ThreadPool::workerLoop()
     }
 }
 
-std::future<void>
-ThreadPool::submit(std::function<void()> fn)
-{
-    auto task = std::make_shared<std::packaged_task<void()>>(
-        std::move(fn));
-    std::future<void> fut = task->get_future();
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        tasks.emplace([task] { (*task)(); });
-    }
-    cv.notify_one();
-    return fut;
-}
-
 void
 ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &fn)
+                        const std::function<void(std::size_t)> &fn,
+                        std::size_t concurrency)
 {
-    if (n == 0)
-        return;
     // Nested call from a worker, or nothing to share: run inline.
-    if (inside_pool_worker || workers.empty() || n == 1) {
+    if (inside_pool_worker || n <= 1 || concurrency == 1) {
         for (std::size_t i = 0; i < n; i++)
             fn(i);
         return;
     }
 
-    struct Shared
+    auto loop = std::make_shared<Loop>(n, fn);
+    std::size_t helpers;
     {
-        std::atomic<std::size_t> next{0};
-        std::atomic<bool> failed{false};
-        std::exception_ptr error;
-        std::mutex errorMtx;
-    };
-    auto shared = std::make_shared<Shared>();
+        std::lock_guard<std::mutex> lock(mtx);
+        if (concurrency == 0)
+            concurrency = workers.size() + 1;
+        helpers = std::min(concurrency, n) - 1;
+        while (workers.size() < helpers)
+            workers.emplace_back([this] { workerLoop(); });
+        for (std::size_t h = 0; h < helpers; h++)
+            tasks.emplace([loop] { loop->drain(); });
+    }
+    for (std::size_t h = 0; h < helpers; h++)
+        cv.notify_one();
 
-    auto drain = [shared, &fn, n] {
-        for (;;) {
-            if (shared->failed.load(std::memory_order_relaxed))
-                return;
-            std::size_t i =
-                shared->next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(shared->errorMtx);
-                if (!shared->error)
-                    shared->error = std::current_exception();
-                shared->failed.store(true,
-                                     std::memory_order_relaxed);
-            }
-        }
-    };
+    loop->drain(); // the calling thread participates
 
-    // One helper task per worker; each grabs indices until the range
-    // is exhausted. fn and the index counter outlive the futures
-    // because we wait on every one before returning.
-    std::vector<std::future<void>> helpers;
-    std::size_t n_helpers = std::min(workers.size(), n - 1);
-    helpers.reserve(n_helpers);
-    for (std::size_t w = 0; w < n_helpers; w++)
-        helpers.push_back(submit(drain));
-
-    drain(); // the calling thread participates
-
-    for (auto &h : helpers)
-        h.get();
-
-    if (shared->error)
-        std::rethrow_exception(shared->error);
+    // Move the exception out: then the thread that rethrows it also
+    // frees it, not a helper dropping the last reference to loop.
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lock(loop->mtx);
+        loop->finished.wait(lock, [&] { return loop->pending == 0; });
+        error = std::move(loop->error);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void
 parallelFor(std::size_t concurrency, std::size_t n,
             const std::function<void(std::size_t)> &fn)
 {
-    if (concurrency == 0)
-        concurrency = defaultConcurrency();
-    if (concurrency <= 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; i++)
-            fn(i);
-        return;
-    }
-    ThreadPool pool(concurrency);
-    pool.parallelFor(n, fn);
+    // Starts with no worker. Never destroyed: a worker may still be
+    // inside a task when exit() runs (a bench's fatal path), and
+    // joining it from a static destructor would hang or join itself.
+    static ThreadPool *const pool = new ThreadPool(1);
+    pool->parallelFor(n, fn,
+                      concurrency ? concurrency : defaultConcurrency());
 }
 
 } // namespace gpm

@@ -2,11 +2,20 @@
  *  rejection, bit-exact double round trips, and canonical-form
  *  (hashing) invariance. */
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "service/json.hh"
+#include "util/thread_pool.hh"
 
 namespace gpm::json
 {
@@ -109,6 +118,22 @@ TEST(Json, DepthLimit)
     parseErr(deep100 + "1" + close100);
 }
 
+/** formatDouble as it was before the search started at the
+ *  shortest digit count: every precision from 1 up. */
+std::string
+referenceFormatDouble(double d)
+{
+    if (!std::isfinite(d))
+        return "null";
+    char buf[32];
+    for (int prec = 1; prec <= 17; prec++) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
+        if (std::strtod(buf, nullptr) == d)
+            break;
+    }
+    return buf;
+}
+
 TEST(Json, DoublesRoundTripBitExactly)
 {
     const double cases[] = {0.0,
@@ -132,6 +157,54 @@ TEST(Json, DoublesRoundTripBitExactly)
     }
     EXPECT_EQ(formatDouble(0.5), "0.5"); // shortest form wins
     EXPECT_EQ(formatDouble(5.0), "5");
+
+    // Byte-identical to the reference search, and bit-exact through
+    // strtod, over every power of two with its two neighbours (both
+    // signs, subnormals included; the shortest correctly rounded
+    // string misses some of them) and seeded random bit patterns.
+    std::vector<double> inputs;
+    for (int e = -1074; e <= 1023; e++) {
+        for (double sign : {1.0, -1.0}) {
+            double p = std::ldexp(sign, e);
+            inputs.push_back(std::nextafter(p, 0.0));
+            inputs.push_back(p);
+            inputs.push_back(std::nextafter(p, sign * HUGE_VAL));
+        }
+    }
+    std::mt19937_64 rng(20061209);
+    for (int i = 0; i < 1'000'000; i++) {
+        std::uint64_t bits = rng();
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        inputs.push_back(d);
+    }
+    // The reference costs ~10 us per full-precision double, so the
+    // inputs are checked in chunks across the thread pool.
+    constexpr std::size_t chunk = 1 << 14;
+    std::vector<std::vector<std::string>> bad(
+        (inputs.size() + chunk - 1) / chunk);
+    parallelFor(0, bad.size(), [&](std::size_t c) {
+        std::size_t end = std::min(inputs.size(), (c + 1) * chunk);
+        for (std::size_t i = c * chunk; i < end; i++) {
+            double d = inputs[i];
+            std::string got = formatDouble(d);
+            std::string want = referenceFormatDouble(d);
+            double back = std::strtod(got.c_str(), nullptr);
+            if (got != want || (std::isfinite(d) &&
+                                std::memcmp(&back, &d, sizeof d))) {
+                std::ostringstream os;
+                os << std::hexfloat << d << ": " << got
+                   << " vs reference " << want;
+                bad[c].push_back(os.str());
+            }
+        }
+    });
+    std::size_t mismatches = 0;
+    for (const auto &chunk_bad : bad)
+        for (const auto &msg : chunk_bad)
+            if (mismatches++ < 10)
+                ADD_FAILURE() << msg;
+    EXPECT_EQ(mismatches, 0u) << "of " << inputs.size();
 }
 
 TEST(Json, DumpPreservesInsertionOrderCanonicalSorts)

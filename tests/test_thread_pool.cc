@@ -1,12 +1,18 @@
 /** @file Tests for the ThreadPool / parallelFor engine behind
  *  ExperimentRunner::sweep: index coverage, exception propagation,
- *  degenerate sizes, nested calls and shutdown draining. */
+ *  degenerate sizes, nested calls, callers sharing one pool, and
+ *  growth on demand. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hh"
@@ -104,36 +110,109 @@ TEST(ThreadPool, NestedParallelForRunsInline)
     EXPECT_EQ(inner_total.load(), 8 * 16);
 }
 
-TEST(ThreadPool, SubmitReturnsCompletionFuture)
+TEST(ThreadPool, CallerCompletesWhileTheOnlyWorkerIsParked)
 {
     ThreadPool pool(2);
-    std::atomic<bool> ran{false};
-    auto fut = pool.submit([&] { ran = true; });
-    fut.get();
-    EXPECT_TRUE(ran.load());
+    std::latch release(1);
+    std::atomic<int> parked{0};
+    // Another caller's loop parks the only worker (and that caller)
+    // on the latch.
+    std::thread other([&] {
+        pool.parallelFor(2, [&](std::size_t) {
+            parked++;
+            release.wait();
+        });
+    });
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (parked.load() < 2 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    EXPECT_EQ(parked.load(), 2);
+
+    // A loop that waited on its unstarted helper would hang here, so
+    // run it on a thread of its own and bound the wait.
+    std::vector<std::thread::id> ran_on(100);
+    std::thread::id caller;
+    auto done = std::async(std::launch::async, [&] {
+        caller = std::this_thread::get_id();
+        pool.parallelFor(ran_on.size(), [&](std::size_t i) {
+            ran_on[i] = std::this_thread::get_id();
+        });
+    });
+    bool finished = done.wait_for(std::chrono::seconds(10)) ==
+        std::future_status::ready;
+    release.count_down();
+    other.join();
+    done.get();
+    ASSERT_TRUE(finished) << "parallelFor waited on a parked worker";
+    for (std::size_t i = 0; i < ran_on.size(); i++)
+        EXPECT_EQ(ran_on[i], caller) << "index " << i;
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
+TEST(ThreadPool, ConcurrentCallersSeeOnlyTheirOwnIndicesAndErrors)
 {
-    ThreadPool pool(2);
-    auto fut =
-        pool.submit([] { throw std::runtime_error("task boom"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
-{
-    std::atomic<int> done{0};
-    std::vector<std::future<void>> futs;
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 32; i++)
-            futs.push_back(pool.submit([&] { done++; }));
-        // Pool destroyed here with tasks possibly still queued.
+    ThreadPool pool(4);
+    constexpr std::size_t n = 2000;
+    for (int round = 0; round < 20; round++) {
+        std::vector<std::atomic<int>> hits[2] = {
+            std::vector<std::atomic<int>>(n),
+            std::vector<std::atomic<int>>(n)};
+        std::string caught[2];
+        std::latch start(2);
+        auto caller = [&](int c) {
+            start.arrive_and_wait();
+            pool.parallelFor(n, [&](std::size_t i) { hits[c][i]++; });
+            try {
+                pool.parallelFor(n, [&](std::size_t) {
+                    throw std::runtime_error("caller " +
+                                             std::to_string(c));
+                });
+            } catch (const std::runtime_error &e) {
+                caught[c] = e.what();
+            }
+        };
+        std::thread t0(caller, 0), t1(caller, 1);
+        t0.join();
+        t1.join();
+        for (int c = 0; c < 2; c++) {
+            for (std::size_t i = 0; i < n; i++)
+                ASSERT_EQ(hits[c][i].load(), 1)
+                    << "caller " << c << " index " << i;
+            EXPECT_EQ(caught[c], "caller " + std::to_string(c));
+        }
     }
-    EXPECT_EQ(done.load(), 32);
-    for (auto &f : futs)
-        EXPECT_NO_THROW(f.get());
+}
+
+TEST(ThreadPool, OneIndexOrOneThreadRunsOnTheCaller)
+{
+    const auto self = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on;
+    auto record = [&](std::size_t i) {
+        ran_on[i] = std::this_thread::get_id();
+    };
+    for (std::size_t conc : {0u, 1u, 4u}) {
+        ran_on.assign(1, {});
+        parallelFor(conc, 1, record);
+        EXPECT_EQ(ran_on[0], self) << "concurrency " << conc;
+    }
+    ran_on.assign(64, {});
+    parallelFor(1, ran_on.size(), record);
+    for (std::size_t i = 0; i < ran_on.size(); i++)
+        EXPECT_EQ(ran_on[i], self) << "index " << i;
+}
+
+TEST(ThreadPool, GrowsToTheLargestConcurrencyAsked)
+{
+    ThreadPool pool(1);
+    std::atomic<int> ran{0};
+    pool.parallelFor(100, [&](std::size_t) { ran++; }, 4);
+    EXPECT_EQ(pool.concurrency(), 4u);
+    // Never more threads than indices, and never shrinks.
+    pool.parallelFor(3, [&](std::size_t) { ran++; }, 8);
+    pool.parallelFor(100, [&](std::size_t) { ran++; }, 2);
+    EXPECT_EQ(pool.concurrency(), 4u);
+    EXPECT_EQ(ran.load(), 203);
 }
 
 TEST(ThreadPool, FreeParallelForMatchesSerialLoop)
