@@ -13,13 +13,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
-# The worker pool and sweep determinism, the profile store, and the
+# The worker pool and sweep determinism, the profile store and the
+# disk cache (concurrent writers of one entry), and the
 # serving stack over real sockets: protocol, faults, overload,
 # batches, the reactor and /metrics, and gpmctl against two daemons.
 TSAN_FILTER="ThreadPool.*:SweepTest.*:ProfileStoreTest.*"
 TSAN_FILTER+=":ServerTest.*:ChaosServerTest.*:ChaosServiceTest.*"
 TSAN_FILTER+=":OverloadServiceTest.*:BatchTest.*:BatchServerTest.*"
 TSAN_FILTER+=":ReactorServerTest.*:GpmctlShardTest.*:DiskBreakerTest.*"
+TSAN_FILTER+=":DiskCacheTest.*"
 TSAN_FILTER+=":ClusterTest.ServiceServesAndCachesClusterScenarios"
 
 echo "== tier-1: standard build + ctest =="

@@ -9,8 +9,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "util/binio.hh"
-#include "util/fault.hh"
 #include "util/logging.hh"
 
 namespace gpm
@@ -19,22 +17,19 @@ namespace gpm
 namespace
 {
 
-/** On-disk entry layout: binio framing (magic, LE u64 payload
- *  length, LE u32 CRC32(payload), payload); the magic doubles as a
- *  format version. */
 constexpr char kMagic[8] = {'G', 'P', 'M', 'C',
                             'A', 'C', 'H', '1'};
 
 } // namespace
 
-DiskCache::DiskCache(std::string dir_, std::uint64_t maxBytes_,
+DiskCache::DiskCache(std::string dir, std::uint64_t maxBytes_,
                      BreakerOptions breakerOpts)
-    : dir(std::move(dir_)), maxBytes(maxBytes_),
-      breaker(breakerOpts)
+    : store(std::move(dir), kMagic, "disk cache",
+            {fault::Point::DiskReadCorrupt, fault::Point::DiskReadStall,
+             fault::Point::DiskWriteFail},
+            breakerOpts),
+      maxBytes(maxBytes_)
 {
-    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
-        warn("disk cache: cannot create %s: %s", dir.c_str(),
-             std::strerror(errno));
     std::lock_guard<std::mutex> lock(mtx);
     scanDirLocked();
 }
@@ -48,15 +43,10 @@ DiskCache::fileNameFor(std::uint64_t hash)
     return buf;
 }
 
-std::string
-DiskCache::pathFor(std::uint64_t hash) const
-{
-    return dir + "/" + fileNameFor(hash);
-}
-
 void
 DiskCache::scanDirLocked()
 {
+    const std::string &dir = store.directory();
     DIR *d = ::opendir(dir.c_str());
     if (!d)
         return;
@@ -114,14 +104,6 @@ DiskCache::insertLocked(std::uint64_t hash, std::uint64_t bytes)
 }
 
 void
-DiskCache::touchLocked(std::uint64_t hash)
-{
-    auto it = index.find(hash);
-    if (it != index.end())
-        lru.splice(lru.begin(), lru, it->second);
-}
-
-void
 DiskCache::forgetLocked(std::uint64_t hash)
 {
     auto it = index.find(hash);
@@ -141,111 +123,42 @@ DiskCache::evictToBudgetLocked()
         const Entry victim = lru.back();
         // Unlink before forgetting so a failed unlink (already gone
         // — e.g. another daemon evicted it) still drops the entry.
-        if (::unlink(pathFor(victim.hash).c_str()) != 0 &&
+        std::string name = fileNameFor(victim.hash);
+        if (::unlink(store.pathFor(name).c_str()) != 0 &&
             errno != ENOENT)
-            warn("disk cache: cannot evict %s: %s",
-                 fileNameFor(victim.hash).c_str(),
+            warn("disk cache: cannot evict %s: %s", name.c_str(),
                  std::strerror(errno));
         forgetLocked(victim.hash);
         evictions++;
     }
 }
 
-void
-DiskCache::quarantineLocked(const std::string &path,
-                            std::uint64_t hash)
-{
-    quarantined++;
-    std::string aside = path + ".corrupt";
-    if (::rename(path.c_str(), aside.c_str()) != 0) {
-        warn("disk cache: cannot quarantine %s: %s", path.c_str(),
-             std::strerror(errno));
-        ::unlink(path.c_str());
-    } else {
-        warn("disk cache: quarantined corrupt entry %s",
-             aside.c_str());
-    }
-    forgetLocked(hash);
-}
-
 bool
 DiskCache::get(std::uint64_t hash, std::string &payload)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    // Breaker open: the disk is (still) considered sick — an
-    // immediate miss costs nothing, the memory tier serves alone.
-    if (!breaker.allow()) {
-        breakerRefusals++;
-        misses++;
-        return false;
-    }
-    // A stalled read is the failure mode breakers exist for: pay
-    // the injected delay once, count it against the window.
-    if (fault::armed() &&
-        fault::maybeDelay(fault::Point::DiskReadStall)) {
-        breaker.recordFailure();
-        misses++;
-        return false;
-    }
-    std::string path = pathFor(hash);
-    std::string raw;
     // Probe the filesystem even when the index misses: another
     // process sharing the directory may have committed the entry
     // after our startup scan.
-    if (!binio::readWholeFile(path, raw)) {
-        forgetLocked(hash); // index said present, disk disagrees
-        // A plain absence is a healthy answer, not an I/O fault.
-        breaker.recordSuccess();
-        misses++;
-        return false;
-    }
-
-    bool corrupt = !binio::unframe(kMagic, raw, payload);
-    if (!corrupt && fault::armed() &&
-        fault::fire(fault::Point::DiskReadCorrupt))
-        corrupt = true;
-    if (corrupt) {
-        breaker.recordFailure();
-        quarantineLocked(path, hash);
-        misses++;
-        return false;
-    }
-
-    breaker.recordSuccess();
-    insertLocked(hash, raw.size());
-    hits++;
-    return true;
+    EntryStore::Read r = store.read(fileNameFor(hash), payload);
+    if (r == EntryStore::Read::Hit)
+        insertLocked(hash, EntryStore::kFrameBytes + payload.size());
+    else if (r == EntryStore::Read::Absent)
+        forgetLocked(hash); // gone, or just quarantined
+    return r == EntryStore::Read::Hit;
 }
 
 void
 DiskCache::put(std::uint64_t hash, const std::string &payload)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    // Writing to a disk the breaker holds open would stall the
-    // worker the same way reads did; skip until a read probe
-    // closes it. (Half-open is fine: the probe is a read.)
-    if (breaker.state() == CircuitBreaker::State::Open) {
-        breakerRefusals++;
+    if (auto it = index.find(hash); it != index.end()) {
+        lru.splice(lru.begin(), lru, it->second);
         return;
     }
-    if (index.count(hash)) {
-        touchLocked(hash);
+    if (!store.write(fileNameFor(hash), payload))
         return;
-    }
-    if (fault::armed() && fault::fire(fault::Point::DiskWriteFail)) {
-        writeFailures++;
-        return;
-    }
-
-    std::string blob = binio::frame(kMagic, payload);
-    if (!binio::writeFileAtomic(pathFor(hash), blob)) {
-        writeFailures++;
-        warn("disk cache: cannot commit %s: %s",
-             fileNameFor(hash).c_str(), std::strerror(errno));
-        return;
-    }
-
-    insertLocked(hash, blob.size());
+    insertLocked(hash, EntryStore::kFrameBytes + payload.size());
     evictToBudgetLocked();
 }
 
@@ -254,16 +167,10 @@ DiskCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mtx);
     DiskCacheStats s;
-    s.hits = hits;
-    s.misses = misses;
+    static_cast<EntryStoreStats &>(s) = store.stats();
     s.evictions = evictions;
-    s.quarantined = quarantined;
-    s.writeFailures = writeFailures;
     s.entries = lru.size();
     s.bytes = totalBytes;
-    s.breakerRefusals = breakerRefusals;
-    s.breakerOpens = breaker.opens();
-    s.breakerState = breaker.stateName();
     return s;
 }
 

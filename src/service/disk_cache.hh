@@ -1,42 +1,20 @@
 /**
  * @file
  * DiskCache — the persistent tier of the scenario service's result
- * cache. One file per entry under a cache directory, named by the
- * canonical scenario hash (`<16-hex>.gpmc`), holding a small header
- * (magic, payload length, CRC32) followed by the payload bytes.
+ * cache: one EntryStore entry (util/entry_store.hh: the frame, the
+ * atomic write, quarantine, the read breaker and the
+ * `disk-read-corrupt` / `disk-read-stall` / `disk-write-fail` fault
+ * points) per canonical scenario hash, named `<16-hex>.gpmc`.
  *
- * Durability and sharing: every write goes to a process-unique temp
- * file in the same directory and is rename()d into place, so the
- * rename is the commit point — a reader (this process, a restarted
- * daemon, or another daemon sharing the directory) either sees a
- * complete, checksummed entry or no entry at all, never a torn one.
- * Entries written by other processes are found by probing the
- * filesystem on an index miss, so a fleet sharing one directory
+ * Sharing: entries written by other processes are found by probing
+ * the filesystem on an index miss, so a fleet sharing one directory
  * shares one served-scenario corpus.
- *
- * Integrity: a read whose magic, length or CRC does not match is
- * *quarantined* — renamed aside to `<name>.corrupt` (unlinked if
- * even that fails) and reported as a miss, so a damaged entry is
- * recomputed exactly once and never served.
  *
  * Capacity: an in-memory LRU (seeded from file mtimes at startup,
  * oldest first) bounds the directory's total bytes. The budget is
  * enforced on insertion only — put() evicts least-recently-used
  * entries until the directory fits — so a restart with a smaller
  * budget keeps existing entries readable until the next write.
- *
- * Fault injection (chaos testing, see fault.hh): `disk-read-corrupt`
- * makes a successful read behave as CRC-corrupt; `disk-write-fail`
- * fails a put before anything touches the disk; `disk-read-stall`
- * stalls a read for its delay-ms and counts it as an I/O failure.
- *
- * Failure-domain circuit breaker (see util/breaker.hh): read
- * outcomes feed a breaker — corrupt/stalled reads are failures,
- * verified reads and plain absences are successes. While the
- * breaker is open every get() is an immediate miss and every put()
- * is skipped (no per-request disk penalty; the service serves
- * memory-only); after the cooldown a single read probes the disk
- * and a healthy result closes the breaker again.
  *
  * Thread-safety: all methods are safe from any thread (one internal
  * mutex; file I/O happens under it — entries are small and the tier
@@ -52,28 +30,17 @@
 #include <string>
 #include <unordered_map>
 
-#include "util/breaker.hh"
+#include "util/entry_store.hh"
 
 namespace gpm
 {
 
-/** Counters since construction (quarantines include real
- *  corruption and injected `disk-read-corrupt` fires). */
-struct DiskCacheStats
+/** The store's counters plus the LRU's. */
+struct DiskCacheStats : EntryStoreStats
 {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t writeFailures = 0;
     std::size_t entries = 0;
-    std::uint64_t bytes = 0; ///< tracked on-disk payload bytes
-    /** Gets/puts refused by the open breaker (served memory-only). */
-    std::uint64_t breakerRefusals = 0;
-    /** Breaker transitions to open since construction. */
-    std::uint64_t breakerOpens = 0;
-    /** "closed" | "open" | "half-open". */
-    const char *breakerState = "closed";
+    std::uint64_t bytes = 0; ///< tracked on-disk entry bytes
 };
 
 class DiskCache
@@ -94,26 +61,29 @@ class DiskCache
     /**
      * Load the entry for @p hash into @p payload. Probes the
      * filesystem even on an index miss (another process may have
-     * committed the entry), verifies the CRC, and quarantines
-     * corrupt files. True only when a verified payload was read.
+     * committed the entry). True only when a verified payload was
+     * read.
      */
     bool get(std::uint64_t hash, std::string &payload);
 
     /**
-     * Persist @p payload under @p hash (write-temp-then-rename),
-     * then evict least-recently-used entries until the tracked
-     * bytes fit the budget. An entry already present just has its
-     * recency bumped — payloads are content-deterministic per hash,
-     * so rewriting would change nothing.
+     * Persist @p payload under @p hash, then evict
+     * least-recently-used entries until the tracked bytes fit the
+     * budget. An entry already present just has its recency bumped
+     * — payloads are content-deterministic per hash, so rewriting
+     * would change nothing.
      */
     void put(std::uint64_t hash, const std::string &payload);
 
     DiskCacheStats stats() const;
 
     /** The read-path breaker (chaos tests poke its state). */
-    const CircuitBreaker &readBreaker() const { return breaker; }
+    const CircuitBreaker &readBreaker() const
+    {
+        return store.readBreaker();
+    }
 
-    const std::string &directory() const { return dir; }
+    const std::string &directory() const { return store.directory(); }
 
     /** `<16-hex>.gpmc`, the entry file name for @p hash. */
     static std::string fileNameFor(std::uint64_t hash);
@@ -126,16 +96,12 @@ class DiskCache
     };
 
     void scanDirLocked();
-    void touchLocked(std::uint64_t hash);
     void insertLocked(std::uint64_t hash, std::uint64_t bytes);
     void forgetLocked(std::uint64_t hash);
     void evictToBudgetLocked();
-    void quarantineLocked(const std::string &path,
-                          std::uint64_t hash);
-    std::string pathFor(std::uint64_t hash) const;
 
     mutable std::mutex mtx;
-    std::string dir;
+    EntryStore store;
     std::uint64_t maxBytes;
 
     /** Recency list, most recent at front. */
@@ -143,15 +109,7 @@ class DiskCache
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator>
         index;
     std::uint64_t totalBytes = 0;
-
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t writeFailures = 0;
-    std::uint64_t breakerRefusals = 0;
-
-    CircuitBreaker breaker;
 };
 
 } // namespace gpm

@@ -113,6 +113,9 @@ renderPrometheus(const ServiceStats &s, const ReactorStats &r,
     promCounter(out,"gpm_disk_quarantined_total",
             "Corrupt disk entries quarantined",
             s.diskQuarantined);
+    promCounter(out,"gpm_disk_write_failures_total",
+            "Disk-tier writes that failed (entry not persisted)",
+            s.diskWriteFailures);
     promCounter(out,"gpm_cancelled_mid_sweep_total",
             "Sweeps cancelled by a mid-flight deadline",
             s.cancelledMidSweep);
@@ -134,6 +137,9 @@ renderPrometheus(const ServiceStats &s, const ReactorStats &r,
     promCounter(out,"gpm_profile_quarantined_total",
             "Corrupt profile-store entries quarantined",
             s.profileQuarantined);
+    promCounter(out,"gpm_profile_write_failures_total",
+            "Profile-store writes that failed (rebuilt next start)",
+            s.profileWriteFailures);
     promCounter(out,"gpm_shed_overload_total",
             "Requests shed by admission control",
             s.shedOverload);

@@ -326,6 +326,7 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
         result.set("diskHits", s.diskHits);
         result.set("diskEvictions", s.diskEvictions);
         result.set("diskQuarantined", s.diskQuarantined);
+        result.set("diskWriteFailures", s.diskWriteFailures);
         result.set("diskEntries", s.diskEntries);
         result.set("diskBytes", s.diskBytes);
         result.set("cancelledMidSweep", s.cancelledMidSweep);
@@ -337,6 +338,7 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
         result.set("profileBuildMs", s.profileBuildMs);
         result.set("profileReady", s.profileReady);
         result.set("profileQuarantined", s.profileQuarantined);
+        result.set("profileWriteFailures", s.profileWriteFailures);
         result.set("shedOverload", s.shedOverload);
         result.set("degradedRequests", s.degradedRequests);
         result.set("breakerOpens",

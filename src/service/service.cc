@@ -692,6 +692,7 @@ ScenarioService::stats() const
         DiskCacheStats d = disk->stats();
         s.diskEvictions = d.evictions;
         s.diskQuarantined = d.quarantined;
+        s.diskWriteFailures = d.writeFailures;
         s.diskEntries = d.entries;
         s.diskBytes = d.bytes;
         s.diskBreakerRefusals = d.breakerRefusals;
@@ -705,6 +706,7 @@ ScenarioService::stats() const
         s.profileBuildMs = pl.buildMs;
         s.profileReady = pl.ready;
         s.profileQuarantined = pl.storeQuarantined;
+        s.profileWriteFailures = pl.storeWriteFailures;
         s.profileBreakerRefusals = pl.storeBreakerRefusals;
         s.profileBreakerOpens = pl.storeBreakerOpens;
         s.profileBreakerState = pl.storeBreakerState;

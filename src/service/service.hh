@@ -129,6 +129,7 @@ struct ServiceStats
     std::uint64_t diskHits = 0;      ///< hits promoted disk→memory
     std::uint64_t diskEvictions = 0; ///< disk entries LRU-evicted
     std::uint64_t diskQuarantined = 0; ///< corrupt entries set aside
+    std::uint64_t diskWriteFailures = 0; ///< write-throughs not persisted
     std::uint64_t cancelledMidSweep = 0; ///< deadlines hit mid-sweep
     std::uint64_t clusterRequests = 0; ///< cluster scenarios computed
     std::uint64_t clusterEpochs = 0;   ///< facility epochs arbitrated
@@ -138,6 +139,7 @@ struct ServiceStats
     std::uint64_t profileBuildMs = 0;  ///< cumulative sim time [ms]
     std::uint64_t profileReady = 0;    ///< profiles ready to serve
     std::uint64_t profileQuarantined = 0; ///< corrupt store entries
+    std::uint64_t profileWriteFailures = 0; ///< profiles not persisted
     std::uint64_t shedOverload = 0; ///< shed by admission control
     std::uint64_t degradedRequests = 0; ///< served a rung down
     std::uint64_t diskBreakerRefusals = 0; ///< ops skipped while open

@@ -1,14 +1,9 @@
 #include "trace/profile_store.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "util/binio.hh"
-#include "util/fault.hh"
-#include "util/logging.hh"
 
 namespace gpm
 {
@@ -16,8 +11,8 @@ namespace gpm
 namespace
 {
 
-/** Entry payload layout (wrapped in the binio frame): name length
- *  (LE u32) + name bytes, mode count (LE u32), then per mode
+/** Entry payload layout (wrapped in the EntryStore frame): name
+ *  length (LE u32) + name bytes, mode count (LE u32), then per mode
  *  chunkInsts (LE u64), lastChunkInsts (LE u64), chunk count
  *  (LE u32) and the raw ChunkRecord array. The magic doubles as the
  *  format version — bump the trailing digit on layout changes. */
@@ -95,13 +90,14 @@ parseProfile(const std::string &in, WorkloadProfile &out)
 
 } // namespace
 
-ProfileStore::ProfileStore(std::string dir_,
+ProfileStore::ProfileStore(std::string dir,
                            BreakerOptions breakerOpts)
-    : dir(std::move(dir_)), breaker(breakerOpts)
+    : store(std::move(dir), kMagic, "profile store",
+            {fault::Point::ProfileReadCorrupt,
+             fault::Point::ProfileReadStall,
+             fault::Point::ProfileWriteFail},
+            breakerOpts)
 {
-    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
-        warn("profile store: cannot create %s: %s", dir.c_str(),
-             std::strerror(errno));
 }
 
 std::string
@@ -117,81 +113,25 @@ std::string
 ProfileStore::pathFor(const std::string &name,
                       std::uint64_t fp) const
 {
-    return dir + "/" + fileNameFor(name, fp);
-}
-
-void
-ProfileStore::quarantine(const std::string &path)
-{
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        counters.quarantined++;
-    }
-    std::string aside = path + ".corrupt";
-    if (::rename(path.c_str(), aside.c_str()) != 0) {
-        warn("profile store: cannot quarantine %s: %s",
-             path.c_str(), std::strerror(errno));
-        ::unlink(path.c_str());
-    } else {
-        warn("profile store: quarantined corrupt entry %s",
-             aside.c_str());
-    }
+    return store.pathFor(fileNameFor(name, fp));
 }
 
 bool
 ProfileStore::load(const std::string &name, std::uint64_t fp,
                    WorkloadProfile &out)
 {
-    // Breaker open: skip the sick disk entirely — the caller
-    // rebuilds the profile from the trace model instead.
-    if (!breaker.allow()) {
-        std::lock_guard<std::mutex> lock(mtx);
-        counters.breakerRefusals++;
-        counters.misses++;
-        return false;
-    }
-    // A stalled read is the failure mode breakers exist for: pay
-    // the injected delay once, count it against the window.
-    if (fault::armed() &&
-        fault::maybeDelay(fault::Point::ProfileReadStall)) {
-        breaker.recordFailure();
-        std::lock_guard<std::mutex> lock(mtx);
-        counters.misses++;
-        return false;
-    }
-    std::string path = pathFor(name, fp);
-    std::string raw;
-    if (!binio::readWholeFile(path, raw)) {
-        // A plain absence is a healthy answer, not an I/O fault.
-        breaker.recordSuccess();
-        std::lock_guard<std::mutex> lock(mtx);
-        counters.misses++;
-        return false;
-    }
-
-    std::string payload;
-    bool corrupt = !binio::unframe(kMagic, raw, payload);
-    if (!corrupt && fault::armed() &&
-        fault::fire(fault::Point::ProfileReadCorrupt))
-        corrupt = true;
     WorkloadProfile p;
+    std::string payload;
     // The name is content-addressed into the path, but the payload
     // carries it too: a mismatch means a renamed/clobbered file and
     // counts as corruption.
-    if (!corrupt)
-        corrupt = !parseProfile(payload, p) || p.name != name;
-    if (corrupt) {
-        breaker.recordFailure();
-        quarantine(path);
-        std::lock_guard<std::mutex> lock(mtx);
-        counters.misses++;
+    auto decode = [&](const std::string &bytes) {
+        return parseProfile(bytes, p) && p.name == name;
+    };
+    if (store.read(fileNameFor(name, fp), payload, decode) !=
+        EntryStore::Read::Hit)
         return false;
-    }
-
-    breaker.recordSuccess();
     out = std::move(p);
-    std::lock_guard<std::mutex> lock(mtx);
-    counters.hits++;
     return true;
 }
 
@@ -199,40 +139,7 @@ bool
 ProfileStore::save(const std::string &name, std::uint64_t fp,
                    const WorkloadProfile &p)
 {
-    // Writing to a disk the breaker holds open would stall the
-    // builder the same way reads did; the profile simply stays
-    // memory-resident (rebuilt next cold start, like any failed
-    // save). Half-open is fine: the probe is a read.
-    if (breaker.state() == CircuitBreaker::State::Open) {
-        std::lock_guard<std::mutex> lock(mtx);
-        counters.breakerRefusals++;
-        return false;
-    }
-    if (fault::armed() &&
-        fault::fire(fault::Point::ProfileWriteFail)) {
-        std::lock_guard<std::mutex> lock(mtx);
-        counters.writeFailures++;
-        return false;
-    }
-    std::string blob = binio::frame(kMagic, serializeProfile(p));
-    if (!binio::writeFileAtomic(pathFor(name, fp), blob)) {
-        warn("profile store: cannot commit %s: %s",
-             fileNameFor(name, fp).c_str(), std::strerror(errno));
-        std::lock_guard<std::mutex> lock(mtx);
-        counters.writeFailures++;
-        return false;
-    }
-    return true;
-}
-
-ProfileStoreStats
-ProfileStore::stats() const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    ProfileStoreStats s = counters;
-    s.breakerOpens = breaker.opens();
-    s.breakerState = breaker.stateName();
-    return s;
+    return store.write(fileNameFor(name, fp), serializeProfile(p));
 }
 
 } // namespace gpm

@@ -1,59 +1,37 @@
 /**
  * @file
  * Content-addressed on-disk store of WorkloadProfiles: one
- * CRC32-framed file per (workload spec, DvfsTable, length-scale,
- * core-config) fingerprint, named `<workload>.<16-hex-fp>.gpmp`.
+ * EntryStore entry (util/entry_store.hh: the frame, the atomic
+ * write, quarantine, the read breaker and the
+ * `profile-read-corrupt` / `profile-read-stall` /
+ * `profile-write-fail` fault points) per (workload spec, DvfsTable,
+ * length-scale, core-config) fingerprint, named
+ * `<workload>.<16-hex-fp>.gpmp`.
  *
  * Because the fingerprint is part of the file name, changing one
  * knob (a DVFS voltage, a phase fraction, the length scale) simply
  * addresses different files: only profiles whose inputs actually
  * changed are rebuilt, stale entries are left behind harmlessly,
  * and one directory can serve daemons running at different scales
- * or be shared between hosts.
- *
- * Writes are atomic (temp + rename, see binio::writeFileAtomic) so
- * a crash mid-save never leaves a truncated entry; corrupt or
- * truncated entries found on read are quarantined aside as
- * `.corrupt` and rebuilt. The `profile-read-corrupt` /
- * `profile-write-fail` / `profile-read-stall` fault points inject
- * the failure modes for chaos tests.
- *
- * Failure-domain circuit breaker (see util/breaker.hh): read
- * outcomes feed a breaker — corrupt/stalled reads are failures,
- * verified reads and plain absences are successes. While the
- * breaker is open every load() is an immediate miss (the library
- * rebuilds from the trace model instead of touching the sick disk)
- * and every save() is skipped; after the cooldown a single read
- * probes the store and a healthy result closes it again.
+ * or be shared between hosts. While the read breaker is open the
+ * library rebuilds from the trace model instead of touching the
+ * sick disk.
  */
 
 #ifndef GPM_TRACE_PROFILE_STORE_HH
 #define GPM_TRACE_PROFILE_STORE_HH
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "trace/phase_profile.hh"
-#include "util/breaker.hh"
+#include "util/entry_store.hh"
 
 namespace gpm
 {
 
 /** Monotonic counters; see ProfileStore::stats(). */
-struct ProfileStoreStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t writeFailures = 0;
-    /** Loads/saves refused by the open breaker. */
-    std::uint64_t breakerRefusals = 0;
-    /** Breaker transitions to open since construction. */
-    std::uint64_t breakerOpens = 0;
-    /** "closed" | "open" | "half-open". */
-    const char *breakerState = "closed";
-};
+using ProfileStoreStats = EntryStoreStats;
 
 class ProfileStore
 {
@@ -65,8 +43,8 @@ class ProfileStore
 
     /**
      * Load the profile for (@p name, @p fp) into @p out.
-     * @retval false when absent, corrupt (quarantined), or injected
-     *         corrupt via the profile-read-corrupt fault point.
+     * @retval false on a miss: absent, unreadable, corrupt
+     *         (quarantined), or refused by the open breaker.
      */
     bool load(const std::string &name, std::uint64_t fp,
               WorkloadProfile &out);
@@ -87,20 +65,18 @@ class ProfileStore
     std::string pathFor(const std::string &name,
                         std::uint64_t fp) const;
 
-    const std::string &directory() const { return dir; }
+    const std::string &directory() const { return store.directory(); }
 
-    ProfileStoreStats stats() const;
+    ProfileStoreStats stats() const { return store.stats(); }
 
     /** The read-path breaker (chaos tests poke its state). */
-    const CircuitBreaker &readBreaker() const { return breaker; }
+    const CircuitBreaker &readBreaker() const
+    {
+        return store.readBreaker();
+    }
 
   private:
-    void quarantine(const std::string &path);
-
-    std::string dir;
-    mutable std::mutex mtx; ///< guards the counters only
-    ProfileStoreStats counters;
-    CircuitBreaker breaker;
+    EntryStore store;
 };
 
 } // namespace gpm

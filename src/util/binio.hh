@@ -3,24 +3,15 @@
 
 /**
  * @file
- * Small binary-file I/O helpers shared by the on-disk stores (the
- * result disk cache in service/ and the profile store in trace/):
- * little-endian integer framing, IEEE CRC32, whole-file reads, and
- * atomic temp+rename writes. Everything here is header-only and
- * dependency-free so any layer can use it.
- *
- * Framing convention (both stores follow it): an 8-byte magic that
- * doubles as a format version, a little-endian u64 payload length, a
- * little-endian u32 CRC32 of the payload, then the payload bytes.
- * Integers are little-endian unconditionally — the only hosts this
- * targets.
+ * Little-endian integer packing and the IEEE CRC32, shared by the
+ * on-disk entry store (util/entry_store.hh, which owns the frame
+ * and the file I/O) and the profile payload codec. Header-only and
+ * dependency-free so any layer can use it. Integers are
+ * little-endian unconditionally — the only hosts this targets.
  */
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 namespace gpm
@@ -65,93 +56,6 @@ getLe(const char *p, int bytes)
                  static_cast<unsigned char>(p[i]))
             << (8 * i);
     return v;
-}
-
-inline bool
-readWholeFile(const std::string &path, std::string &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    out.clear();
-    char chunk[1 << 14];
-    std::size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        out.append(chunk, got);
-    bool ok = !std::ferror(f);
-    std::fclose(f);
-    return ok;
-}
-
-/**
- * Write `blob` to `path` atomically: a process-unique temp name in
- * the same directory, flushed and fsync()d, then rename()d over the
- * target. The rename is the commit point — a crash mid-write leaves
- * only the temp file, never a truncated target, and two processes
- * sharing the directory can never interleave bytes. The fsync makes
- * the blob's pages durable before the rename can commit, so even
- * after a power loss the target holds either the old or the
- * complete new contents (the directory entry itself is not synced:
- * a power loss immediately after can drop the rename, which
- * resurfaces the old file — never a torn one). Returns false (and
- * removes the temp file) on any failure.
- */
-inline bool
-writeFileAtomic(const std::string &path, const std::string &blob)
-{
-    std::string tmp = path + ".tmp." +
-        std::to_string(static_cast<long>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok =
-        std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
-    ok = std::fflush(f) == 0 && ok;
-    ok = ::fsync(::fileno(f)) == 0 && ok;
-    std::fclose(f);
-    if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
-/**
- * Frame a payload per the store convention: magic (8 bytes), LE u64
- * payload length, LE u32 CRC32(payload), payload.
- */
-inline std::string
-frame(const char (&magic)[8], const std::string &payload)
-{
-    std::string blob;
-    blob.reserve(8 + 8 + 4 + payload.size());
-    blob.append(magic, 8);
-    putLe(blob, payload.size(), 8);
-    putLe(blob, crc32(payload.data(), payload.size()), 4);
-    blob += payload;
-    return blob;
-}
-
-/**
- * Validate a framed blob against `magic` and its CRC; on success
- * set `payload` to the unframed bytes and return true. Any size,
- * magic, length, or checksum mismatch returns false.
- */
-inline bool
-unframe(const char (&magic)[8], const std::string &raw,
-        std::string &payload)
-{
-    constexpr std::size_t kHeaderBytes = 8 + 8 + 4;
-    if (raw.size() < kHeaderBytes ||
-        std::memcmp(raw.data(), magic, 8) != 0)
-        return false;
-    std::uint64_t len = getLe(raw.data() + 8, 8);
-    auto crc = static_cast<std::uint32_t>(getLe(raw.data() + 16, 4));
-    if (raw.size() != kHeaderBytes + len ||
-        crc32(raw.data() + kHeaderBytes, len) != crc)
-        return false;
-    payload.assign(raw, kHeaderBytes, len);
-    return true;
 }
 
 } // namespace binio

@@ -1,15 +1,18 @@
 /** @file DiskCache — the persistent result-cache tier — against a
  *  real scratch directory: round trips, persistence across
  *  instances and processes sharing a directory, CRC verification
- *  with quarantine of corrupt entries, the LRU byte budget, and the
- *  disk-read-corrupt / disk-write-fail chaos points. */
+ *  with quarantine of corrupt entries, the LRU byte budget, the
+ *  disk-read-corrupt / disk-write-fail chaos points, concurrent
+ *  writers of one entry, and read errors feeding the breaker. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <dirent.h>
+#include <functional>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -51,6 +54,21 @@ class DiskCacheTest : public ::testing::Test
     entryPath(std::uint64_t hash) const
     {
         return dir + "/" + DiskCache::fileNameFor(hash);
+    }
+
+    std::vector<std::string>
+    dirNames() const
+    {
+        std::vector<std::string> names;
+        if (DIR *d = ::opendir(dir.c_str())) {
+            while (const dirent *e = ::readdir(d)) {
+                std::string name = e->d_name;
+                if (name != "." && name != "..")
+                    names.push_back(name);
+            }
+            ::closedir(d);
+        }
+        return names;
     }
 
     bool
@@ -235,6 +253,60 @@ TEST_F(DiskCacheTest, InjectedWriteFailureDropsTheEntry)
     DiskCacheStats s = cache.stats();
     EXPECT_EQ(s.writeFailures, 1u);
     EXPECT_EQ(s.entries, 0u);
+}
+
+TEST_F(DiskCacheTest, ConcurrentWritersOfOneEntryAllCommit)
+{
+    // Two caches over one directory in one process, each writing
+    // the same entries at once: every write has a temp file of its
+    // own, so no rename loses its source.
+    constexpr std::uint64_t kEntries = 200;
+    DiskCache a(dir, 0), b(dir, 0);
+    auto writer = [&](DiskCache &c) {
+        for (std::uint64_t h = 0; h < kEntries; h++)
+            c.put(h, "payload-" + std::to_string(h));
+    };
+    std::thread ta(writer, std::ref(a)), tb(writer, std::ref(b));
+    ta.join();
+    tb.join();
+
+    EXPECT_EQ(a.stats().writeFailures, 0u);
+    EXPECT_EQ(b.stats().writeFailures, 0u);
+    std::vector<std::string> names = dirNames();
+    EXPECT_EQ(names.size(), kEntries);
+    for (const std::string &name : names)
+        EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
+    DiskCache reader(dir, 0);
+    std::string out;
+    for (std::uint64_t h = 0; h < kEntries; h++) {
+        ASSERT_TRUE(reader.get(h, out)) << h;
+        EXPECT_EQ(out, "payload-" + std::to_string(h));
+    }
+}
+
+TEST_F(DiskCacheTest, UnreadableEntryIsAFailureNotAnAbsence)
+{
+    // A directory where the entry should be: open() succeeds, read()
+    // fails with EISDIR. That is a sick disk, not a missing entry,
+    // so it feeds the breaker; with nothing read there is nothing
+    // to quarantine.
+    BreakerOptions bo;
+    bo.minSamples = 2;
+    bo.window = 4;
+    bo.cooldownMs = 300000.0; // no probe during the test
+    DiskCache cache(dir, 0, bo);
+    ASSERT_EQ(::mkdir(entryPath(0x99).c_str(), 0755), 0);
+    std::string out;
+    for (int i = 0; i < 6; i++)
+        EXPECT_FALSE(cache.get(0x99, out));
+    DiskCacheStats s = cache.stats();
+    EXPECT_EQ(s.misses, 6u);
+    EXPECT_EQ(s.quarantined, 0u);
+    EXPECT_EQ(s.breakerOpens, 1u);
+    EXPECT_EQ(std::string(s.breakerState), "open");
+    EXPECT_TRUE(fileExists(entryPath(0x99)));
+    EXPECT_FALSE(fileExists(entryPath(0x99) + ".corrupt"));
+    ::rmdir(entryPath(0x99).c_str());
 }
 
 TEST_F(DiskCacheTest, FileNameIsSixteenHex)

@@ -3,13 +3,14 @@
  *  CircuitBreaker state machine, admission-control fairness and
  *  doomed-deadline shedding, end-to-end degraded serving (bitwise
  *  equal to a direct run of the fallback policy, cached only under
- *  the degraded hash), and the disk cache's read breaker under
- *  injected read stalls. */
+ *  the degraded hash), and the read breakers of the disk cache and
+ *  the profile store under injected read stalls. */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <dirent.h>
 #include <future>
 #include <string>
@@ -544,6 +545,99 @@ TEST_F(DiskBreakerTest, ReadStallsOpenThenRecoveryCloses)
     EXPECT_EQ(cache.readBreaker().state(),
               CircuitBreaker::State::Closed);
     EXPECT_EQ(std::string(cache.stats().breakerState), "closed");
+}
+
+bool
+sameProfile(const WorkloadProfile &a, const WorkloadProfile &b)
+{
+    if (a.name != b.name || a.modes.size() != b.modes.size())
+        return false;
+    for (std::size_t m = 0; m < a.modes.size(); m++) {
+        const ModeProfile &x = a.modes[m], &y = b.modes[m];
+        if (x.chunkInsts != y.chunkInsts ||
+            x.lastChunkInsts != y.lastChunkInsts ||
+            x.chunks.size() != y.chunks.size() ||
+            std::memcmp(x.chunks.data(), y.chunks.data(),
+                        x.chunks.size() * sizeof(ChunkRecord)) != 0)
+            return false;
+    }
+    return true;
+}
+
+TEST_F(DiskBreakerTest, ProfileReadStallsOpenThenRecoveryCloses)
+{
+    // A cooldown no build outlasts, however slow the host: only the
+    // clock-skew jump below ends it.
+    BreakerOptions bo = fastBreaker();
+    bo.minSamples = 2;
+    bo.window = 4;
+    bo.cooldownMs = 300000.0;
+    DvfsTable dvfs = DvfsTable::classic3();
+    constexpr double kScale = 0.002;
+    WorkloadProfile stored;
+    {
+        ProfileLibrary seed(dvfs, kScale);
+        seed.attachStore(dir);
+        stored = seed.get("mcf");
+    }
+
+    // A sick disk: every store read stalls and fails. After
+    // minSamples failures the breaker opens, and the library then
+    // builds from the trace model without touching the store.
+    ProfileLibrary lib(dvfs, kScale);
+    lib.attachStore(dir, bo);
+    ASSERT_FALSE(fault::arm("profile-read-stall:1:1"));
+    lib.get("crafty");
+    lib.get("gcc");
+    EXPECT_EQ(std::string(lib.stats().storeBreakerState), "open");
+    auto fired = fault::fires(fault::Point::ProfileReadStall);
+
+    lib.get("art"); // refused, built without disk I/O
+    EXPECT_EQ(fault::fires(fault::Point::ProfileReadStall), fired);
+    ProfileLibraryStats st = lib.stats();
+    EXPECT_EQ(st.builds, 3u);
+    EXPECT_EQ(st.diskHits, 0u);
+    EXPECT_GE(st.storeBreakerOpens, 1u);
+    EXPECT_GE(st.storeBreakerRefusals, 1u);
+
+    // The disk heals; a clock jump past the cooldown lets the
+    // half-open probe load the stored entry, bitwise-identical, and
+    // close the breaker.
+    ASSERT_FALSE(fault::arm("clock-skew:1:600000"));
+    const WorkloadProfile &loaded = lib.get("mcf");
+    fault::disarm();
+    st = lib.stats();
+    EXPECT_EQ(st.diskHits, 1u);
+    EXPECT_EQ(st.builds, 3u);
+    EXPECT_EQ(std::string(st.storeBreakerState), "closed");
+    EXPECT_TRUE(sameProfile(loaded, stored));
+}
+
+TEST_F(DiskBreakerTest, ServiceSurfacesProfileBreakerState)
+{
+    BreakerOptions bo = fastBreaker();
+    bo.minSamples = 2;
+    bo.window = 4;
+    DvfsTable dvfs = DvfsTable::classic3();
+    ProfileLibrary lib(dvfs, 0.03);
+    lib.attachStore(dir, bo);
+    ScenarioService svc(lib, dvfs);
+
+    ScenarioSpec s;
+    s.combo = {"mcf", "crafty"};
+    s.policy = "WaterFill";
+    s.budgets = {0.8};
+
+    // Both profile reads stall: the second opens the store's
+    // breaker, and its save is refused. The disk tier is separate.
+    ASSERT_FALSE(fault::arm("profile-read-stall:1:1"));
+    ASSERT_TRUE(svc.submit(s).ok);
+    ServiceStats st = svc.stats();
+    EXPECT_EQ(st.profileBuilds, 2u);
+    EXPECT_GE(st.profileBreakerOpens, 1u);
+    EXPECT_GE(st.profileBreakerRefusals, 1u);
+    EXPECT_EQ(std::string(st.profileBreakerState), "open");
+    EXPECT_EQ(std::string(st.diskBreakerState), "closed");
 }
 
 TEST_F(DiskBreakerTest, ServiceSurfacesBreakerCounters)

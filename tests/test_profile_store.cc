@@ -4,7 +4,8 @@
  * serial baseline (mirroring test_sweep.cc's contract), the
  * content-addressed ProfileStore (round trip, atomic saves,
  * fingerprint addressing, corrupt/truncated-entry quarantine, fault
- * injection), incremental invalidation, and a background
+ * injection, concurrent savers of one entry, read errors feeding
+ * the breaker), incremental invalidation, and a background
  * buildSuite() racing get() callers over cold and warm stores.
  */
 
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
@@ -137,6 +139,59 @@ TEST_F(ProfileStoreTest, SaveIsAtomic)
     WorkloadProfile q;
     ASSERT_TRUE(store.load("mcf", 1, q));
     EXPECT_TRUE(identical(p, q));
+}
+
+TEST_F(ProfileStoreTest, ConcurrentSavesOfOneEntryAllCommit)
+{
+    // Two stores over one directory in one process, both saving the
+    // same entry at once: every save has a temp file of its own, so
+    // no rename loses its source.
+    constexpr int kSaves = 200;
+    WorkloadProfile p = buildOne("mcf");
+    ProfileStore a(dir), b(dir);
+    int failed[2] = {0, 0};
+    auto saver = [&](ProfileStore &s, int &fails) {
+        for (int i = 0; i < kSaves; i++)
+            fails += !s.save("mcf", 1, p);
+    };
+    std::thread ta(saver, std::ref(a), std::ref(failed[0]));
+    std::thread tb(saver, std::ref(b), std::ref(failed[1]));
+    ta.join();
+    tb.join();
+
+    EXPECT_EQ(failed[0] + failed[1], 0);
+    EXPECT_EQ(a.stats().writeFailures + b.stats().writeFailures, 0u);
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{
+                         ProfileStore::fileNameFor("mcf", 1)});
+    WorkloadProfile q;
+    ASSERT_TRUE(a.load("mcf", 1, q));
+    EXPECT_TRUE(identical(p, q));
+}
+
+TEST_F(ProfileStoreTest, UnreadableEntryIsAFailureNotAnAbsence)
+{
+    // A directory where the entry should be: read() fails with
+    // EISDIR. The breaker counts it as a failure and opens; nothing
+    // is quarantined, since no bytes were read.
+    BreakerOptions bo;
+    bo.minSamples = 2;
+    bo.window = 4;
+    bo.cooldownMs = 300000.0; // no probe during the test
+    ProfileStore store(dir, bo);
+    std::string path = store.pathFor("mcf", 7);
+    ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+    WorkloadProfile q;
+    for (int i = 0; i < 6; i++)
+        EXPECT_FALSE(store.load("mcf", 7, q));
+    ProfileStoreStats s = store.stats();
+    EXPECT_EQ(s.misses, 6u);
+    EXPECT_EQ(s.quarantined, 0u);
+    EXPECT_EQ(s.breakerOpens, 1u);
+    EXPECT_EQ(std::string(s.breakerState), "open");
+    EXPECT_TRUE(std::filesystem::is_directory(path));
 }
 
 TEST_F(ProfileStoreTest, FingerprintAddressesEntries)

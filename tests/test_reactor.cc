@@ -9,10 +9,12 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "service/line_scanner.hh"
 #include "service/server.hh"
+#include "util/fault.hh"
 
 namespace gpm
 {
@@ -225,11 +227,13 @@ class ReactorServerTest : public ::testing::Test
     }
 
     void
-    startServer(ServerOptions opts, bool withMetrics)
+    startServer(ServerOptions opts, bool withMetrics,
+                ServiceOptions svcOpts = ServiceOptions{})
     {
         auto listener = TcpListener::listenOn("127.0.0.1", 0);
         ASSERT_TRUE(listener.ok()) << listener.error();
-        svc = std::make_unique<ScenarioService>(lib(), dvfs());
+        svc = std::make_unique<ScenarioService>(lib(), dvfs(),
+                                                svcOpts);
         server = std::make_unique<GpmServer>(
             *svc, std::move(listener.value()), opts);
         if (withMetrics) {
@@ -335,6 +339,7 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
              "gpm_batch_requests_total", "gpm_disk_hits_total",
              "gpm_disk_evictions_total",
              "gpm_disk_quarantined_total",
+             "gpm_disk_write_failures_total",
              "gpm_cancelled_mid_sweep_total",
              "gpm_cluster_requests_total",
              "gpm_cluster_epochs_total", "gpm_chip_sims_total",
@@ -342,6 +347,7 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
              "gpm_profile_disk_hits_total",
              "gpm_profile_build_ms_total", "gpm_profile_ready",
              "gpm_profile_quarantined_total",
+             "gpm_profile_write_failures_total",
              "gpm_shed_overload_total",
              "gpm_degraded_requests_total",
              "gpm_disk_breaker_refusals_total",
@@ -377,6 +383,39 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
     // The NDJSON plane keeps serving after the scrape.
     EXPECT_NE(roundTrip(c, R"({"verb":"ping"})").find("\"pong\":true"),
               std::string::npos);
+}
+
+TEST_F(ReactorServerTest, DiskWriteFailuresReachStatsAndMetrics)
+{
+    char tmpl[] = "/tmp/gpm_reactor_disk_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string cacheDir = tmpl;
+    ServiceOptions svcOpts;
+    svcOpts.cacheDir = cacheDir;
+    startServer(ServerOptions{}, /*withMetrics=*/true, svcOpts);
+
+    // The write-through of a computed result fails: the response is
+    // served all the same, and the lost persistence is counted.
+    ASSERT_FALSE(fault::arm("disk-write-fail"));
+    TcpStream c = connect(port);
+    std::string resp =
+        roundTrip(c, R"({"id":1,"verb":"submit","scenario":)"
+                     R"({"combo":["mcf","crafty"],)"
+                     R"("policy":"WaterFill","budget":0.8}})");
+    fault::disarm();
+    EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+
+    std::string stats = roundTrip(c, R"({"id":2,"verb":"stats"})");
+    EXPECT_NE(stats.find("\"diskWriteFailures\":1"),
+              std::string::npos)
+        << stats;
+    EXPECT_NE(stats.find("\"profileWriteFailures\":0"),
+              std::string::npos)
+        << stats;
+    EXPECT_NE(httpGet("/metrics").find(
+                  "gpm_disk_write_failures_total 1"),
+              std::string::npos);
+    ::rmdir(cacheDir.c_str());
 }
 
 TEST_F(ReactorServerTest, MetricsSurfaceRejectsOtherRequests)

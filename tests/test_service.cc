@@ -1,16 +1,21 @@
 /** @file ScenarioService end to end: a submitted scenario's payload
  *  is bitwise-identical to a direct ExperimentRunner::sweep over the
  *  equivalent SweepSpec, repeats are served from cache with the same
- *  bytes, and the bounded queue / draining shutdown reject with
- *  structured error codes. Uses the small shared profile scale of
- *  the other experiment tests. */
+ *  bytes, the bounded queue / draining shutdown reject with
+ *  structured error codes, and failed store writes are counted.
+ *  Uses the small shared profile scale of the other experiment
+ *  tests. */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "service/service.hh"
+#include "util/fault.hh"
 
 namespace gpm
 {
@@ -184,6 +189,32 @@ TEST_F(ServiceTest, CacheEvictsLeastRecentlyUsed)
     EXPECT_FALSE(r.cacheHit);
     EXPECT_EQ(svc.stats().cacheMisses, 3u);
     EXPECT_EQ(svc.stats().cacheSize, 1u);
+}
+
+TEST_F(ServiceTest, StatsCountStoreWriteFailures)
+{
+    // Failed writes cost only persistence: the submit is served,
+    // and each tier counts what it could not keep.
+    char tmpl[] = "/tmp/gpm_service_stores_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string root = tmpl;
+    ProfileLibrary storeLib(dvfs(), 0.03);
+    storeLib.attachStore(root + "/profiles");
+    ServiceOptions opts;
+    opts.cacheDir = root + "/results";
+    ScenarioService svc(storeLib, dvfs(), opts);
+
+    ASSERT_FALSE(fault::arm("disk-write-fail,profile-write-fail"));
+    auto r = svc.submit(scenario());
+    fault::disarm();
+    ASSERT_TRUE(r.ok) << r.errorCode;
+    ServiceStats st = svc.stats();
+    EXPECT_EQ(st.diskWriteFailures, 1u);
+    EXPECT_EQ(st.profileWriteFailures, 2u); // mcf, crafty
+    EXPECT_EQ(st.profileBuilds, 2u);
+
+    std::string cmd = "rm -rf " + root;
+    EXPECT_EQ(std::system(cmd.c_str()), 0);
 }
 
 TEST_F(ServiceTest, ConcurrentIdenticalSubmitsAgree)
