@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <unordered_set>
 
 #include "util/logging.hh"
 
@@ -99,11 +100,13 @@ Value::find(std::string_view key) const
     return nullptr;
 }
 
-std::string
-formatDouble(double d)
+void
+formatDouble(std::string &out, double d)
 {
-    if (!std::isfinite(d))
-        return "null";
+    if (!std::isfinite(d)) {
+        out += "null";
+        return;
+    }
     // No string shorter than the shortest round-trip form parses
     // back to d, so the search starts at its digit count.
     char buf[32];
@@ -112,12 +115,28 @@ formatDouble(double d)
     int prec = 0;
     for (const char *c = buf; c != shortest.ptr && *c != 'e'; c++)
         prec += *c >= '0' && *c <= '9';
+    char *end = buf;
     for (; prec <= 17; prec++) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
-        if (std::strtod(buf, nullptr) == d)
+        end = std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::general, prec)
+                  .ptr;
+        double back = 0.0;
+        std::from_chars(buf, end, back);
+        if (back == d)
             break;
     }
-    return buf;
+    out.append(buf, end);
+}
+
+std::uint64_t
+fnv1a(std::string_view bytes)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (unsigned char b : bytes) {
+        h ^= b;
+        h *= 1099511628211ULL;
+    }
+    return h;
 }
 
 static void
@@ -171,7 +190,7 @@ Value::write(std::string &out, bool sorted) const
         out += std::get<bool>(v) ? "true" : "false";
         break;
       case Type::Number:
-        out += formatDouble(std::get<double>(v));
+        formatDouble(out, std::get<double>(v));
         break;
       case Type::String:
         writeEscaped(out, std::get<std::string>(v));
@@ -189,22 +208,30 @@ Value::write(std::string &out, bool sorted) const
       }
       case Type::Object: {
         const auto &obj = std::get<Object>(v);
+        // An object whose members are already in byte order (the
+        // builders set them that way) is written as it stands.
         std::vector<const Member *> ms;
-        ms.reserve(obj.size());
-        for (const auto &m : obj)
-            ms.push_back(&m);
-        if (sorted)
+        if (sorted &&
+            !std::is_sorted(obj.begin(), obj.end(),
+                            [](const Member &a, const Member &b) {
+                                return a.first < b.first;
+                            })) {
+            ms.reserve(obj.size());
+            for (const auto &m : obj)
+                ms.push_back(&m);
             std::sort(ms.begin(), ms.end(),
                       [](const Member *a, const Member *b) {
                           return a->first < b->first;
                       });
+        }
         out += '{';
-        for (std::size_t i = 0; i < ms.size(); i++) {
+        for (std::size_t i = 0; i < obj.size(); i++) {
+            const Member &m = ms.empty() ? obj[i] : *ms[i];
             if (i)
                 out += ',';
-            writeEscaped(out, ms[i]->first);
+            writeEscaped(out, m.first);
             out += ':';
-            ms[i]->second.write(out, sorted);
+            m.second.write(out, sorted);
         }
         out += '}';
         break;
@@ -228,19 +255,13 @@ Value::canonical() const
     return out;
 }
 
-std::uint64_t
-Value::canonicalHash() const
+void
+Value::canonical(std::string &out) const
 {
-    std::string c = canonical();
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char b : c) {
-        h ^= b;
-        h *= 1099511628211ULL;
-    }
-    return h;
+    write(out, true);
 }
 
-namespace
+namespace detail
 {
 
 /** Recursive-descent parser state over the input span. */
@@ -516,6 +537,10 @@ struct Parser
         if (c == '{') {
             pos++;
             out = Value::object();
+            auto &members = std::get<Value::Object>(out.v);
+            // The keys so far, so that a line of many distinct keys
+            // parses in linear time.
+            std::unordered_set<std::string> keys;
             skipWs();
             if (!atEnd() && peek() == '}') {
                 pos++;
@@ -524,19 +549,17 @@ struct Parser
             for (;;) {
                 skipWs();
                 std::size_t key_at = pos;
-                std::string key;
-                if (!parseString(key))
+                Value::Member &m = members.emplace_back();
+                if (!parseString(m.first))
                     return false;
-                if (out.find(key))
+                if (!keys.insert(m.first).second)
                     return fail(key_at,
-                                "duplicate key '" + key + "'");
+                                "duplicate key '" + m.first + "'");
                 skipWs();
                 if (!consume(':'))
                     return false;
-                Value item;
-                if (!parseValue(item, depth + 1))
+                if (!parseValue(m.second, depth + 1))
                     return false;
-                out.set(std::move(key), std::move(item));
                 skipWs();
                 if (atEnd())
                     return fail(pos, "unterminated object");
@@ -562,12 +585,12 @@ struct Parser
     }
 };
 
-} // namespace
+} // namespace detail
 
 Expected<Value, ParseError>
 parse(std::string_view text)
 {
-    Parser p;
+    detail::Parser p;
     p.text = text;
     Value out;
     if (!p.parseValue(out, 0))

@@ -12,12 +12,13 @@
  *
  * Two serializers:
  *  - dump()      compact, members in insertion order;
- *  - canonical() compact, object keys byte-sorted at every level.
- * Both print numbers with formatDouble() — the shortest decimal
- * form that strtod()s back to the identical double — so equal
- * values always serialize to equal bytes and every number survives
- * a serialize/parse round trip bit-exactly. canonicalHash() (FNV-1a
- * over canonical()) is the scenario cache key.
+ *  - canonical() compact, object keys byte-sorted at every level
+ *    (an object built in byte order is written without sorting).
+ * Both print numbers with formatDouble() — the shortest "%.Ng" form
+ * that reads back as the identical double — so equal values always
+ * serialize to equal bytes and every number survives a
+ * serialize/parse round trip bit-exactly. fnv1a() over canonical()
+ * is the scenario cache key.
  */
 
 #ifndef GPM_SERVICE_JSON_HH
@@ -34,6 +35,11 @@
 
 namespace gpm::json
 {
+
+namespace detail
+{
+struct Parser;
+}
 
 class Value
 {
@@ -115,10 +121,14 @@ class Value
     /** Compact serialization with byte-sorted object keys. */
     std::string canonical() const;
 
-    /** FNV-1a 64-bit hash of canonical(). */
-    std::uint64_t canonicalHash() const;
+    /** canonical(), appended to @p out. */
+    void canonical(std::string &out) const;
 
   private:
+    /** The parser appends members it has checked for duplicates
+     *  itself, without set()'s scan. */
+    friend struct detail::Parser;
+
     void write(std::string &out, bool sorted) const;
 
     std::variant<std::nullptr_t, bool, double, std::string, Array,
@@ -137,19 +147,26 @@ struct ParseError
 Expected<Value, ParseError> parse(std::string_view text);
 
 /**
- * Shortest "%.Ng" printf form of @p d that strtod()s back to the
- * bit-identical double; "null" for non-finite inputs (which valid
- * JSON cannot carry).
+ * Append the shortest "%.Ng" printf form of @p d that reads back as
+ * the bit-identical double to @p out; "null" for non-finite inputs
+ * (which valid JSON cannot carry).
  *
- * The search starts at the digit count of std::to_chars's shortest
- * form, since no shorter string round-trips. The strtod() check
- * stays: at a power of two the gap below d is half the gap above,
- * so the correctly rounded N-digit string can miss d even though
- * some other N-digit string hits it (0x1p-1017 prints
+ * The search starts at N = the digit count of std::to_chars's
+ * shortest form, since no shorter string round-trips, and stops at
+ * the first N whose string std::from_chars reads back as d. Each
+ * candidate is std::to_chars(general, N), which the standard
+ * defines as printf("%.*g", N) in the C locale, so the bytes are
+ * the ones snprintf would print. The read-back check is needed: at
+ * a power of two the gap below d is half the gap above, so the
+ * correctly rounded N-digit string can miss d even though some
+ * other N-digit string hits it (0x1p-1017 prints
  * 7.120236347223044e-307 at 16 digits, which reads back as a
  * different double), and then N + 1 digits are needed.
  */
-std::string formatDouble(double d);
+void formatDouble(std::string &out, double d);
+
+/** FNV-1a 64-bit hash of @p bytes. */
+std::uint64_t fnv1a(std::string_view bytes);
 
 } // namespace gpm::json
 

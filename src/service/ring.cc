@@ -2,25 +2,13 @@
 
 #include <algorithm>
 
+#include "service/json.hh"
+
 namespace gpm
 {
 
 namespace
 {
-
-/** FNV-1a over the backend name — the per-backend seed. Keyed on
- *  the name (not the config position) so reordering the backend
- *  list never moves a key. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** splitmix64 finalizer: a full-avalanche 64-bit mix, so scores
  *  from adjacent keys or similar names are uncorrelated (the
@@ -39,9 +27,11 @@ mix64(std::uint64_t x)
 RendezvousRing::RendezvousRing(std::vector<std::string> names)
     : names_(std::move(names))
 {
+    // Each backend's seed is keyed on its name (not its position in
+    // the list), so reordering the backend list never moves a key.
     seeds_.reserve(names_.size());
     for (const auto &n : names_)
-        seeds_.push_back(fnv1a(n));
+        seeds_.push_back(json::fnv1a(n));
 }
 
 std::uint64_t

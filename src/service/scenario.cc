@@ -42,16 +42,18 @@ ScenarioSpec::clusterSpec() const
 Value
 ScenarioSpec::simJson() const
 {
+    // Members are set in byte order, so canonical() need not sort
+    // them (here and in every builder below).
     Value sim = Value::object();
-    sim.set("exploreUs", exploreUs);
-    sim.set("deltaSimUs", deltaSimUs);
     sim.set("contention", contention);
-    sim.set("sensorNoise", sensorNoise);
+    sim.set("deltaSimUs", deltaSimUs);
+    sim.set("exploreUs", exploreUs);
     // Only when non-zero: the default must serialize exactly as it
     // did before the knob existed, or every cached scenario hash
     // would be invalidated (same pattern as staticFit).
     if (phaseShiftStride != 0.0)
         sim.set("phaseShiftStride", phaseShiftStride);
+    sim.set("sensorNoise", sensorNoise);
     return sim;
 }
 
@@ -59,6 +61,10 @@ Value
 ScenarioSpec::canonicalJson() const
 {
     Value o = Value::object();
+    Value bs = Value::array();
+    for (double b : budgets)
+        bs.push(b);
+    o.set("budgets", std::move(bs));
     if (cluster) {
         // Cluster scenarios have a distinct canonical shape: a
         // "cluster" object and no "combo" key, every chip explicit
@@ -73,16 +79,16 @@ ScenarioSpec::canonicalJson() const
             for (const auto &name : chip.combo)
                 cc.push(name);
             ch.set("combo", std::move(cc));
-            ch.set("policy", chip.policy);
-            if (chip.phaseShiftStride != 0.0)
-                ch.set("phaseShiftStride", chip.phaseShiftStride);
             if (chip.phaseOffset != 0.0)
                 ch.set("phaseOffset", chip.phaseOffset);
+            if (chip.phaseShiftStride != 0.0)
+                ch.set("phaseShiftStride", chip.phaseShiftStride);
+            ch.set("policy", chip.policy);
             chips.push(std::move(ch));
         }
         cl.set("chips", std::move(chips));
-        cl.set("epochs", static_cast<double>(cluster->epochs));
         cl.set("epochUs", cluster->epochUs);
+        cl.set("epochs", static_cast<double>(cluster->epochs));
         cl.set("levels", static_cast<double>(cluster->levels));
         o.set("cluster", std::move(cl));
     } else {
@@ -92,23 +98,31 @@ ScenarioSpec::canonicalJson() const
         o.set("combo", std::move(c));
     }
     o.set("policy", policy);
-    Value bs = Value::array();
-    for (double b : budgets)
-        bs.push(b);
-    o.set("budgets", std::move(bs));
+    o.set("sim", simJson());
     // staticFit only participates when it can change the result;
     // deadlineMs never does (QoS-only), so it is absent entirely.
     if (policy == "Static")
         o.set("staticFit",
               staticFit == StaticFit::Peak ? "peak" : "average");
-    o.set("sim", simJson());
     return o;
+}
+
+std::string
+ScenarioSpec::canonicalText() const
+{
+    return canonicalJson().canonical();
 }
 
 std::uint64_t
 ScenarioSpec::hash() const
 {
-    return canonicalJson().canonicalHash();
+    return hashOf(canonicalText());
+}
+
+std::uint64_t
+ScenarioSpec::hashOf(std::string_view canonicalText)
+{
+    return json::fnv1a(canonicalText);
 }
 
 ScenarioSpec
@@ -486,76 +500,91 @@ parseScenario(const Value &scenario)
     return out;
 }
 
+namespace
+{
+
+/**
+ * The payload around an already-built results array: "results"
+ * sorts before "scenario", so splicing the scenario's canonical text
+ * in after the array keeps the payload canonical without rebuilding
+ * the scenario's tree.
+ */
+std::string
+payloadJson(const Value &results, std::string_view scenarioText)
+{
+    std::string out = "{\"results\":";
+    results.canonical(out);
+    out += ",\"scenario\":";
+    out += scenarioText;
+    out += '}';
+    return out;
+}
+
+} // namespace
+
+std::string
+serializeResults(std::string_view scenarioText,
+                 const std::vector<PolicyEval> &evals)
+{
+    Value results = Value::array();
+    for (const auto &ev : evals) {
+        Value r = Value::object();
+        r.set("budget", ev.budgetFrac);
+
+        Value mgr = Value::object();
+        mgr.set("decisions", ev.managerStats.decisions);
+        mgr.set("modeSwitches", ev.managerStats.modeSwitches);
+        mgr.set("overshoots", ev.managerStats.overshoots);
+        r.set("manager", std::move(mgr));
+
+        Value m = Value::object();
+        m.set("avgChipPowerW", ev.metrics.avgChipPowerW);
+        m.set("chipBips", ev.metrics.chipBips);
+        m.set("perfDegradation", ev.metrics.perfDegradation);
+        m.set("powerOverBudget", ev.metrics.powerOverBudget);
+        m.set("powerSavings", ev.metrics.powerSavings);
+        m.set("weightedSlowdown", ev.metrics.weightedSlowdown);
+        m.set("weightedSpeedupLoss",
+              ev.metrics.weightedSpeedupLoss);
+        r.set("metrics", std::move(m));
+
+        r.set("policy", ev.policy);
+        r.set("predBipsError", ev.predBipsError);
+        r.set("predPowerError", ev.predPowerError);
+
+        results.push(std::move(r));
+    }
+    return payloadJson(results, scenarioText);
+}
+
 std::string
 serializeResults(const ScenarioSpec &spec,
                  const std::vector<PolicyEval> &evals)
 {
-    Value root = Value::object();
-    root.set("scenario", spec.canonicalJson());
-
-    Value results = Value::array();
-    for (const auto &ev : evals) {
-        Value r = Value::object();
-        r.set("policy", ev.policy);
-        r.set("budget", ev.budgetFrac);
-
-        Value m = Value::object();
-        m.set("perfDegradation", ev.metrics.perfDegradation);
-        m.set("weightedSlowdown", ev.metrics.weightedSlowdown);
-        m.set("weightedSpeedupLoss",
-              ev.metrics.weightedSpeedupLoss);
-        m.set("powerSavings", ev.metrics.powerSavings);
-        m.set("powerOverBudget", ev.metrics.powerOverBudget);
-        m.set("avgChipPowerW", ev.metrics.avgChipPowerW);
-        m.set("chipBips", ev.metrics.chipBips);
-        r.set("metrics", std::move(m));
-
-        r.set("predPowerError", ev.predPowerError);
-        r.set("predBipsError", ev.predBipsError);
-
-        Value mgr = Value::object();
-        mgr.set("decisions", ev.managerStats.decisions);
-        mgr.set("overshoots", ev.managerStats.overshoots);
-        mgr.set("modeSwitches", ev.managerStats.modeSwitches);
-        r.set("manager", std::move(mgr));
-
-        results.push(std::move(r));
-    }
-    root.set("results", std::move(results));
-    return root.canonical();
+    return serializeResults(spec.canonicalText(), evals);
 }
 
 std::string
 serializeClusterResults(const ScenarioSpec &spec,
+                        std::string_view scenarioText,
                         const std::vector<ClusterRunResult> &runs)
 {
-    Value root = Value::object();
-    root.set("scenario", spec.canonicalJson());
-
     Value results = Value::array();
     for (std::size_t k = 0; k < runs.size(); k++) {
         const ClusterRunResult &run = runs[k];
         Value r = Value::object();
-        r.set("policy", spec.policy);
         r.set("budget", spec.budgets[k]);
-
-        Value m = Value::object();
-        m.set("clusterBips", run.clusterBips);
-        m.set("clusterPowerW", run.clusterPowerW);
-        m.set("facilityBudgetW", run.facilityBudgetW);
-        m.set("budgetUtilization", run.budgetUtilization);
-        r.set("metrics", std::move(m));
 
         Value chips = Value::array();
         for (const auto &c : run.chips) {
             Value ch = Value::object();
-            ch.set("bips", c.bips);
-            ch.set("powerW", c.avgCorePowerW);
             ch.set("awardedMeanW", c.awardedMeanW);
-            ch.set("refPowerW", c.refPowerW);
+            ch.set("bips", c.bips);
             ch.set("decisions", c.managerStats.decisions);
-            ch.set("overshoots", c.managerStats.overshoots);
             ch.set("modeSwitches", c.managerStats.modeSwitches);
+            ch.set("overshoots", c.managerStats.overshoots);
+            ch.set("powerW", c.avgCorePowerW);
+            ch.set("refPowerW", c.refPowerW);
             chips.push(std::move(ch));
         }
         r.set("chips", std::move(chips));
@@ -563,20 +592,28 @@ serializeClusterResults(const ScenarioSpec &spec,
         Value epochs = Value::array();
         for (const auto &t : run.epochs) {
             Value e = Value::object();
-            e.set("feasible", t.feasible);
-            e.set("predictedBips", t.predictedBips);
             Value awards = Value::array();
             for (Watts w : t.awardsW)
                 awards.push(w);
             e.set("awards", std::move(awards));
+            e.set("feasible", t.feasible);
+            e.set("predictedBips", t.predictedBips);
             epochs.push(std::move(e));
         }
         r.set("epochs", std::move(epochs));
 
+        Value m = Value::object();
+        m.set("budgetUtilization", run.budgetUtilization);
+        m.set("clusterBips", run.clusterBips);
+        m.set("clusterPowerW", run.clusterPowerW);
+        m.set("facilityBudgetW", run.facilityBudgetW);
+        r.set("metrics", std::move(m));
+
+        r.set("policy", spec.policy);
+
         results.push(std::move(r));
     }
-    root.set("results", std::move(results));
-    return root.canonical();
+    return payloadJson(results, scenarioText);
 }
 
 } // namespace gpm

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster_manager.hh"
@@ -99,8 +100,16 @@ struct ScenarioSpec
     /** Canonical JSON with every field explicit. */
     json::Value canonicalJson() const;
 
-    /** Cache key: canonicalJson().canonicalHash(). */
+    /** canonicalJson().canonical(): the bytes the cache key hashes
+     *  and every payload echoes. */
+    std::string canonicalText() const;
+
+    /** Cache key: hashOf(canonicalText()). */
     std::uint64_t hash() const;
+
+    /** The cache key of the scenario whose canonicalText() is
+     *  @p canonicalText (FNV-1a of its bytes). */
+    static std::uint64_t hashOf(std::string_view canonicalText);
 };
 
 /**
@@ -161,8 +170,13 @@ parseScenario(const json::Value &scenario);
  * scenario echoed back plus one result object per sweep point, all
  * serialized canonically (sorted keys, shortest round-trip
  * doubles). Identical evals always produce identical bytes — the
- * cache stores exactly this string.
+ * cache stores exactly this string. @p scenarioText is the
+ * scenario's canonicalText(), spliced in as it stands.
  */
+std::string serializeResults(std::string_view scenarioText,
+                             const std::vector<PolicyEval> &evals);
+
+/** serializeResults() of @p spec's canonicalText(). */
 std::string serializeResults(const ScenarioSpec &spec,
                              const std::vector<PolicyEval> &evals);
 
@@ -170,9 +184,11 @@ std::string serializeResults(const ScenarioSpec &spec,
  * Deterministic result payload for a served *cluster* scenario: the
  * canonical scenario plus, per budget fraction, cluster metrics,
  * per-chip outcomes and the per-epoch reallocation trace.
+ * @p scenarioText is @p spec's canonicalText().
  */
 std::string
 serializeClusterResults(const ScenarioSpec &spec,
+                        std::string_view scenarioText,
                         const std::vector<ClusterRunResult> &runs);
 
 } // namespace gpm

@@ -128,9 +128,24 @@ hashHex(std::uint64_t hash)
     return buf;
 }
 
-/** Single-submit response: the payload is already serialized JSON,
- *  spliced in verbatim so cached and computed responses are
- *  byte-identical in their "result" field. */
+/** @p head's members, then the already-serialized @p payload as
+ *  "result", appended in place (with room for sendLine's newline)
+ *  so cached and computed responses are byte-identical in their
+ *  "result" field. */
+std::string
+withResult(const Value &head, const std::string &payload)
+{
+    static constexpr std::string_view key = ",\"result\":";
+    std::string out = head.dump();
+    out.pop_back(); // strip '}'
+    out.reserve(out.size() + key.size() + payload.size() + 2);
+    out += key;
+    out += payload;
+    out += '}';
+    return out;
+}
+
+/** Single-submit response. */
 std::string
 submitResponse(const Value &id, const ScenarioService::Response &r)
 {
@@ -143,10 +158,7 @@ submitResponse(const Value &id, const ScenarioService::Response &r)
     head.set("cached", r.cacheHit);
     if (!r.degradedTo.empty())
         head.set("degraded", degradedMarker(r));
-    std::string out = head.dump();
-    out.pop_back(); // strip '}'
-    out += ",\"result\":" + r.payload + "}";
-    return out;
+    return withResult(head, r.payload);
 }
 
 /** One submit_batch per-scenario response line: position in the
@@ -173,10 +185,7 @@ batchResponse(const Value &id, std::size_t index,
     head.set("cached", r.cacheHit);
     if (!r.degradedTo.empty())
         head.set("degraded", degradedMarker(r));
-    std::string out = head.dump();
-    out.pop_back(); // strip '}'
-    out += ",\"result\":" + r.payload + "}";
-    return out;
+    return withResult(head, r.payload);
 }
 
 /** Frame one complete HTTP/1.0 response. */

@@ -12,12 +12,15 @@
 namespace gpm
 {
 
-/** One queued request: the spec, its hash, the completion callback,
- *  and the admission-time deadline expressed as a CancelToken the
- *  sweep engine polls between points. */
+/** One queued request: the spec, its canonical text and hash, the
+ *  completion callback, and the admission-time deadline expressed
+ *  as a CancelToken the sweep engine polls between points. */
 struct ScenarioService::Job
 {
     ScenarioSpec spec;
+    /** spec.canonicalText(), formatted once at admission and
+     *  spliced into the payload. */
+    std::string scenarioText;
     std::uint64_t hash = 0;
     bool hasDeadline = false;
     CancelToken cancel;
@@ -129,11 +132,13 @@ ScenarioService::cachePut(std::uint64_t hash,
 
 std::unique_ptr<ScenarioService::Job>
 ScenarioService::makeJob(const ScenarioSpec &spec,
+                         std::string scenarioText,
                          std::uint64_t hash, Callback done,
                          std::uint64_t clientId)
 {
     auto job = std::make_unique<Job>();
     job->spec = spec;
+    job->scenarioText = std::move(scenarioText);
     job->hash = hash;
     job->done = std::move(done);
     job->clientId = clientId;
@@ -180,7 +185,8 @@ ScenarioService::submitAsync(const ScenarioSpec &spec,
         done(std::move(r));
         return;
     }
-    r.hash = spec.hash();
+    std::string text = spec.canonicalText();
+    r.hash = ScenarioSpec::hashOf(text);
 
     bool diskHit = false;
     if (cacheGet(r.hash, r.payload, diskHit)) {
@@ -195,7 +201,8 @@ ScenarioService::submitAsync(const ScenarioSpec &spec,
         return;
     }
 
-    auto job = makeJob(spec, r.hash, std::move(done), clientId);
+    auto job = makeJob(spec, std::move(text), r.hash, std::move(done),
+                       clientId);
     Callback rejected; // fired outside the lock
     {
         std::lock_guard<std::mutex> lock(queueMtx);
@@ -268,7 +275,8 @@ ScenarioService::submitBatch(
     std::vector<std::unique_ptr<Job>> misses;
     for (std::size_t i = 0; i < specs.size(); i++) {
         Response r;
-        r.hash = specs[i].hash();
+        std::string text = specs[i].canonicalText();
+        r.hash = ScenarioSpec::hashOf(text);
         bool diskHit = false;
         if (cacheGet(r.hash, r.payload, diskHit)) {
             r.ok = true;
@@ -278,7 +286,7 @@ ScenarioService::submitBatch(
             continue;
         }
         misses.push_back(makeJob(
-            specs[i], r.hash,
+            specs[i], std::move(text), r.hash,
             [done, i](Response &&resp) {
                 done(i, std::move(resp));
             },
@@ -420,12 +428,16 @@ ScenarioService::execute(Job &job)
 
     std::string reason;
     ScenarioSpec spec = degradeDecision(job, reason);
+    std::string_view text = job.scenarioText;
+    std::string degradedText;
     std::uint64_t payloadHash = job.hash;
     if (!reason.empty()) {
         // CACHE CORRECTNESS: the degraded payload lives under the
-        // degraded spec's own hash. The submitted hash keeps
-        // addressing only the exact answer.
-        payloadHash = spec.hash();
+        // degraded spec's own hash and echoes its own text. The
+        // submitted hash keeps addressing only the exact answer.
+        degradedText = spec.canonicalText();
+        text = degradedText;
+        payloadHash = ScenarioSpec::hashOf(degradedText);
         r.degradedFrom = job.spec.policy;
         r.degradedTo = spec.policy;
         r.degradedReason = reason;
@@ -441,7 +453,7 @@ ScenarioService::execute(Job &job)
     }
 
     if (spec.cluster)
-        return executeCluster(job, spec, payloadHash,
+        return executeCluster(job, spec, text, payloadHash,
                               std::move(r));
 
     ExperimentRunner &runner = runnerFor(spec);
@@ -468,7 +480,7 @@ ScenarioService::execute(Job &job)
             swept.error().message;
         return r;
     }
-    r.payload = serializeResults(spec, swept.value());
+    r.payload = serializeResults(text, swept.value());
     cachePut(payloadHash, r.payload);
     served++;
     r.ok = true;
@@ -477,6 +489,7 @@ ScenarioService::execute(Job &job)
 
 ScenarioService::Response
 ScenarioService::executeCluster(Job &job, const ScenarioSpec &spec,
+                                std::string_view scenarioText,
                                 std::uint64_t payloadHash,
                                 Response r)
 {
@@ -513,7 +526,7 @@ ScenarioService::executeCluster(Job &job, const ScenarioSpec &spec,
         chipSims += run.value().chips.size();
         runs.push_back(std::move(run.value()));
     }
-    r.payload = serializeClusterResults(spec, runs);
+    r.payload = serializeClusterResults(spec, scenarioText, runs);
     cachePut(payloadHash, r.payload);
     served++;
     r.ok = true;

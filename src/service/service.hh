@@ -75,6 +75,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -286,11 +287,13 @@ class ScenarioService
     Response execute(Job &job);
     /** Cluster-scenario half of execute(): ClusterManager runs, one
      *  per budget fraction over @p spec (the possibly-degraded
-     *  spec; @p payloadHash is its cache key, @p r carries the hash
-     *  and degradation fields already filled in). Chip-sim failures
-     *  come back as structured "internal_error" responses — the
-     *  worker survives (workerCrashes stays untouched). */
+     *  spec; @p scenarioText is its canonical text, @p payloadHash
+     *  its cache key, @p r carries the hash and degradation fields
+     *  already filled in). Chip-sim failures come back as
+     *  structured "internal_error" responses — the worker survives
+     *  (workerCrashes stays untouched). */
     Response executeCluster(Job &job, const ScenarioSpec &spec,
+                            std::string_view scenarioText,
                             std::uint64_t payloadHash, Response r);
     /** The degradation-ladder decision for @p job: the spec to
      *  actually run (== job.spec when not degrading) and why. */
@@ -302,6 +305,7 @@ class ScenarioService
     void workerLoop(std::size_t slot);
     void supervisorLoop();
     std::unique_ptr<Job> makeJob(const ScenarioSpec &spec,
+                                 std::string scenarioText,
                                  std::uint64_t hash, Callback done,
                                  std::uint64_t clientId);
     /** Two-tier lookup: memory, then disk (promoting the hit).

@@ -234,8 +234,8 @@ TEST_F(ClusterTest, DeterministicAcrossThreadCounts)
                            spec.clusterSpec());
         auto run = mgr.run(0.8, conc);
         ASSERT_TRUE(run.ok()) << run.error().message;
-        payloads[k++] =
-            serializeClusterResults(spec, {run.value()});
+        payloads[k++] = serializeClusterResults(
+            spec, spec.canonicalText(), {run.value()});
     }
     EXPECT_EQ(payloads[0], payloads[1]);
     EXPECT_EQ(payloads[0], payloads[2]);
@@ -258,7 +258,8 @@ TEST_F(ClusterTest, ServiceServesAndCachesClusterScenarios)
     auto run = direct.run(0.8, svc.options().sweepConcurrency);
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(first.payload,
-              serializeClusterResults(spec, {run.value()}));
+              serializeClusterResults(spec, spec.canonicalText(),
+                                      {run.value()}));
 
     // Resubmit: served from the result cache, identical bytes.
     auto second = svc.submit(spec);

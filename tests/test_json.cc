@@ -3,6 +3,7 @@
  *  (hashing) invariance. */
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -86,6 +87,38 @@ TEST(Json, RejectsDuplicateKeys)
               std::string::npos);
 }
 
+/** One request line of distinct keys, just under gpmd's 1 MiB line
+ *  limit, must not stall the reactor that parses it. */
+TEST(Json, ManyDistinctKeysParseQuickly)
+{
+    constexpr int n = 95'000;
+    std::string text = "{";
+    for (int i = 0; i < n; i++)
+        text += "\"k" + std::to_string(i) + "\":0,";
+    std::string dupAt = text + "\"k";
+    text.back() = '}';
+    ASSERT_LT(text.size(), 1u << 20);
+
+    auto t0 = std::chrono::steady_clock::now();
+    auto r = parse(text);
+    double s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_EQ(r.value().asObject().size(), std::size_t(n));
+    EXPECT_NE(r.value().find("k94999"), nullptr);
+    EXPECT_LT(s, 1.0);
+
+    // The duplicate is the last member: reported at its own offset.
+    std::string dup = text;
+    dup.back() = ',';
+    dup += "\"k7\":0}";
+    auto d = parse(dup);
+    ASSERT_FALSE(d.ok());
+    EXPECT_EQ(d.error().message, "duplicate key 'k7'");
+    EXPECT_EQ(d.error().offset, dupAt.size() - 2);
+}
+
 TEST(Json, StringEscapes)
 {
     EXPECT_EQ(parseOk(R"("a\nb\tc\"d\\e\/f")").asString(),
@@ -116,6 +149,15 @@ TEST(Json, DepthLimit)
     parseOk(deep40 + "1" + close40);
     std::string deep100(100, '['), close100(100, ']');
     parseErr(deep100 + "1" + close100);
+}
+
+/** formatDouble() into a new string. */
+std::string
+format(double d)
+{
+    std::string s;
+    formatDouble(s, d);
+    return s;
 }
 
 /** formatDouble as it was before the search started at the
@@ -150,13 +192,13 @@ TEST(Json, DoublesRoundTripBitExactly)
                             0.625,
                             0.925};
     for (double d : cases) {
-        std::string s = formatDouble(d);
+        std::string s = format(d);
         double back = parseOk(s).asNumber();
         EXPECT_EQ(std::memcmp(&back, &d, sizeof(double)), 0)
             << d << " -> " << s << " -> " << back;
     }
-    EXPECT_EQ(formatDouble(0.5), "0.5"); // shortest form wins
-    EXPECT_EQ(formatDouble(5.0), "5");
+    EXPECT_EQ(format(0.5), "0.5"); // shortest form wins
+    EXPECT_EQ(format(5.0), "5");
 
     // Byte-identical to the reference search, and bit-exact through
     // strtod, over every power of two with its two neighbours (both
@@ -178,6 +220,15 @@ TEST(Json, DoublesRoundTripBitExactly)
         std::memcpy(&d, &bits, sizeof d);
         inputs.push_back(d);
     }
+    // Random bit patterns rarely land where payload values live, so
+    // add seeded values from there: uniform in [0, 1), [0, 1000)
+    // and the budget fractions' [0.5, 0.95).
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 100'000; i++) {
+        inputs.push_back(unit(rng));
+        inputs.push_back(1000.0 * unit(rng));
+        inputs.push_back(0.5 + 0.45 * unit(rng));
+    }
     // The reference costs ~10 us per full-precision double, so the
     // inputs are checked in chunks across the thread pool.
     constexpr std::size_t chunk = 1 << 14;
@@ -187,7 +238,7 @@ TEST(Json, DoublesRoundTripBitExactly)
         std::size_t end = std::min(inputs.size(), (c + 1) * chunk);
         for (std::size_t i = c * chunk; i < end; i++) {
             double d = inputs[i];
-            std::string got = formatDouble(d);
+            std::string got = format(d);
             std::string want = referenceFormatDouble(d);
             double back = std::strtod(got.c_str(), nullptr);
             if (got != want || (std::isfinite(d) &&
@@ -221,10 +272,10 @@ TEST(Json, CanonicalHashIgnoresKeyOrder)
     Value a = parseOk(R"({"x": 1, "y": [true, {"k": 2}]})");
     Value b = parseOk(R"({"y": [true, {"k": 2}], "x": 1})");
     EXPECT_EQ(a.canonical(), b.canonical());
-    EXPECT_EQ(a.canonicalHash(), b.canonicalHash());
+    EXPECT_EQ(fnv1a(a.canonical()), fnv1a(b.canonical()));
 
     Value c = parseOk(R"({"x": 1, "y": [true, {"k": 3}]})");
-    EXPECT_NE(a.canonicalHash(), c.canonicalHash());
+    EXPECT_NE(fnv1a(a.canonical()), fnv1a(c.canonical()));
 }
 
 TEST(Json, SetReplacesExistingKey)

@@ -15,7 +15,7 @@ namespace
 {
 
 /** Stand-in scenario hashes: splitmix64 over the index, the same
- *  full-avalanche shape canonicalHash() produces. */
+ *  full-avalanche shape ScenarioSpec::hash() produces. */
 std::uint64_t
 testKey(std::uint64_t i)
 {

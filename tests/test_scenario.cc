@@ -437,6 +437,64 @@ TEST(Scenario, SerializeResultsIsCanonicalAndParsesBack)
               1.0 / 3.0);
     EXPECT_EQ(r.find("manager")->find("decisions")->asNumber(),
               42.0);
+
+    // A Static payload carries staticFit in its scenario.
+    ScenarioSpec st = parseOk(
+        R"({"combo": ["mcf", "crafty"], "policy": "Static",
+            "staticFit": "average", "budgets": [0.6, 0.9]})");
+    PolicyEval sev = ev;
+    sev.policy = "Static";
+    std::string stat = serializeResults(st, {sev, sev});
+    auto stParsed = json::parse(stat);
+    ASSERT_TRUE(stParsed.ok());
+    EXPECT_EQ(stParsed.value().canonical(), stat);
+    EXPECT_EQ(stParsed.value().find("scenario")->canonical(),
+              st.canonicalJson().canonical());
+
+    // And a cluster payload: chips, epochs and awards per budget.
+    ScenarioSpec cl = parseOk(
+        R"({"cluster": {"chips": [
+              {"combo": "2way1", "policy": "MaxBIPS", "count": 2},
+              {"combo": ["mcf", "crafty"], "policy": "WaterFill",
+               "phaseOffset": 0.25, "phaseShiftStride": 0.5}],
+            "epochs": 2, "epochUs": 1000, "levels": 8},
+            "policy": "GreedyTurbo", "budgets": [0.7, 0.8]})");
+    ClusterRunResult run;
+    run.facilityBudgetW = 40.0 / 3.0;
+    run.clusterBips = 2.5;
+    run.clusterPowerW = 12.125;
+    run.budgetUtilization = 0.9;
+    ChipOutcome chip;
+    chip.bips = 1.0 / 7.0;
+    chip.managerStats.overshoots = 3;
+    run.chips.assign(3, chip);
+    EpochTrace epoch;
+    epoch.feasible = true;
+    epoch.predictedBips = 0.1;
+    epoch.awardsW = {4.0, 4.5, 1.0 / 3.0};
+    run.epochs.assign(2, epoch);
+    std::string cluster =
+        serializeClusterResults(cl, cl.canonicalText(), {run, run});
+    EXPECT_EQ(cluster, serializeClusterResults(cl, cl.canonicalText(),
+                                               {run, run}));
+    auto clParsed = json::parse(cluster);
+    ASSERT_TRUE(clParsed.ok());
+    EXPECT_EQ(clParsed.value().canonical(), cluster);
+    EXPECT_EQ(clParsed.value().find("scenario")->canonical(),
+              cl.canonicalJson().canonical());
+    const json::Value *clResults = clParsed.value().find("results");
+    ASSERT_TRUE(clResults && clResults->isArray());
+    ASSERT_EQ(clResults->asArray().size(), 2u);
+    EXPECT_EQ(clResults->asArray()[1].find("budget")->asNumber(),
+              0.8);
+
+    // The scenario builders set members in byte order at every
+    // level, so canonical() writes them without sorting.
+    ScenarioSpec shifted = parseOk(
+        R"({"combo": "many64", "policy": "WaterFill", "budget": 0.8,
+            "sim": {"phaseShiftStride": 0.1}})");
+    for (const ScenarioSpec *x : {&s, &st, &cl, &shifted})
+        EXPECT_EQ(x->canonicalJson().dump(), x->canonicalText());
 }
 
 } // namespace
