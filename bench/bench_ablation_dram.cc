@@ -23,9 +23,7 @@ int
 main()
 {
     using namespace gpm;
-    double scale = 0.02;
-    if (const char *s = std::getenv("GPM_VALIDATION_SCALE"))
-        scale = std::atof(s);
+    const double scale = bench::scaleFromEnv("GPM_VALIDATION_SCALE", 0.02);
 
     bench::banner("Ablation — flat memory vs banked open-row DRAM "
                   "(full-CMP)",

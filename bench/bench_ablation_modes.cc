@@ -25,9 +25,7 @@ int
 main()
 {
     using namespace gpm;
-    double scale = 0.1;
-    if (const char *s = std::getenv("GPM_ABLATION_SCALE"))
-        scale = std::atof(s);
+    const double scale = bench::scaleFromEnv("GPM_ABLATION_SCALE", 0.1);
 
     bench::banner("Ablation — DVFS mode-count sensitivity",
                   "MaxBIPS vs chip-wide degradation at an 80% "

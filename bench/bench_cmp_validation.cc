@@ -25,9 +25,7 @@ int
 main()
 {
     using namespace gpm;
-    double scale = 0.02;
-    if (const char *s = std::getenv("GPM_VALIDATION_SCALE"))
-        scale = std::atof(s);
+    const double scale = bench::scaleFromEnv("GPM_VALIDATION_SCALE", 0.02);
 
     bench::banner("Section 3.1 — trace-based vs full-CMP "
                   "validation",

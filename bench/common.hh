@@ -35,16 +35,13 @@
 namespace gpm::bench
 {
 
-/** Workload length scale from GPM_SCALE (default 1.0); a value
- *  that is not a number exits 1. */
+/** Workload length scale from @p var (@p fallback when unset or
+ *  empty); a value that is not a finite number > 0 exits 1. */
 inline double
-scaleFromEnv()
+scaleFromEnv(const char *var = "GPM_SCALE", double fallback = 1.0)
 {
-    const char *s = std::getenv("GPM_SCALE");
-    if (!s || !*s)
-        return 1.0;
-    double v = numericFlag<double>("GPM_SCALE", s);
-    return v > 0.0 ? v : 1.0;
+    const char *s = std::getenv(var);
+    return s && *s ? scaleFlag(var, s) : fallback;
 }
 
 /**

@@ -16,16 +16,17 @@ BUILD="${1:-build}"
 # The worker pool and sweep determinism, the profile store and the
 # disk cache (concurrent writers of one entry), the in-process
 # service (concurrent identical submits; each job carries its
-# scenario text from the submitting thread to a worker), and the
-# serving stack over real sockets: protocol, faults, overload,
-# batches, the reactor and /metrics, and gpmctl against two daemons.
+# scenario text from the submitting thread to a worker), the cluster
+# manager (chips fanned out over the shared pool), and the serving
+# stack over real sockets: protocol, faults, overload, batches, the
+# reactor and /metrics, and gpmctl against two daemons.
 TSAN_FILTER="ThreadPool.*:SweepTest.*:ProfileStoreTest.*"
 TSAN_FILTER+=":ServiceTest.*"
 TSAN_FILTER+=":ServerTest.*:ChaosServerTest.*:ChaosServiceTest.*"
 TSAN_FILTER+=":OverloadServiceTest.*:BatchTest.*:BatchServerTest.*"
 TSAN_FILTER+=":ReactorServerTest.*:GpmctlShardTest.*:DiskBreakerTest.*"
 TSAN_FILTER+=":DiskCacheTest.*"
-TSAN_FILTER+=":ClusterTest.ServiceServesAndCachesClusterScenarios"
+TSAN_FILTER+=":ClusterTest.*"
 
 echo "== tier-1: standard build + ctest =="
 cmake -B "$BUILD" -S . -DGPM_WERROR=ON

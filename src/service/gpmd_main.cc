@@ -131,10 +131,8 @@ parseArgs(int argc, char **argv)
     DaemonConfig cfg;
     cfg.server.idleTimeoutMs = 60000;
     cfg.server.writeTimeoutMs = 30000;
-    if (const char *s = std::getenv("GPM_SCALE"); s && *s) {
-        double v = gpm::numericFlag<double>("GPM_SCALE", s);
-        cfg.scale = v > 0.0 ? v : 1.0;
-    }
+    if (const char *s = std::getenv("GPM_SCALE"); s && *s)
+        cfg.scale = gpm::scaleFlag("GPM_SCALE", s);
     if (const char *s = std::getenv("GPM_PROFILE_CACHE_DIR");
         s && *s)
         cfg.profileCacheDir = s;
@@ -182,11 +180,9 @@ parseArgs(int argc, char **argv)
             cfg.service.cacheDir = need(i), i++;
         else if (a == "--cache-disk-bytes")
             num(cfg.service.cacheDiskBytes);
-        else if (a == "--scale") {
-            double v = 0.0;
-            num(v);
-            cfg.scale = v > 0.0 ? v : 1.0;
-        } else if (a == "--profile-cache-dir")
+        else if (a == "--scale")
+            cfg.scale = gpm::scaleFlag(argv[i], need(i)), i++;
+        else if (a == "--profile-cache-dir")
             cfg.profileCacheDir = need(i), i++;
         else if (a == "--idle-timeout-ms")
             num(cfg.server.idleTimeoutMs);

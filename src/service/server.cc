@@ -216,6 +216,14 @@ GpmServer::sendLine(const std::shared_ptr<ReactorConn> &conn,
     conn->send(std::move(line));
 }
 
+void
+GpmServer::sendInvalid(const std::shared_ptr<ReactorConn> &conn,
+                       const Value &id, const std::string &message)
+{
+    svc.countInvalid();
+    sendLine(conn, errorResponse(id, "invalid", message));
+}
+
 std::string
 GpmServer::onLineTooLong()
 {
@@ -280,8 +288,7 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
 
     if (const Value *rid = req.find("id")) {
         if (!rid->isScalar()) {
-            sendLine(conn, errorResponse(id, "invalid",
-                                         "id must be a scalar"));
+            sendInvalid(conn, id, "id must be a scalar");
             return;
         }
         id = *rid;
@@ -290,19 +297,15 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
         (void)val;
         if (key != "id" && key != "verb" && key != "scenario" &&
             key != "scenarios") {
-            sendLine(conn,
-                     errorResponse(id, "invalid",
-                                   "unknown request field '" +
-                                       key + "'"));
+            sendInvalid(conn, id,
+                        "unknown request field '" + key + "'");
             return;
         }
     }
 
     const Value *verb = req.find("verb");
     if (!verb || !verb->isString()) {
-        sendLine(conn,
-                 errorResponse(id, "invalid",
-                               "missing or non-string 'verb'"));
+        sendInvalid(conn, id, "missing or non-string 'verb'");
         return;
     }
     const std::string &v = verb->asString();
@@ -377,15 +380,12 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
     if (v == "submit") {
         const Value *scenario = req.find("scenario");
         if (!scenario) {
-            sendLine(conn,
-                     errorResponse(id, "invalid",
-                                   "submit needs a 'scenario'"));
+            sendInvalid(conn, id, "submit needs a 'scenario'");
             return;
         }
         auto spec = parseScenario(*scenario);
         if (!spec.ok()) {
-            sendLine(conn,
-                     errorResponse(id, "invalid", spec.error()));
+            sendInvalid(conn, id, spec.error());
             return;
         }
         // Dispatch and return to reading: the response line is
@@ -405,18 +405,13 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
     if (v == "submit_batch") {
         const Value *scenarios = req.find("scenarios");
         if (!scenarios || !scenarios->isArray()) {
-            sendLine(conn,
-                     errorResponse(
-                         id, "invalid",
-                         "submit_batch needs a 'scenarios' array"));
+            sendInvalid(conn, id,
+                        "submit_batch needs a 'scenarios' array");
             return;
         }
         const Value::Array &arr = scenarios->asArray();
         if (arr.empty()) {
-            sendLine(conn,
-                     errorResponse(id, "invalid",
-                                   "'scenarios' must not be "
-                                   "empty"));
+            sendInvalid(conn, id, "'scenarios' must not be empty");
             return;
         }
         std::vector<ScenarioSpec> specs;
@@ -424,11 +419,9 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
         for (std::size_t i = 0; i < arr.size(); i++) {
             auto spec = parseScenario(arr[i]);
             if (!spec.ok()) {
-                sendLine(conn,
-                         errorResponse(id, "invalid",
-                                       "scenario " +
-                                           std::to_string(i) +
-                                           ": " + spec.error()));
+                sendInvalid(conn, id,
+                            "scenario " + std::to_string(i) + ": " +
+                                spec.error());
                 return;
             }
             specs.push_back(std::move(spec.value()));
@@ -464,8 +457,7 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
         return;
     }
 
-    sendLine(conn, errorResponse(id, "invalid",
-                                 "unknown verb '" + v + "'"));
+    sendInvalid(conn, id, "unknown verb '" + v + "'");
 }
 
 } // namespace gpm

@@ -160,6 +160,9 @@ class GpmServer : private ReactorHandler
     /** Enqueue one response line (appends '\n'). */
     static void sendLine(const std::shared_ptr<ReactorConn> &conn,
                          std::string line);
+    /** Count and enqueue one "invalid" error line. */
+    void sendInvalid(const std::shared_ptr<ReactorConn> &conn,
+                     const json::Value &id, const std::string &message);
 
     ScenarioService &svc;
     TcpListener listener;

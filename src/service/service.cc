@@ -347,28 +347,6 @@ ScenarioService::submitBatch(
     return out;
 }
 
-ScenarioService::Response
-ScenarioService::submitJsonText(const std::string &text)
-{
-    auto parsed = json::parse(text);
-    if (!parsed.ok()) {
-        Response r;
-        r.errorCode = "parse";
-        r.errorMessage = parsed.error().message + " at offset " +
-            std::to_string(parsed.error().offset);
-        return r;
-    }
-    auto spec = parseScenario(parsed.value());
-    if (!spec.ok()) {
-        invalidCount++;
-        Response r;
-        r.errorCode = "invalid";
-        r.errorMessage = spec.error();
-        return r;
-    }
-    return submit(spec.value());
-}
-
 ScenarioSpec
 ScenarioService::degradeDecision(const Job &job,
                                  std::string &reason) const

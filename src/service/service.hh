@@ -259,9 +259,10 @@ class ScenarioService
                 std::function<void(std::size_t, Response &&)> done,
                 std::uint64_t clientId = 0);
 
-    /** parse + parseScenario + submit, mapping JSON errors to the
-     *  "parse" code and schema errors to "invalid". */
-    Response submitJsonText(const std::string &text);
+    /** Count one request rejected as "invalid" before it reached
+     *  the service (gpmd's request and scenario checks), so stats
+     *  and /metrics see every invalid request. */
+    void countInvalid() { invalidCount++; }
 
     /** Counters snapshot. */
     ServiceStats stats() const;

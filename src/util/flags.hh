@@ -11,6 +11,7 @@
 #define GPM_UTIL_FLAGS_HH
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -25,7 +26,8 @@ namespace gpm
 /**
  * The whole of @p text as a T (decimal for integers), or nullopt
  * when nothing or not everything of it parses, or the value does
- * not fit T: out of range, or negative for an unsigned T.
+ * not fit T: out of range, negative for an unsigned T, or not
+ * finite (nan, inf) for a floating-point T.
  */
 template <typename T>
 std::optional<T>
@@ -35,7 +37,8 @@ parseNumber(const char *text)
     errno = 0;
     if constexpr (std::is_floating_point_v<T>) {
         double v = std::strtod(text, &end);
-        if (end == text || *end != '\0' || errno == ERANGE)
+        if (end == text || *end != '\0' || errno == ERANGE ||
+            !std::isfinite(v))
             return std::nullopt;
         return static_cast<T>(v);
     } else if constexpr (std::is_signed_v<T>) {
@@ -72,6 +75,20 @@ numericFlag(const char *flag, const char *value)
               static_cast<long long>(std::numeric_limits<T>::min()),
               static_cast<unsigned long long>(
                   std::numeric_limits<T>::max()));
+}
+
+/**
+ * A workload length scale from @p value: a finite number > 0, or
+ * fatal() naming @p flag (a silent fallback to 1.0 would start a
+ * full-scale profile build instead).
+ */
+inline double
+scaleFlag(const char *flag, const char *value)
+{
+    double v = numericFlag<double>(flag, value);
+    if (v <= 0.0)
+        fatal("%s: '%s' is not a positive number", flag, value);
+    return v;
 }
 
 } // namespace gpm

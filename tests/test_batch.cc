@@ -9,35 +9,19 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <dirent.h>
 #include <mutex>
 #include <thread>
-#include <unistd.h>
 #include <utility>
 #include <vector>
 
+#include "harness.hh"
 #include "util/fault.hh"
-#include "service/server.hh"
 #include "service/service.hh"
 
 namespace gpm
 {
 namespace
 {
-
-DvfsTable &
-testDvfs()
-{
-    static DvfsTable d = DvfsTable::classic3();
-    return d;
-}
-
-ProfileLibrary &
-testLib()
-{
-    static ProfileLibrary l(testDvfs(), 0.03);
-    return l;
-}
 
 /** Collects streamed batch completions across worker threads. */
 struct Collector
@@ -77,25 +61,7 @@ struct Collector
 class BatchTest : public ::testing::Test
 {
   protected:
-    static DvfsTable &
-    dvfs()
-    {
-        return testDvfs();
-    }
-
-    static ProfileLibrary &
-    lib()
-    {
-        return testLib();
-    }
-
-    void
-    TearDown() override
-    {
-        fault::disarm();
-        if (!cacheDir.empty())
-            removeTree(cacheDir);
-    }
+    void TearDown() override { fault::disarm(); }
 
     /** A single-budget scenario; @p budget varies the cache key. */
     static ScenarioSpec
@@ -108,38 +74,13 @@ class BatchTest : public ::testing::Test
         return s;
     }
 
-    /** Lazily-created scratch directory for the disk tier. */
-    const std::string &
-    makeCacheDir()
-    {
-        if (cacheDir.empty()) {
-            char tmpl[] = "/tmp/gpm_batch_cache_XXXXXX";
-            EXPECT_NE(::mkdtemp(tmpl), nullptr);
-            cacheDir = tmpl;
-        }
-        return cacheDir;
-    }
-
-    static void
-    removeTree(const std::string &dir)
-    {
-        if (DIR *d = ::opendir(dir.c_str())) {
-            while (const dirent *e = ::readdir(d)) {
-                std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    ::unlink((dir + "/" + name).c_str());
-            }
-            ::closedir(d);
-        }
-        ::rmdir(dir.c_str());
-    }
-
-    std::string cacheDir;
+    /** Scratch directory for the disk tier. */
+    test::TempDir cacheDir;
 };
 
 TEST_F(BatchTest, InvalidEntryRejectsWholeBatchBeforeAnythingRuns)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     std::vector<ScenarioSpec> specs = {scenario(0.7), scenario(0.8),
                                        scenario(0.9)};
     specs[1].policy = "NoSuchPolicy";
@@ -164,7 +105,7 @@ TEST_F(BatchTest, FullQueueRejectsWholeBatchAllOrNothing)
 {
     ServiceOptions opts;
     opts.queueCapacity = 1; // room for one miss, batch needs two
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
     Collector got;
     auto outcome = svc.submitBatch({scenario(0.7), scenario(0.8)},
                                    got.sink());
@@ -177,7 +118,7 @@ TEST_F(BatchTest, FullQueueRejectsWholeBatchAllOrNothing)
 
 TEST_F(BatchTest, DrainingServiceRejectsBatches)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     svc.drain();
     Collector got;
     auto outcome = svc.submitBatch({scenario()}, got.sink());
@@ -188,7 +129,7 @@ TEST_F(BatchTest, DrainingServiceRejectsBatches)
 
 TEST_F(BatchTest, MixedHitMissBatchStreamsEveryScenarioOnce)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     // Prime the cache with one of the three.
     auto primed = svc.submit(scenario(0.8));
     ASSERT_TRUE(primed.ok);
@@ -232,7 +173,7 @@ TEST_F(BatchTest, BatchMissesFanOutAcrossTheWorkerPool)
     ServiceOptions opts;
     opts.workers = 4;
     opts.sweepConcurrency = 1;
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
     // Warm the profile/runner caches outside the timed window.
     ASSERT_TRUE(svc.submit(scenario(0.99)).ok);
 
@@ -265,7 +206,7 @@ TEST_F(BatchTest, DeadlineExpiringMidSweepCancelsCooperatively)
     // the sweep cancels at its first budget-point check.
     ServiceOptions opts;
     opts.workers = 1;
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
     ASSERT_FALSE(fault::arm("worker-stall:1:300,seed:1"));
 
     ScenarioSpec spec = scenario(0.8);
@@ -290,13 +231,12 @@ TEST_F(BatchTest, DeadlineExpiringMidSweepCancelsCooperatively)
 
 TEST_F(BatchTest, DiskTierServesRestartBitIdentically)
 {
-    const std::string &dir = makeCacheDir();
     ServiceOptions opts;
-    opts.cacheDir = dir;
+    opts.cacheDir = cacheDir.path();
 
     std::string firstPayload;
     {
-        ScenarioService svc(lib(), dvfs(), opts);
+        ScenarioService svc(test::profiles(), test::dvfs(), opts);
         auto r = svc.submit(scenario(0.8));
         ASSERT_TRUE(r.ok) << r.errorCode;
         EXPECT_FALSE(r.cacheHit);
@@ -304,7 +244,7 @@ TEST_F(BatchTest, DiskTierServesRestartBitIdentically)
         svc.drain();
     } // "restart": the memory tier dies with the service
 
-    ScenarioService revived(lib(), dvfs(), opts);
+    ScenarioService revived(test::profiles(), test::dvfs(), opts);
     auto r = revived.submit(scenario(0.8));
     ASSERT_TRUE(r.ok) << r.errorCode;
     EXPECT_TRUE(r.cacheHit);
@@ -313,7 +253,8 @@ TEST_F(BatchTest, DiskTierServesRestartBitIdentically)
 
     // And the disk bytes are exactly what a direct sweep produces.
     ScenarioSpec spec = scenario(0.8);
-    ExperimentRunner direct(lib(), dvfs(), spec.simConfig());
+    ExperimentRunner direct(test::profiles(), test::dvfs(),
+                            spec.simConfig());
     EXPECT_EQ(r.payload,
               serializeResults(spec, direct.sweep(spec.sweepSpec())));
 
@@ -328,13 +269,12 @@ TEST_F(BatchTest, CorruptDiskEntryQuarantinedAndRecomputed)
     // Chaos: a corrupt disk entry must never reach a client — it is
     // quarantined and the scenario recomputed, with the recomputed
     // bytes identical to the originals.
-    const std::string &dir = makeCacheDir();
     ServiceOptions opts;
-    opts.cacheDir = dir;
+    opts.cacheDir = cacheDir.path();
 
     std::string firstPayload;
     {
-        ScenarioService svc(lib(), dvfs(), opts);
+        ScenarioService svc(test::profiles(), test::dvfs(), opts);
         auto r = svc.submit(scenario(0.8));
         ASSERT_TRUE(r.ok);
         firstPayload = r.payload;
@@ -342,7 +282,7 @@ TEST_F(BatchTest, CorruptDiskEntryQuarantinedAndRecomputed)
     }
 
     ASSERT_FALSE(fault::arm("disk-read-corrupt,seed:1"));
-    ScenarioService revived(lib(), dvfs(), opts);
+    ScenarioService revived(test::profiles(), test::dvfs(), opts);
     auto r = revived.submit(scenario(0.8));
     fault::disarm();
     ASSERT_TRUE(r.ok) << r.errorCode;
@@ -358,26 +298,23 @@ TEST_F(BatchTest, DiskTierEvictsToByteBudget)
 {
     // Measure one entry's disk footprint, then rerun with a budget
     // that fits one entry but not two.
-    const std::string &dir = makeCacheDir();
     std::uint64_t oneEntryBytes;
     {
+        test::TempDir measured;
         ServiceOptions opts;
-        opts.cacheDir = dir;
+        opts.cacheDir = measured.path();
         opts.cacheDiskBytes = 0; // unbounded
-        ScenarioService svc(lib(), dvfs(), opts);
+        ScenarioService svc(test::profiles(), test::dvfs(), opts);
         ASSERT_TRUE(svc.submit(scenario(0.7)).ok);
         oneEntryBytes = svc.stats().diskBytes;
         ASSERT_GT(oneEntryBytes, 0u);
         svc.drain();
     }
-    removeTree(dir);
-    cacheDir.clear();
-    makeCacheDir();
 
     ServiceOptions opts;
-    opts.cacheDir = cacheDir;
+    opts.cacheDir = cacheDir.path();
     opts.cacheDiskBytes = oneEntryBytes + 64;
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
     ASSERT_TRUE(svc.submit(scenario(0.7)).ok);
     ASSERT_TRUE(svc.submit(scenario(0.9)).ok);
     ServiceStats s = svc.stats();
@@ -388,11 +325,10 @@ TEST_F(BatchTest, DiskTierEvictsToByteBudget)
 
 TEST_F(BatchTest, TwoLiveServicesShareOneCacheDirectory)
 {
-    const std::string &dir = makeCacheDir();
     ServiceOptions opts;
-    opts.cacheDir = dir;
-    ScenarioService a(lib(), dvfs(), opts);
-    ScenarioService b(lib(), dvfs(), opts);
+    opts.cacheDir = cacheDir.path();
+    ScenarioService a(test::profiles(), test::dvfs(), opts);
+    ScenarioService b(test::profiles(), test::dvfs(), opts);
 
     auto computed = a.submit(scenario(0.8));
     ASSERT_TRUE(computed.ok);
@@ -408,55 +344,15 @@ TEST_F(BatchTest, TwoLiveServicesShareOneCacheDirectory)
     EXPECT_EQ(b.stats().diskHits, 1u);
 }
 
+using test::parseOk;
+
 /** submit_batch and pipelining over real loopback sockets. */
 class BatchServerTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        auto listener = TcpListener::listenOn("127.0.0.1", 0);
-        ASSERT_TRUE(listener.ok()) << listener.error();
-        svc = std::make_unique<ScenarioService>(testLib(),
-                                                testDvfs());
-        server = std::make_unique<GpmServer>(
-            *svc, std::move(listener.value()));
-        port = server->port();
-        ASSERT_NE(port, 0);
-        acceptThread = std::thread([this] { server->run(); });
-    }
+    void SetUp() override { gpmd.start(); }
 
-    void
-    TearDown() override
-    {
-        server->requestStop();
-        if (acceptThread.joinable())
-            acceptThread.join();
-        server->stopAndDrain();
-        server.reset();
-        svc.reset();
-    }
-
-    TcpStream
-    connect()
-    {
-        auto conn = TcpStream::connectTo("127.0.0.1", port);
-        EXPECT_TRUE(conn.ok()) << (conn.ok() ? "" : conn.error());
-        return conn.ok() ? std::move(conn.value()) : TcpStream();
-    }
-
-    static json::Value
-    parseOk(const std::string &text)
-    {
-        auto r = json::parse(text);
-        EXPECT_TRUE(r.ok()) << text;
-        return r.ok() ? r.value() : json::Value();
-    }
-
-    std::unique_ptr<ScenarioService> svc;
-    std::unique_ptr<GpmServer> server;
-    std::uint16_t port = 0;
-    std::thread acceptThread;
+    test::Gpmd gpmd;
 };
 
 TEST_F(BatchServerTest, BatchStreamsPerScenarioLinesAndPipelines)
@@ -471,7 +367,7 @@ TEST_F(BatchServerTest, BatchStreamsPerScenarioLinesAndPipelines)
         R"({"id": "p", "verb": "ping"})"
         "\n";
 
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     ASSERT_TRUE(c.writeAll(wire));
 
     bool sawPing = false;
@@ -501,7 +397,7 @@ TEST_F(BatchServerTest, BatchStreamsPerScenarioLinesAndPipelines)
         spec.combo = {"mcf"};
         spec.policy = "MaxBIPS";
         spec.budgets = {idx == 0 ? 0.7 : 0.9};
-        ExperimentRunner direct(testLib(), testDvfs(),
+        ExperimentRunner direct(test::profiles(), test::dvfs(),
                                 spec.simConfig());
         std::string payload =
             serializeResults(spec, direct.sweep(spec.sweepSpec()));
@@ -532,7 +428,7 @@ TEST_F(BatchServerTest, BatchStreamsPerScenarioLinesAndPipelines)
 
 TEST_F(BatchServerTest, BatchLevelErrorsAreOneLineWithNoIndex)
 {
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
 
     // An invalid scenario rejects the whole batch with one line.
     ASSERT_TRUE(c.writeAll(

@@ -13,8 +13,8 @@
 #include <string>
 #include <thread>
 
+#include "harness.hh"
 #include "util/fault.hh"
-#include "service/server.hh"
 #include "util/backoff.hh"
 
 namespace gpm
@@ -147,20 +147,6 @@ TEST_F(FaultSpec, DisarmedPointsNeverFire)
 class ChaosServiceTest : public ::testing::Test
 {
   protected:
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-
-    static ProfileLibrary &
-    lib()
-    {
-        static ProfileLibrary l(dvfs(), 0.03);
-        return l;
-    }
-
     static ScenarioSpec
     scenario()
     {
@@ -175,7 +161,8 @@ class ChaosServiceTest : public ::testing::Test
     static std::string
     directPayload(const ScenarioSpec &spec)
     {
-        ExperimentRunner direct(lib(), dvfs(), spec.simConfig());
+        ExperimentRunner direct(test::profiles(), test::dvfs(),
+                                spec.simConfig());
         return serializeResults(spec, direct.sweep(spec.sweepSpec()));
     }
 
@@ -197,7 +184,7 @@ class ChaosServiceTest : public ::testing::Test
 
 TEST_F(ChaosServiceTest, WorkerThrowBecomesInternalErrorNotADeadService)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     ASSERT_FALSE(fault::arm("worker-throw:1").has_value());
 
     auto r = svc.submit(scenario());
@@ -225,7 +212,7 @@ TEST_F(ChaosServiceTest, WorkerThrowBecomesInternalErrorNotADeadService)
 
 TEST_F(ChaosServiceTest, ServiceSurvivesRepeatedCrashes)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     ASSERT_FALSE(fault::arm("worker-throw:1,seed:9").has_value());
 
     // Distinct scenarios so nothing is served from cache; each one
@@ -245,7 +232,7 @@ TEST_F(ChaosServiceTest, ServiceSurvivesRepeatedCrashes)
 
 TEST_F(ChaosServiceTest, ProbabilisticCrashesConvergeUnderRetry)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     ASSERT_FALSE(
         fault::arm("worker-throw:0.6,seed:7").has_value());
 
@@ -271,7 +258,7 @@ TEST_F(ChaosServiceTest, ExpiredDeadlineIsShedNotComputed)
     ASSERT_FALSE(fault::arm("worker-stall:1:400").has_value());
     ServiceOptions o;
     o.workers = 1;
-    ScenarioService svc(lib(), dvfs(), o);
+    ScenarioService svc(test::profiles(), test::dvfs(), o);
 
     ScenarioSpec slow = scenario();
     std::thread holder([&] {
@@ -307,7 +294,7 @@ TEST_F(ChaosServiceTest, ExpiredDeadlineIsShedNotComputed)
 
 TEST_F(ChaosServiceTest, DeadlineIsQosOnlyAndSharesTheCacheEntry)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     ScenarioSpec spec = scenario();
     ASSERT_TRUE(svc.submit(spec).ok);
 
@@ -323,63 +310,17 @@ TEST_F(ChaosServiceTest, DeadlineIsQosOnlyAndSharesTheCacheEntry)
 // Server-level chaos: transport faults over real loopback sockets.
 // ---------------------------------------------------------------
 
+using test::parseOk;
+using test::roundTrip;
+
 class ChaosServerTest : public ChaosServiceTest
 {
   protected:
-    /** Bring up a server on an ephemeral port; tests pick their own
-     *  service/server options, so this is not in SetUp(). */
-    void
-    start(ServiceOptions sopts = ServiceOptions{},
-          ServerOptions opts = ServerOptions{})
-    {
-        auto listener = TcpListener::listenOn("127.0.0.1", 0);
-        ASSERT_TRUE(listener.ok()) << listener.error();
-        svc = std::make_unique<ScenarioService>(lib(), dvfs(),
-                                                sopts);
-        server = std::make_unique<GpmServer>(
-            *svc, std::move(listener.value()), opts);
-        port = server->port();
-        acceptThread = std::thread([this] { server->run(); });
-    }
-
     void
     TearDown() override
     {
-        if (server) {
-            server->requestStop();
-            if (acceptThread.joinable())
-                acceptThread.join();
-            server->stopAndDrain();
-            server.reset();
-            svc.reset();
-        }
+        gpmd.stop();
         fault::disarm();
-    }
-
-    TcpStream
-    connect()
-    {
-        auto conn = TcpStream::connectTo("127.0.0.1", port);
-        EXPECT_TRUE(conn.ok()) << (conn.ok() ? "" : conn.error());
-        return conn.ok() ? std::move(conn.value()) : TcpStream();
-    }
-
-    std::string
-    roundTrip(TcpStream &stream, const std::string &line)
-    {
-        EXPECT_TRUE(stream.writeAll(line + "\n"));
-        std::string response;
-        EXPECT_EQ(stream.readLine(response),
-                  TcpStream::ReadStatus::Line);
-        return response;
-    }
-
-    static json::Value
-    parseOk(const std::string &text)
-    {
-        auto r = json::parse(text);
-        EXPECT_TRUE(r.ok()) << text;
-        return r.ok() ? r.value() : json::Value();
     }
 
     static const char *
@@ -390,10 +331,7 @@ class ChaosServerTest : public ChaosServiceTest
                R"("budget": 0.8}})";
     }
 
-    std::unique_ptr<ScenarioService> svc;
-    std::unique_ptr<GpmServer> server;
-    std::uint16_t port = 0;
-    std::thread acceptThread;
+    test::Gpmd gpmd;
 };
 
 TEST_F(ChaosServerTest, DelayFaultsSlowTheRequestButNeverBreakIt)
@@ -401,9 +339,9 @@ TEST_F(ChaosServerTest, DelayFaultsSlowTheRequestButNeverBreakIt)
     ASSERT_FALSE(fault::arm("accept-delay:1:30,conn-stall:1:30,"
                             "response-delay:1:30")
                      .has_value());
-    start();
+    gpmd.start();
 
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     json::Value r = parseOk(roundTrip(c, submitLine()));
     ASSERT_TRUE(r.find("ok")->asBool());
 
@@ -421,9 +359,9 @@ TEST_F(ChaosServerTest, DelayFaultsSlowTheRequestButNeverBreakIt)
 TEST_F(ChaosServerTest, DroppedRequestTimesOutThenRetrySucceeds)
 {
     ASSERT_FALSE(fault::arm("read-drop:1").has_value());
-    start();
+    gpmd.start();
 
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     c.setReadTimeoutMs(200);
     ASSERT_TRUE(c.writeAll(R"({"verb": "ping"})"
                            "\n"));
@@ -444,9 +382,9 @@ TEST_F(ChaosServerTest, DroppedRequestTimesOutThenRetrySucceeds)
 TEST_F(ChaosServerTest, WorkerThrowOverTheWireLeavesDaemonServing)
 {
     ASSERT_FALSE(fault::arm("worker-throw:1").has_value());
-    start();
+    gpmd.start();
 
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     json::Value r = parseOk(roundTrip(c, submitLine()));
     EXPECT_FALSE(r.find("ok")->asBool());
     EXPECT_EQ(r.find("error")->find("code")->asString(),
@@ -456,15 +394,15 @@ TEST_F(ChaosServerTest, WorkerThrowOverTheWireLeavesDaemonServing)
     // crash and the restored worker count.
     r = parseOk(roundTrip(c, R"({"verb": "ping"})"));
     EXPECT_TRUE(r.find("ok")->asBool());
-    EXPECT_TRUE(waitForStats(*svc, [&](const ServiceStats &st) {
-        return st.workersAlive == svc->options().workers;
+    EXPECT_TRUE(waitForStats(*gpmd.svc, [&](const ServiceStats &st) {
+        return st.workersAlive == gpmd.svc->options().workers;
     }));
     r = parseOk(roundTrip(c, R"({"verb": "stats"})"));
     const json::Value *sr = r.find("result");
     ASSERT_TRUE(sr);
     EXPECT_GE(sr->find("workerCrashes")->asNumber(), 1.0);
     EXPECT_EQ(sr->find("workersAlive")->asNumber(),
-              static_cast<double>(svc->options().workers));
+              static_cast<double>(gpmd.svc->options().workers));
     EXPECT_TRUE(sr->find("faultsArmed")->asBool());
 
     // Disarmed, the daemon serves the scenario it crashed on.
@@ -481,17 +419,17 @@ TEST_F(ChaosServerTest, IdleConnectionIsReaped)
 {
     ServerOptions opts;
     opts.idleTimeoutMs = 150;
-    start(ServiceOptions{}, opts);
+    gpmd.start({}, opts);
 
-    TcpStream idle = connect();
+    TcpStream idle = gpmd.connect();
     idle.setReadTimeoutMs(5000);
     // Say nothing: the server reaps us, seen as an orderly close.
     std::string line;
     EXPECT_EQ(idle.readLine(line), TcpStream::ReadStatus::Eof);
-    EXPECT_GE(server->idleReapedCount(), 1u);
+    EXPECT_GE(gpmd.server->idleReapedCount(), 1u);
 
     // Reaping one deadbeat does not disturb new connections.
-    TcpStream fresh = connect();
+    TcpStream fresh = gpmd.connect();
     json::Value r =
         parseOk(roundTrip(fresh, R"({"verb": "ping"})"));
     EXPECT_TRUE(r.find("ok")->asBool());
@@ -501,9 +439,9 @@ TEST_F(ChaosServerTest, OverlongLineIsAnsweredThenConnectionCloses)
 {
     ServerOptions opts;
     opts.maxLineBytes = 64;
-    start(ServiceOptions{}, opts);
+    gpmd.start({}, opts);
 
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     c.setReadTimeoutMs(5000);
     ASSERT_TRUE(
         c.writeAll(std::string(200, 'x') + "\n"));
@@ -517,20 +455,20 @@ TEST_F(ChaosServerTest, OverlongLineIsAnsweredThenConnectionCloses)
     EXPECT_EQ(r.find("error")->find("code")->asString(),
               "line_too_long");
     EXPECT_EQ(c.readLine(response), TcpStream::ReadStatus::Eof);
-    EXPECT_GE(server->lineTooLongCount(), 1u);
+    EXPECT_GE(gpmd.server->lineTooLongCount(), 1u);
 }
 
 TEST_F(ChaosServerTest, StatsVerbReportsRobustnessCounters)
 {
-    start();
-    TcpStream c = connect();
+    gpmd.start();
+    TcpStream c = gpmd.connect();
     json::Value r = parseOk(roundTrip(c, R"({"verb": "stats"})"));
     const json::Value *sr = r.find("result");
     ASSERT_TRUE(sr);
     EXPECT_EQ(sr->find("shedDeadline")->asNumber(), 0.0);
     EXPECT_EQ(sr->find("workerCrashes")->asNumber(), 0.0);
     EXPECT_EQ(sr->find("workersAlive")->asNumber(),
-              static_cast<double>(svc->options().workers));
+              static_cast<double>(gpmd.svc->options().workers));
     EXPECT_EQ(sr->find("idleReaped")->asNumber(), 0.0);
     EXPECT_EQ(sr->find("lineTooLong")->asNumber(), 0.0);
     EXPECT_FALSE(sr->find("faultsArmed")->asBool());

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cluster/cluster_manager.hh"
+#include "harness.hh"
 #include "service/service.hh"
 #include "util/fault.hh"
 
@@ -145,20 +146,6 @@ TEST(ClusterPolicyNames, AcceptsKernelsRejectsOthers)
 class ClusterTest : public ::testing::Test
 {
   protected:
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-
-    static ProfileLibrary &
-    lib()
-    {
-        static ProfileLibrary l(dvfs(), 0.03);
-        return l;
-    }
-
     /** Two heterogeneous chips, three epochs. */
     static ClusterSpec
     clusterSpec()
@@ -195,7 +182,8 @@ class ClusterTest : public ::testing::Test
 
 TEST_F(ClusterTest, EpochAwardsConserveFacilityBudget)
 {
-    ClusterManager mgr(lib(), dvfs(), SimConfig{}, clusterSpec());
+    ClusterManager mgr(test::profiles(), test::dvfs(), SimConfig{},
+                       clusterSpec());
     auto run = mgr.run(0.8, 1);
     ASSERT_TRUE(run.ok()) << run.error().message;
     const ClusterRunResult &r = run.value();
@@ -230,8 +218,8 @@ TEST_F(ClusterTest, DeterministicAcrossThreadCounts)
     std::array<std::string, 3> payloads;
     std::size_t k = 0;
     for (std::size_t conc : {1u, 2u, 8u}) {
-        ClusterManager mgr(lib(), dvfs(), spec.simConfig(),
-                           spec.clusterSpec());
+        ClusterManager mgr(test::profiles(), test::dvfs(),
+                           spec.simConfig(), spec.clusterSpec());
         auto run = mgr.run(0.8, conc);
         ASSERT_TRUE(run.ok()) << run.error().message;
         payloads[k++] = serializeClusterResults(
@@ -245,7 +233,7 @@ TEST_F(ClusterTest, ServiceServesAndCachesClusterScenarios)
 {
     ScenarioSpec spec = scenario();
 
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     auto first = svc.submit(spec);
     ASSERT_TRUE(first.ok)
         << first.errorCode << ": " << first.errorMessage;
@@ -253,8 +241,8 @@ TEST_F(ClusterTest, ServiceServesAndCachesClusterScenarios)
     EXPECT_EQ(first.hash, spec.hash());
 
     // Ground truth: a direct ClusterManager run.
-    ClusterManager direct(lib(), dvfs(), spec.simConfig(),
-                          spec.clusterSpec());
+    ClusterManager direct(test::profiles(), test::dvfs(),
+                          spec.simConfig(), spec.clusterSpec());
     auto run = direct.run(0.8, svc.options().sweepConcurrency);
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(first.payload,
@@ -278,7 +266,7 @@ TEST_F(ClusterTest, ChipSimThrowSurfacesAsStructuredError)
 {
     ScenarioSpec spec = scenario();
 
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     ASSERT_FALSE(fault::arm("chip-sim-throw:1"));
     auto r = svc.submit(spec);
     fault::disarm();

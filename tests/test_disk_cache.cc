@@ -16,6 +16,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "harness.hh"
 #include "service/disk_cache.hh"
 #include "util/fault.hh"
 
@@ -27,28 +28,7 @@ namespace
 class DiskCacheTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        char tmpl[] = "/tmp/gpm_disk_cache_XXXXXX";
-        ASSERT_NE(::mkdtemp(tmpl), nullptr);
-        dir = tmpl;
-    }
-
-    void
-    TearDown() override
-    {
-        fault::disarm();
-        if (DIR *d = ::opendir(dir.c_str())) {
-            while (const dirent *e = ::readdir(d)) {
-                std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    ::unlink((dir + "/" + name).c_str());
-            }
-            ::closedir(d);
-        }
-        ::rmdir(dir.c_str());
-    }
+    void TearDown() override { fault::disarm(); }
 
     std::string
     entryPath(std::uint64_t hash) const
@@ -91,7 +71,8 @@ class DiskCacheTest : public ::testing::Test
         std::fclose(f);
     }
 
-    std::string dir;
+    test::TempDir tmp;
+    const std::string dir = tmp.path();
 };
 
 TEST_F(DiskCacheTest, RoundTripAndStats)
@@ -306,7 +287,6 @@ TEST_F(DiskCacheTest, UnreadableEntryIsAFailureNotAnAbsence)
     EXPECT_EQ(std::string(s.breakerState), "open");
     EXPECT_TRUE(fileExists(entryPath(0x99)));
     EXPECT_FALSE(fileExists(entryPath(0x99) + ".corrupt"));
-    ::rmdir(entryPath(0x99).c_str());
 }
 
 TEST_F(DiskCacheTest, FileNameIsSixteenHex)

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness.hh"
 #include "metrics/experiment.hh"
 #include "trace/workload.hh"
 
@@ -11,31 +12,16 @@ namespace gpm
 namespace
 {
 
-/** Shared scaled-down profile library (built once per process). */
+/** Runs over the shared test profiles at scale 0.05. */
 class E2eTest : public ::testing::Test
 {
   protected:
     static constexpr double scale = 0.05;
 
-    static ProfileLibrary &
-    lib()
-    {
-        static DvfsTable dvfs = DvfsTable::classic3();
-        static ProfileLibrary l(dvfs, scale);
-        return l;
-    }
-
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-
     ExperimentRunner
     runner()
     {
-        return ExperimentRunner(lib(), dvfs());
+        return ExperimentRunner(test::profiles(scale), test::dvfs());
     }
 };
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cluster/cluster_manager.hh"
+#include "harness.hh"
 #include "service/scenario.hh"
 #include "trace/workload.hh"
 
@@ -132,20 +133,6 @@ const Frozen frozen[] = {
 /** serializeClusterResults of clusterScenario() at both budgets. */
 constexpr std::uint64_t frozenCluster = 0xa2f5778db747e1dfull;
 
-const DvfsTable &
-dvfs()
-{
-    static DvfsTable d = DvfsTable::classic3();
-    return d;
-}
-
-ProfileLibrary &
-lib()
-{
-    static ProfileLibrary l(dvfs(), 0.05);
-    return l;
-}
-
 class ExactPayloads : public ::testing::TestWithParam<std::string>
 {
 };
@@ -161,7 +148,8 @@ TEST_P(ExactPayloads, MatchFrozenDigests)
     ScenarioSpec knobs;
     if (many)
         knobs.phaseShiftStride = 0.1;
-    ExperimentRunner runner(lib(), dvfs(), knobs.simConfig());
+    ExperimentRunner runner(test::profiles(0.05), test::dvfs(),
+                            knobs.simConfig());
     int checked = 0;
     for (const Frozen &f : frozen) {
         if (key != f.combo)
@@ -221,8 +209,8 @@ clusterScenario()
 TEST(ExactClusterPayload, MatchesFrozenDigest)
 {
     ScenarioSpec spec = clusterScenario();
-    ClusterManager mgr(lib(), dvfs(), spec.simConfig(),
-                       spec.clusterSpec());
+    ClusterManager mgr(test::profiles(0.05), test::dvfs(),
+                       spec.simConfig(), spec.clusterSpec());
     std::vector<ClusterRunResult> runs;
     for (double b : spec.budgets) {
         auto run = mgr.run(b, 1);

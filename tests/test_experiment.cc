@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness.hh"
 #include "metrics/experiment.hh"
 #include "trace/workload.hh"
 
@@ -11,28 +12,9 @@ namespace gpm
 namespace
 {
 
-class ExperimentTest : public ::testing::Test
+TEST(ExperimentTest, ReferenceIsCachedAndStable)
 {
-  protected:
-    static ProfileLibrary &
-    lib()
-    {
-        static DvfsTable dvfs = DvfsTable::classic3();
-        static ProfileLibrary l(dvfs, 0.03);
-        return l;
-    }
-
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-};
-
-TEST_F(ExperimentTest, ReferenceIsCachedAndStable)
-{
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"mcf", "crafty"};
     const SimResult &a = r.reference(combo);
     const SimResult &b = r.reference(combo);
@@ -40,17 +22,17 @@ TEST_F(ExperimentTest, ReferenceIsCachedAndStable)
     EXPECT_GT(r.referencePowerW(combo), 0.0);
 }
 
-TEST_F(ExperimentTest, ProfilesForValidatesAndBuilds)
+TEST(ExperimentTest, ProfilesForValidatesAndBuilds)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     auto ps = r.profilesFor({"ammp", "ammp"});
     ASSERT_EQ(ps.size(), 2u);
     EXPECT_EQ(ps[0], ps[1]); // same underlying profile object
 }
 
-TEST_F(ExperimentTest, CurveCoversAllBudgets)
+TEST(ExperimentTest, CurveCoversAllBudgets)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"mcf", "crafty"};
     auto evs = r.curve(combo, "MaxBIPS", {0.7, 0.85, 1.0});
     ASSERT_EQ(evs.size(), 3u);
@@ -60,18 +42,18 @@ TEST_F(ExperimentTest, CurveCoversAllBudgets)
         EXPECT_EQ(ev.policy, "MaxBIPS");
 }
 
-TEST_F(ExperimentTest, CurveDispatchesStatic)
+TEST(ExperimentTest, CurveDispatchesStatic)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"mcf", "crafty"};
     auto evs = r.curve(combo, "Static", {0.85});
     ASSERT_EQ(evs.size(), 1u);
     EXPECT_EQ(evs[0].policy, "Static");
 }
 
-TEST_F(ExperimentTest, StaticPeakFitNeverBeatsAverageFit)
+TEST(ExperimentTest, StaticPeakFitNeverBeatsAverageFit)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"ammp", "crafty"};
     for (double b : {0.75, 0.9}) {
         auto peak =
@@ -84,9 +66,9 @@ TEST_F(ExperimentTest, StaticPeakFitNeverBeatsAverageFit)
     }
 }
 
-TEST_F(ExperimentTest, MinPowerPolicyRunsUnderHarness)
+TEST(ExperimentTest, MinPowerPolicyRunsUnderHarness)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"ammp", "crafty"};
     auto ev = r.evaluate(combo, "MinPower90", 1.0);
     // Delivers roughly the targeted fraction of all-Turbo BIPS
@@ -95,9 +77,9 @@ TEST_F(ExperimentTest, MinPowerPolicyRunsUnderHarness)
     EXPECT_GT(ev.metrics.powerSavings, 0.0);
 }
 
-TEST_F(ExperimentTest, TimelineHonoursSchedule)
+TEST(ExperimentTest, TimelineHonoursSchedule)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"ammp", "crafty"};
     BudgetSchedule sched({{0.0, 1.0}, {300.0, 0.7}});
     auto res = r.timeline(combo, "MaxBIPS", sched);
@@ -109,9 +91,9 @@ TEST_F(ExperimentTest, TimelineHonoursSchedule)
     }
 }
 
-TEST_F(ExperimentTest, UniformBudgetWorseOrEqualToMaxBips)
+TEST(ExperimentTest, UniformBudgetWorseOrEqualToMaxBips)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"ammp", "mcf", "crafty", "art"};
     double uni = 0.0, mb = 0.0;
     for (double b : {0.75, 0.85}) {

@@ -40,6 +40,9 @@ TEST(ParseNumber, RejectsPartialEmptyAndOutOfRangeValues)
     EXPECT_FALSE(parseNumber<double>("0.8x"));
     EXPECT_FALSE(parseNumber<double>(""));
     EXPECT_FALSE(parseNumber<double>("1e999"));
+    EXPECT_FALSE(parseNumber<double>("nan"));
+    EXPECT_FALSE(parseNumber<double>("inf"));
+    EXPECT_FALSE(parseNumber<double>("-inf"));
 }
 
 } // namespace

@@ -18,9 +18,9 @@
 #include <thread>
 #include <unistd.h>
 
+#include "harness.hh"
 #include "service/ring.hh"
 #include "service/scenario.hh"
-#include "service/server.hh"
 #include "util/fault.hh"
 
 namespace gpm
@@ -87,34 +87,12 @@ class GpmctlShardTest : public ::testing::Test
   protected:
     static constexpr std::size_t nBackends = 2;
 
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-
-    static ProfileLibrary &
-    lib()
-    {
-        static ProfileLibrary l(dvfs(), 0.03);
-        return l;
-    }
-
     void
     SetUp() override
     {
-        for (std::size_t i = 0; i < nBackends; i++) {
-            auto listener = TcpListener::listenOn("127.0.0.1", 0);
-            ASSERT_TRUE(listener.ok()) << listener.error();
-            svcs[i] =
-                std::make_unique<ScenarioService>(lib(), dvfs());
-            servers[i] = std::make_unique<GpmServer>(
-                *svcs[i], std::move(listener.value()));
-            names.push_back("127.0.0.1:" +
-                            std::to_string(servers[i]->port()));
-            threads[i] =
-                std::thread([this, i] { servers[i]->run(); });
+        for (test::Gpmd &b : backends) {
+            b.start();
+            names.push_back("127.0.0.1:" + std::to_string(b.port));
         }
         hosts = "--host " + names[0] + "," + names[1];
     }
@@ -122,22 +100,9 @@ class GpmctlShardTest : public ::testing::Test
     void
     TearDown() override
     {
+        for (test::Gpmd &b : backends)
+            b.stop();
         fault::disarm();
-        for (std::size_t i = 0; i < nBackends; i++)
-            stopBackend(i);
-    }
-
-    void
-    stopBackend(std::size_t i)
-    {
-        if (!servers[i])
-            return;
-        servers[i]->requestStop();
-        if (threads[i].joinable())
-            threads[i].join();
-        servers[i]->stopAndDrain();
-        servers[i].reset();
-        svcs[i].reset();
     }
 
     static std::string
@@ -174,9 +139,7 @@ class GpmctlShardTest : public ::testing::Test
         return RendezvousRing(names).owner(spec.value().hash());
     }
 
-    std::unique_ptr<ScenarioService> svcs[nBackends];
-    std::unique_ptr<GpmServer> servers[nBackends];
-    std::thread threads[nBackends];
+    test::Gpmd backends[nBackends];
     std::vector<std::string> names;
     std::string hosts;
 };
@@ -201,7 +164,7 @@ TEST_F(GpmctlShardTest, EachScenarioLandsOnItsRingOwner)
             << r.out;
     }
     for (std::size_t b = 0; b < nBackends; b++) {
-        ServiceStats s = svcs[b]->stats();
+        ServiceStats s = backends[b].svc->stats();
         EXPECT_EQ(s.cacheMisses, share[b]) << names[b];
         EXPECT_EQ(s.cacheHits, share[b]) << names[b];
     }
@@ -220,8 +183,8 @@ TEST_F(GpmctlShardTest, RoutedPayloadMatchesDirectSubmit)
                               submitArgs(budget));
     ASSERT_EQ(direct.status, 0) << direct.out;
     EXPECT_EQ(routed.out, direct.out);
-    EXPECT_EQ(svcs[other]->stats().cacheMisses, 1u);
-    EXPECT_EQ(svcs[1 - other]->stats().cacheMisses, 1u);
+    EXPECT_EQ(backends[other].svc->stats().cacheMisses, 1u);
+    EXPECT_EQ(backends[1 - other].svc->stats().cacheMisses, 1u);
 }
 
 TEST_F(GpmctlShardTest, BatchSplitsByOwnerAndPrintsInInputOrder)
@@ -260,7 +223,7 @@ TEST_F(GpmctlShardTest, BatchSplitsByOwnerAndPrintsInInputOrder)
     }
     EXPECT_EQ(seen.size(), n);
     for (std::size_t b = 0; b < nBackends; b++)
-        EXPECT_EQ(svcs[b]->stats().cacheMisses, share[b])
+        EXPECT_EQ(backends[b].svc->stats().cacheMisses, share[b])
             << names[b];
 }
 
@@ -286,7 +249,7 @@ TEST_F(GpmctlShardTest, PingAndClusterSubmitReachTheOwner)
     std::size_t owner = RendezvousRing(names).owner(spec.value().hash());
 
     // Ground truth: the equivalent scenario submitted in-process.
-    ScenarioService direct(lib(), dvfs());
+    ScenarioService direct(test::profiles(), test::dvfs());
     auto want = direct.submit(spec.value());
     ASSERT_TRUE(want.ok) << want.errorCode << ": " << want.errorMessage;
 
@@ -301,8 +264,8 @@ TEST_F(GpmctlShardTest, PingAndClusterSubmitReachTheOwner)
     EXPECT_NE(again.out.find("\"cached\":true"), std::string::npos)
         << again.out;
     EXPECT_EQ(resultOf(again.out), want.payload);
-    EXPECT_EQ(svcs[owner]->stats().clusterRequests, 1u);
-    EXPECT_EQ(svcs[1 - owner]->stats().clusterRequests, 0u);
+    EXPECT_EQ(backends[owner].svc->stats().clusterRequests, 1u);
+    EXPECT_EQ(backends[1 - owner].svc->stats().clusterRequests, 0u);
 }
 
 TEST_F(GpmctlShardTest, ExpiredDeadlineExitsTwoAndCancelsMidSweep)
@@ -316,8 +279,8 @@ TEST_F(GpmctlShardTest, ExpiredDeadlineExitsTwoAndCancelsMidSweep)
     EXPECT_NE(r.out.find("deadline_exceeded"), std::string::npos)
         << r.out;
     std::size_t owner = ownerOf("0.800");
-    EXPECT_EQ(svcs[owner]->stats().cancelledMidSweep, 1u);
-    EXPECT_EQ(svcs[1 - owner]->stats().cancelledMidSweep, 0u);
+    EXPECT_EQ(backends[owner].svc->stats().cancelledMidSweep, 1u);
+    EXPECT_EQ(backends[1 - owner].svc->stats().cancelledMidSweep, 0u);
 }
 
 TEST_F(GpmctlShardTest, StatsPrintsKeySortedCountersOnStderr)
@@ -354,7 +317,7 @@ TEST_F(GpmctlShardTest, InvalidScenarioIsAnsweredByTheFirstEndpoint)
     // With a dead first endpoint and no retries, the invalid
     // scenario fails in transport: it went to the first endpoint,
     // not to a ring owner.
-    stopBackend(0);
+    backends[0].stop();
     CtlRun dead = runGpmctl("--host " + names[0] + "," + names[1] +
                             " " + invalid);
     EXPECT_EQ(dead.status, 1) << dead.out;
@@ -362,8 +325,8 @@ TEST_F(GpmctlShardTest, InvalidScenarioIsAnsweredByTheFirstEndpoint)
 
 TEST_F(GpmctlShardTest, WholeFleetDownExitsOneAfterRetries)
 {
-    stopBackend(0);
-    stopBackend(1);
+    backends[0].stop();
+    backends[1].stop();
     CtlRun submit = runGpmctl(hosts + " --retries 3 --retry-base-ms 1 " +
                               submitArgs("0.800"));
     EXPECT_EQ(submit.status, 1) << submit.out;

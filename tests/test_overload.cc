@@ -10,13 +10,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <dirent.h>
 #include <future>
 #include <string>
 #include <thread>
-#include <unistd.h>
 
+#include "harness.hh"
 #include "service/degrade.hh"
 #include "service/disk_cache.hh"
 #include "service/service.hh"
@@ -270,20 +268,6 @@ TEST(Admission, DisabledControllerAdmitsEverything)
 class OverloadServiceTest : public ::testing::Test
 {
   protected:
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-
-    static ProfileLibrary &
-    lib()
-    {
-        static ProfileLibrary l(dvfs(), 0.03);
-        return l;
-    }
-
     static ScenarioSpec
     scenario()
     {
@@ -304,7 +288,7 @@ class OverloadServiceTest : public ::testing::Test
 TEST_F(OverloadServiceTest,
        DeadlineDegradeMatchesDirectFallbackBitwise)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     // Teach the service that exact MaxBIPS takes ~60 s while the
     // ladder floor is ~1 ms: a 5 s deadline passes admission (the
     // floor could meet it) but the exact solver predictably blows
@@ -313,8 +297,8 @@ TEST_F(OverloadServiceTest,
     svc.admissionController().recordService("WaterFill", 1.0);
     // Build the profiles before the clock starts: under a sanitizer
     // a lazy build alone can outlast the deadline.
-    lib().get("mcf");
-    lib().get("crafty");
+    test::profiles().get("mcf");
+    test::profiles().get("crafty");
 
     ScenarioSpec spec = scenario();
     spec.deadlineMs = 5000.0;
@@ -331,7 +315,7 @@ TEST_F(OverloadServiceTest,
     // scenario to a pristine service returns the same bytes.
     ScenarioSpec fallback =
         degradeSpec(scenario(), "MaxBIPS-DP");
-    ScenarioService fresh(lib(), dvfs());
+    ScenarioService fresh(test::profiles(), test::dvfs());
     auto direct = fresh.submit(fallback);
     ASSERT_TRUE(direct.ok);
     EXPECT_EQ(r.payload, direct.payload);
@@ -361,7 +345,7 @@ TEST_F(OverloadServiceTest, OverloadAtAdmitDegradesOneRung)
     opts.queueCapacity = 8;
     // Any queued or in-flight work puts the service in overload.
     opts.admission.degradeDepth = 0.01;
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
 
     // Pin the single worker so the second submission is admitted
     // while the first is still in flight.
@@ -398,7 +382,7 @@ TEST_F(OverloadServiceTest, OverloadAtAdmitDegradesOneRung)
 
 TEST_F(OverloadServiceTest, ClusterFacilityKernelDegrades)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     svc.admissionController().recordService("cluster:GreedyTurbo",
                                             60000.0);
     svc.admissionController().recordService("cluster:WaterFill",
@@ -432,7 +416,7 @@ TEST_F(OverloadServiceTest, ClusterFacilityKernelDegrades)
     // kernel moved down the ladder.
     ScenarioSpec fallback = degradeSpec(spec, "WaterFill");
     EXPECT_EQ(fallback.cluster->chips[0].policy, "MaxBIPS");
-    ScenarioService fresh(lib(), dvfs());
+    ScenarioService fresh(test::profiles(), test::dvfs());
     auto direct = fresh.submit(fallback);
     ASSERT_TRUE(direct.ok);
     EXPECT_EQ(r.payload, direct.payload);
@@ -442,7 +426,7 @@ TEST_F(OverloadServiceTest, BusyRejectionCarriesRetryHint)
 {
     ServiceOptions opts;
     opts.queueCapacity = 0; // every miss is a hard "busy"
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
     auto r = svc.submit(scenario());
     ASSERT_FALSE(r.ok);
     EXPECT_EQ(r.errorCode, "busy");
@@ -454,7 +438,7 @@ TEST_F(OverloadServiceTest, LadderOffServesExactOrNothing)
 {
     ServiceOptions opts;
     opts.degradeLadder = false;
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
     svc.admissionController().recordService("MaxBIPS", 60000.0);
     svc.admissionController().recordService("WaterFill", 1.0);
 
@@ -475,30 +459,10 @@ TEST_F(OverloadServiceTest, LadderOffServesExactOrNothing)
 class DiskBreakerTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        char tmpl[] = "/tmp/gpm_overload_disk_XXXXXX";
-        ASSERT_NE(::mkdtemp(tmpl), nullptr);
-        dir = tmpl;
-    }
+    void TearDown() override { fault::disarm(); }
 
-    void
-    TearDown() override
-    {
-        fault::disarm();
-        if (DIR *d = ::opendir(dir.c_str())) {
-            while (const dirent *e = ::readdir(d)) {
-                std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    ::unlink((dir + "/" + name).c_str());
-            }
-            ::closedir(d);
-        }
-        ::rmdir(dir.c_str());
-    }
-
-    std::string dir;
+    test::TempDir tmp;
+    const std::string dir = tmp.path();
 };
 
 TEST_F(DiskBreakerTest, ReadStallsOpenThenRecoveryCloses)
@@ -547,23 +511,6 @@ TEST_F(DiskBreakerTest, ReadStallsOpenThenRecoveryCloses)
     EXPECT_EQ(std::string(cache.stats().breakerState), "closed");
 }
 
-bool
-sameProfile(const WorkloadProfile &a, const WorkloadProfile &b)
-{
-    if (a.name != b.name || a.modes.size() != b.modes.size())
-        return false;
-    for (std::size_t m = 0; m < a.modes.size(); m++) {
-        const ModeProfile &x = a.modes[m], &y = b.modes[m];
-        if (x.chunkInsts != y.chunkInsts ||
-            x.lastChunkInsts != y.lastChunkInsts ||
-            x.chunks.size() != y.chunks.size() ||
-            std::memcmp(x.chunks.data(), y.chunks.data(),
-                        x.chunks.size() * sizeof(ChunkRecord)) != 0)
-            return false;
-    }
-    return true;
-}
-
 TEST_F(DiskBreakerTest, ProfileReadStallsOpenThenRecoveryCloses)
 {
     // A cooldown no build outlasts, however slow the host: only the
@@ -610,7 +557,7 @@ TEST_F(DiskBreakerTest, ProfileReadStallsOpenThenRecoveryCloses)
     EXPECT_EQ(st.diskHits, 1u);
     EXPECT_EQ(st.builds, 3u);
     EXPECT_EQ(std::string(st.storeBreakerState), "closed");
-    EXPECT_TRUE(sameProfile(loaded, stored));
+    EXPECT_TRUE(test::identical(loaded, stored));
 }
 
 TEST_F(DiskBreakerTest, ServiceSurfacesProfileBreakerState)

@@ -2,11 +2,10 @@
 
 #include <filesystem>
 #include <string>
-#include <system_error>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "harness.hh"
 #include "helpers.hh"
 #include "trace/phase_profile.hh"
 #include "trace/workload.hh"
@@ -18,24 +17,6 @@ namespace
 
 using test::classicSyntheticProfile;
 using test::syntheticProfile;
-
-/** A fresh directory for a profile store, removed with its contents. */
-struct TempStoreDir
-{
-    std::string path;
-    TempStoreDir()
-    {
-        char tmpl[] = "/tmp/gpm_profile_lib_XXXXXX";
-        if (::mkdtemp(tmpl))
-            path = tmpl;
-    }
-    ~TempStoreDir()
-    {
-        std::error_code ec;
-        if (!path.empty())
-            std::filesystem::remove_all(path, ec);
-    }
-};
 
 TEST(ModeProfile, Totals)
 {
@@ -170,16 +151,16 @@ TEST(ProfileLibrary, SaveLoadRoundTrip)
     // A library writes each profile it builds through to its store;
     // a second library over the same directory loads it instead of
     // building it again.
-    TempStoreDir tmp;
-    ASSERT_FALSE(tmp.path.empty());
+    test::TempDir tmp;
+    ASSERT_FALSE(tmp.path().empty());
     auto dvfs = DvfsTable::classic3();
     ProfileLibrary lib(dvfs, 0.002);
-    lib.attachStore(tmp.path);
+    lib.attachStore(tmp.path());
     const WorkloadProfile &p = lib.get("mcf");
     EXPECT_EQ(lib.stats().builds, 1u);
 
     ProfileLibrary lib2(dvfs, 0.002);
-    lib2.attachStore(tmp.path);
+    lib2.attachStore(tmp.path());
     const WorkloadProfile &q = lib2.get("mcf");
     EXPECT_EQ(lib2.stats().diskHits, 1u);
     EXPECT_EQ(lib2.stats().builds, 0u);
@@ -197,15 +178,15 @@ TEST(ProfileLibrary, LoadRejectsWrongScale)
     // The length scale is part of every entry's key: a library at
     // another scale over the same store never loads these profiles;
     // it builds its own beside them.
-    TempStoreDir tmp;
-    ASSERT_FALSE(tmp.path.empty());
+    test::TempDir tmp;
+    ASSERT_FALSE(tmp.path().empty());
     auto dvfs = DvfsTable::classic3();
     ProfileLibrary lib(dvfs, 0.002);
-    lib.attachStore(tmp.path);
+    lib.attachStore(tmp.path());
     const WorkloadProfile &p = lib.get("mcf");
 
     ProfileLibrary other(dvfs, 0.004);
-    other.attachStore(tmp.path);
+    other.attachStore(tmp.path());
     const WorkloadProfile &q = other.get("mcf");
     ProfileLibraryStats st = other.stats();
     EXPECT_EQ(st.diskHits, 0u);
@@ -216,7 +197,7 @@ TEST(ProfileLibrary, LoadRejectsWrongScale)
 
     // The first scale's entry is untouched and still loads.
     ProfileLibrary again(dvfs, 0.002);
-    again.attachStore(tmp.path);
+    again.attachStore(tmp.path());
     again.get("mcf");
     EXPECT_EQ(again.stats().diskHits, 1u);
     EXPECT_EQ(again.stats().builds, 0u);
@@ -227,18 +208,18 @@ TEST(ProfileLibrary, LoadMissingFileFails)
     // A store whose directory cannot exist holds nothing to load and
     // takes no write: get() still builds and serves the profile, and
     // counts the failed write.
-    TempStoreDir tmp;
-    ASSERT_FALSE(tmp.path.empty());
+    test::TempDir tmp;
+    ASSERT_FALSE(tmp.path().empty());
     auto dvfs = DvfsTable::classic3();
     ProfileLibrary lib(dvfs, 0.002);
-    lib.attachStore(tmp.path + "/missing/store");
+    lib.attachStore(tmp.path() + "/missing/store");
     const WorkloadProfile &p = lib.get("mcf");
     EXPECT_GT(p.at(modes::Turbo).totalInsts(), 0u);
     ProfileLibraryStats st = lib.stats();
     EXPECT_EQ(st.diskHits, 0u);
     EXPECT_EQ(st.builds, 1u);
     EXPECT_EQ(st.storeWriteFailures, 1u);
-    EXPECT_FALSE(std::filesystem::exists(tmp.path + "/missing"));
+    EXPECT_FALSE(std::filesystem::exists(tmp.path() + "/missing"));
 }
 
 TEST(ProfileLibrary, GetIsStableAcrossGrowth)

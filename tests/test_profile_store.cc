@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -22,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness.hh"
 #include "trace/phase_profile.hh"
 #include "trace/profile_store.hh"
 #include "trace/profiler.hh"
@@ -36,44 +36,13 @@ namespace
 /** Tiny scale so a full suite build stays in test time. */
 constexpr double kScale = 0.002;
 
-bool
-identical(const WorkloadProfile &a, const WorkloadProfile &b)
-{
-    if (a.name != b.name || a.modes.size() != b.modes.size())
-        return false;
-    for (std::size_t m = 0; m < a.modes.size(); m++) {
-        const ModeProfile &x = a.modes[m], &y = b.modes[m];
-        if (x.chunkInsts != y.chunkInsts ||
-            x.lastChunkInsts != y.lastChunkInsts ||
-            x.chunks.size() != y.chunks.size())
-            return false;
-        if (std::memcmp(x.chunks.data(), y.chunks.data(),
-                        x.chunks.size() * sizeof(ChunkRecord)) != 0)
-            return false;
-    }
-    return true;
-}
+using test::identical;
 
 class ProfileStoreTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        fault::disarm();
-        char tmpl[] = "/tmp/gpm_profile_store_XXXXXX";
-        ASSERT_NE(::mkdtemp(tmpl), nullptr);
-        dir = tmpl;
-        dvfs = DvfsTable::classic3();
-    }
-
-    void
-    TearDown() override
-    {
-        fault::disarm();
-        std::string cmd = "rm -rf " + dir;
-        ASSERT_EQ(std::system(cmd.c_str()), 0);
-    }
+    void SetUp() override { fault::disarm(); }
+    void TearDown() override { fault::disarm(); }
 
     /** A small profile built directly (one workload, full modes). */
     WorkloadProfile
@@ -83,7 +52,8 @@ class ProfileStoreTest : public ::testing::Test
         return profiler.profileWorkload(workload(name), kScale);
     }
 
-    std::string dir;
+    test::TempDir tmp;
+    const std::string dir = tmp.path();
     DvfsTable dvfs = DvfsTable::classic3();
 };
 

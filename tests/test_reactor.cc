@@ -9,11 +9,10 @@
 #include <random>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
+#include "harness.hh"
 #include "service/line_scanner.hh"
-#include "service/server.hh"
 #include "util/fault.hh"
 
 namespace gpm
@@ -209,83 +208,18 @@ TEST(LineScannerTest, FuzzRandomChunkingMatchesRdbufReader)
 // Reactor server end-to-end
 // ---------------------------------------------------------------
 
+using test::roundTrip;
+
 class ReactorServerTest : public ::testing::Test
 {
   protected:
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-
-    static ProfileLibrary &
-    lib()
-    {
-        static ProfileLibrary l(dvfs(), 0.03);
-        return l;
-    }
-
-    void
-    startServer(ServerOptions opts, bool withMetrics,
-                ServiceOptions svcOpts = ServiceOptions{})
-    {
-        auto listener = TcpListener::listenOn("127.0.0.1", 0);
-        ASSERT_TRUE(listener.ok()) << listener.error();
-        svc = std::make_unique<ScenarioService>(lib(), dvfs(),
-                                                svcOpts);
-        server = std::make_unique<GpmServer>(
-            *svc, std::move(listener.value()), opts);
-        if (withMetrics) {
-            auto ml = TcpListener::listenOn("127.0.0.1", 0);
-            ASSERT_TRUE(ml.ok()) << ml.error();
-            server->attachMetricsListener(std::move(ml.value()));
-            metricsPort = server->metricsPort();
-            ASSERT_NE(metricsPort, 0);
-        }
-        port = server->port();
-        ASSERT_NE(port, 0);
-        acceptThread = std::thread([this] { server->run(); });
-    }
-
-    void
-    TearDown() override
-    {
-        if (!server)
-            return;
-        server->requestStop();
-        if (acceptThread.joinable())
-            acceptThread.join();
-        server->stopAndDrain();
-        server.reset();
-        svc.reset();
-    }
-
-    TcpStream
-    connect(std::uint16_t p)
-    {
-        auto conn = TcpStream::connectTo("127.0.0.1", p);
-        EXPECT_TRUE(conn.ok()) << (conn.ok() ? "" : conn.error());
-        return conn.ok() ? std::move(conn.value()) : TcpStream();
-    }
-
-    std::string
-    roundTrip(TcpStream &stream, const std::string &line)
-    {
-        EXPECT_TRUE(stream.writeAll(line + "\n"));
-        std::string response;
-        EXPECT_EQ(stream.readLine(response),
-                  TcpStream::ReadStatus::Line);
-        return response;
-    }
-
     /** One HTTP exchange: request @p target, return status line +
      *  headers + body (readLine-framed, CR stripped). */
     std::string
     httpGet(const std::string &target,
             const std::string &method = "GET")
     {
-        TcpStream s = connect(metricsPort);
+        TcpStream s = test::connect(gpmd.metricsPort);
         EXPECT_TRUE(s.writeAll(method + " " + target +
                                " HTTP/1.0\r\n"
                                "Host: test\r\n\r\n"));
@@ -300,16 +234,12 @@ class ReactorServerTest : public ::testing::Test
         return all;
     }
 
-    std::unique_ptr<ScenarioService> svc;
-    std::unique_ptr<GpmServer> server;
-    std::thread acceptThread;
-    std::uint16_t port = 0;
-    std::uint16_t metricsPort = 0;
+    test::Gpmd gpmd;
 };
 
 TEST_F(ReactorServerTest, HealthzAnswersOk)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/true);
+    gpmd.start({}, {}, /*metrics=*/true);
     std::string resp = httpGet("/healthz");
     EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos)
         << resp;
@@ -318,11 +248,11 @@ TEST_F(ReactorServerTest, HealthzAnswersOk)
 
 TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/true);
+    gpmd.start({}, {}, /*metrics=*/true);
 
     // Generate a little traffic first so the transport counters
     // are non-trivially populated.
-    TcpStream c = connect(port);
+    TcpStream c = gpmd.connect();
     roundTrip(c, R"({"id":1,"verb":"ping"})");
 
     std::string resp = httpGet("/metrics");
@@ -383,21 +313,24 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
     // The NDJSON plane keeps serving after the scrape.
     EXPECT_NE(roundTrip(c, R"({"verb":"ping"})").find("\"pong\":true"),
               std::string::npos);
+
+    // A request the server rejects as invalid is counted.
+    roundTrip(c, R"({"verb":"frobnicate"})");
+    EXPECT_NE(httpGet("/metrics").find("gpm_invalid_total 1"),
+              std::string::npos);
 }
 
 TEST_F(ReactorServerTest, DiskWriteFailuresReachStatsAndMetrics)
 {
-    char tmpl[] = "/tmp/gpm_reactor_disk_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    const std::string cacheDir = tmpl;
+    test::TempDir cacheDir;
     ServiceOptions svcOpts;
-    svcOpts.cacheDir = cacheDir;
-    startServer(ServerOptions{}, /*withMetrics=*/true, svcOpts);
+    svcOpts.cacheDir = cacheDir.path();
+    gpmd.start(svcOpts, {}, /*metrics=*/true);
 
     // The write-through of a computed result fails: the response is
     // served all the same, and the lost persistence is counted.
     ASSERT_FALSE(fault::arm("disk-write-fail"));
-    TcpStream c = connect(port);
+    TcpStream c = gpmd.connect();
     std::string resp =
         roundTrip(c, R"({"id":1,"verb":"submit","scenario":)"
                      R"({"combo":["mcf","crafty"],)"
@@ -415,12 +348,11 @@ TEST_F(ReactorServerTest, DiskWriteFailuresReachStatsAndMetrics)
     EXPECT_NE(httpGet("/metrics").find(
                   "gpm_disk_write_failures_total 1"),
               std::string::npos);
-    ::rmdir(cacheDir.c_str());
 }
 
 TEST_F(ReactorServerTest, MetricsSurfaceRejectsOtherRequests)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/true);
+    gpmd.start({}, {}, /*metrics=*/true);
     EXPECT_NE(httpGet("/nope").find("HTTP/1.0 404"),
               std::string::npos);
     EXPECT_NE(httpGet("/metrics", "POST").find("HTTP/1.0 405"),
@@ -429,8 +361,8 @@ TEST_F(ReactorServerTest, MetricsSurfaceRejectsOtherRequests)
 
 TEST_F(ReactorServerTest, RequestSplitAcrossManyWritesFrames)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/false);
-    TcpStream c = connect(port);
+    gpmd.start();
+    TcpStream c = gpmd.connect();
     const std::string req = R"({"id":7,"verb":"ping"})"
                             "\n";
     // Dribble the request one byte at a time: the reactor must
@@ -445,8 +377,8 @@ TEST_F(ReactorServerTest, RequestSplitAcrossManyWritesFrames)
 
 TEST_F(ReactorServerTest, PipelinedBurstAnswersEveryRequest)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/false);
-    TcpStream c = connect(port);
+    gpmd.start();
+    TcpStream c = gpmd.connect();
     const int kPings = 500;
     std::string burst;
     for (int i = 0; i < kPings; i++)
@@ -461,7 +393,7 @@ TEST_F(ReactorServerTest, PipelinedBurstAnswersEveryRequest)
         EXPECT_NE(response.find("\"pong\":true"),
                   std::string::npos);
     }
-    EXPECT_GE(server->requestCount(),
+    EXPECT_GE(gpmd.server->requestCount(),
               static_cast<std::uint64_t>(kPings));
 }
 
@@ -469,14 +401,14 @@ TEST_F(ReactorServerTest, MultipleReactorThreadsServeConcurrently)
 {
     ServerOptions opts;
     opts.reactorThreads = 3;
-    startServer(opts, /*withMetrics=*/true);
+    gpmd.start({}, opts, /*metrics=*/true);
 
     const int kConns = 12;
     std::vector<std::thread> clients;
     std::atomic<int> ok{0};
     for (int i = 0; i < kConns; i++)
         clients.emplace_back([&, i] {
-            auto conn = TcpStream::connectTo("127.0.0.1", port);
+            auto conn = TcpStream::connectTo("127.0.0.1", gpmd.port);
             if (!conn.ok())
                 return;
             TcpStream s = std::move(conn.value());
@@ -495,7 +427,7 @@ TEST_F(ReactorServerTest, MultipleReactorThreadsServeConcurrently)
     for (auto &t : clients)
         t.join();
     EXPECT_EQ(ok.load(), kConns);
-    EXPECT_GE(server->connectionCount(),
+    EXPECT_GE(gpmd.server->connectionCount(),
               static_cast<std::uint64_t>(kConns));
 
     // The gauge must agree that the threads exist.

@@ -9,90 +9,27 @@
 #include <chrono>
 #include <thread>
 
-#include "service/server.hh"
+#include "harness.hh"
 
 namespace gpm
 {
 namespace
 {
 
+using test::parseOk;
+using test::roundTrip;
+
 class ServerTest : public ::testing::Test
 {
   protected:
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
+    void SetUp() override { gpmd.start(); }
 
-    static ProfileLibrary &
-    lib()
-    {
-        static ProfileLibrary l(dvfs(), 0.03);
-        return l;
-    }
-
-    void
-    SetUp() override
-    {
-        auto listener = TcpListener::listenOn("127.0.0.1", 0);
-        ASSERT_TRUE(listener.ok()) << listener.error();
-        svc = std::make_unique<ScenarioService>(lib(), dvfs());
-        server = std::make_unique<GpmServer>(
-            *svc, std::move(listener.value()));
-        port = server->port();
-        ASSERT_NE(port, 0);
-        acceptThread = std::thread([this] { server->run(); });
-    }
-
-    void
-    TearDown() override
-    {
-        server->requestStop();
-        if (acceptThread.joinable())
-            acceptThread.join();
-        server->stopAndDrain();
-        server.reset();
-        svc.reset();
-    }
-
-    /** Open a connection, send one line, return the response line. */
-    std::string
-    roundTrip(TcpStream &stream, const std::string &line)
-    {
-        EXPECT_TRUE(stream.writeAll(line + "\n"));
-        std::string response;
-        EXPECT_EQ(stream.readLine(response),
-                  TcpStream::ReadStatus::Line);
-        return response;
-    }
-
-    TcpStream
-    connect()
-    {
-        auto conn = TcpStream::connectTo("127.0.0.1", port);
-        EXPECT_TRUE(conn.ok()) << (conn.ok() ? "" : conn.error());
-        return conn.ok() ? std::move(conn.value()) : TcpStream();
-    }
-
-    static json::Value
-    parseOk(const std::string &text)
-    {
-        auto r = json::parse(text);
-        EXPECT_TRUE(r.ok()) << text;
-        return r.ok() ? r.value() : json::Value();
-    }
-
-    std::unique_ptr<ScenarioService> svc;
-    std::unique_ptr<GpmServer> server;
-    std::uint16_t port = 0;
-    std::thread acceptThread;
+    test::Gpmd gpmd;
 };
 
 TEST_F(ServerTest, PingEchoesIdAndPongs)
 {
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     json::Value r =
         parseOk(roundTrip(c, R"({"id": 7, "verb": "ping"})"));
     EXPECT_TRUE(r.find("ok")->asBool());
@@ -107,7 +44,7 @@ TEST_F(ServerTest, SubmitThenCachedResubmitIsByteIdentical)
         R"({"combo": ["mcf"], "policy": "MaxBIPS", )"
         R"("budget": 0.8}})";
 
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     std::string first_line = roundTrip(c, submit);
     json::Value first = parseOk(first_line);
     ASSERT_TRUE(first.find("ok")->asBool()) << first_line;
@@ -118,7 +55,7 @@ TEST_F(ServerTest, SubmitThenCachedResubmitIsByteIdentical)
 
     // Resubmit on a second connection: served from cache with an
     // identical "result" field (the line differs only in "cached").
-    TcpStream c2 = connect();
+    TcpStream c2 = gpmd.connect();
     json::Value second = parseOk(roundTrip(c2, submit));
     ASSERT_TRUE(second.find("ok")->asBool());
     EXPECT_TRUE(second.find("cached")->asBool());
@@ -141,17 +78,18 @@ TEST_F(ServerTest, ShedAndDegradedSubmitsCarryTheirWireFields)
 {
     // Teach admission that exact MaxBIPS takes ~60 s and the ladder
     // floor ~1 ms, and build the profiles before any deadline runs.
-    svc->admissionController().recordService("MaxBIPS", 60000.0);
-    svc->admissionController().recordService("WaterFill", 1.0);
-    lib().get("mcf");
-    lib().get("crafty");
+    AdmissionController &ac = gpmd.svc->admissionController();
+    ac.recordService("MaxBIPS", 60000.0);
+    ac.recordService("WaterFill", 1.0);
+    test::profiles().get("mcf");
+    test::profiles().get("crafty");
     auto submit = [](const char *budget, const char *deadline_ms) {
         return std::string(R"({"verb": "submit", "scenario": )"
                            R"({"combo": ["mcf", "crafty"], )"
                            R"("policy": "MaxBIPS", "budget": )") +
             budget + R"(, "deadlineMs": )" + deadline_ms + "}}";
     };
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
 
     // Not even the floor meets 0.5 ms: shed at admission, with a
     // backoff hint.
@@ -183,7 +121,7 @@ TEST_F(ServerTest, ShedAndDegradedSubmitsCarryTheirWireFields)
 
 TEST_F(ServerTest, MalformedAndInvalidLinesGetStructuredErrors)
 {
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
 
     json::Value r = parseOk(roundTrip(c, "{nonsense"));
     EXPECT_FALSE(r.find("ok")->asBool());
@@ -214,26 +152,30 @@ TEST_F(ServerTest, MalformedAndInvalidLinesGetStructuredErrors)
     // The connection survives every error and still pings.
     r = parseOk(roundTrip(c, R"({"verb": "ping"})"));
     EXPECT_TRUE(r.find("ok")->asBool());
+
+    // Each of the four invalid lines is counted once.
+    r = parseOk(roundTrip(c, R"({"verb": "stats"})"));
+    EXPECT_EQ(r.find("result")->find("invalid")->asNumber(), 4.0);
 }
 
 TEST_F(ServerTest, MultipleRequestsPerConnectionAndCounters)
 {
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     for (int i = 0; i < 3; i++) {
         json::Value r =
             parseOk(roundTrip(c, R"({"verb": "ping"})"));
         EXPECT_TRUE(r.find("ok")->asBool());
     }
-    EXPECT_GE(server->requestCount(), 3u);
-    EXPECT_GE(server->connectionCount(), 1u);
+    EXPECT_GE(gpmd.server->requestCount(), 3u);
+    EXPECT_GE(gpmd.server->connectionCount(), 1u);
 }
 
 TEST_F(ServerTest, DrainDeliversInFlightResponseAndClosesIdleConn)
 {
     // One connection that goes silent...
-    TcpStream idle = connect();
+    TcpStream idle = gpmd.connect();
     // ...while another holds a submit in flight.
-    TcpStream busy = connect();
+    TcpStream busy = gpmd.connect();
     ASSERT_TRUE(busy.writeAll(
         R"({"id": "inflight", "verb": "submit", "scenario": )"
         R"({"combo": ["mcf"], "policy": "MaxBIPS", )"
@@ -242,17 +184,14 @@ TEST_F(ServerTest, DrainDeliversInFlightResponseAndClosesIdleConn)
     // Wait until the request is queued or being computed, so the
     // drain genuinely races live work.
     for (int i = 0; i < 5000; i++) {
-        ServiceStats s = svc->stats();
+        ServiceStats s = gpmd.svc->stats();
         if (s.inFlight > 0 || s.queueDepth > 0 || s.served > 0)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
 
     // The SIGTERM path: stop accepting, then drain.
-    server->requestStop();
-    if (acceptThread.joinable())
-        acceptThread.join();
-    server->stopAndDrain();
+    gpmd.stop();
 
     // The in-flight submit was answered before its socket closed.
     std::string response;
@@ -268,14 +207,13 @@ TEST_F(ServerTest, DrainDeliversInFlightResponseAndClosesIdleConn)
 
 TEST_F(ServerTest, ShutdownVerbStopsAcceptLoop)
 {
-    TcpStream c = connect();
+    TcpStream c = gpmd.connect();
     json::Value r =
         parseOk(roundTrip(c, R"({"verb": "shutdown"})"));
     EXPECT_TRUE(r.find("ok")->asBool());
     EXPECT_TRUE(r.find("result")->find("stopping")->asBool());
-    // The accept loop exits on its own; TearDown joins it.
-    if (acceptThread.joinable())
-        acceptThread.join();
+    // The accept loop exits on its own.
+    gpmd.join();
 }
 
 } // namespace

@@ -8,12 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
+#include "harness.hh"
 #include "service/service.hh"
 #include "util/fault.hh"
 
@@ -25,20 +24,6 @@ namespace
 class ServiceTest : public ::testing::Test
 {
   protected:
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-
-    static ProfileLibrary &
-    lib()
-    {
-        static ProfileLibrary l(dvfs(), 0.03);
-        return l;
-    }
-
     /** The scenario used throughout: a 2-core combo, MaxBIPS at two
      *  budgets. */
     static ScenarioSpec
@@ -60,14 +45,15 @@ TEST_F(ServiceTest, SubmitMatchesDirectSweep)
         ScenarioSpec spec = scenario();
         spec.policy = policy;
 
-        ScenarioService svc(lib(), dvfs());
+        ScenarioService svc(test::profiles(), test::dvfs());
         auto r = svc.submit(spec);
         ASSERT_TRUE(r.ok) << r.errorCode << ": " << r.errorMessage;
         EXPECT_FALSE(r.cacheHit);
         EXPECT_EQ(r.hash, spec.hash());
 
         // Ground truth: a direct sweep on an equivalent runner.
-        ExperimentRunner direct(lib(), dvfs(), spec.simConfig());
+        ExperimentRunner direct(test::profiles(), test::dvfs(),
+                                spec.simConfig());
         auto evals = direct.sweep(spec.sweepSpec());
         EXPECT_EQ(r.payload, serializeResults(spec, evals));
 
@@ -96,7 +82,7 @@ TEST_F(ServiceTest, SubmitMatchesDirectSweep)
 
 TEST_F(ServiceTest, RepeatedSubmitServedFromCacheBitIdentically)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     auto first = svc.submit(scenario());
     ASSERT_TRUE(first.ok);
     EXPECT_FALSE(first.cacheHit);
@@ -116,17 +102,21 @@ TEST_F(ServiceTest, RepeatedSubmitServedFromCacheBitIdentically)
 
 TEST_F(ServiceTest, EquivalentSpellingsShareOneCacheEntry)
 {
-    ScenarioService svc(lib(), dvfs());
-    auto a = svc.submitJsonText(
+    ScenarioService svc(test::profiles(), test::dvfs());
+    auto specA = parseScenario(json::parse(
         R"({"combo": ["mcf", "crafty"], "policy": "MaxBIPS",
-            "budgets": [0.75, 0.9]})");
+            "budgets": [0.75, 0.9]})").value());
+    ASSERT_TRUE(specA.ok()) << specA.error();
+    auto a = svc.submit(specA.value());
     ASSERT_TRUE(a.ok) << a.errorCode << ": " << a.errorMessage;
     // Same meaning, different spelling: key order swapped and an
     // explicit default sim block.
-    auto b = svc.submitJsonText(
+    auto specB = parseScenario(json::parse(
         R"({"policy": "MaxBIPS", "budgets": [0.75, 0.9],
             "combo": ["mcf", "crafty"],
-            "sim": {"exploreUs": 500, "deltaSimUs": 50}})");
+            "sim": {"exploreUs": 500, "deltaSimUs": 50}})").value());
+    ASSERT_TRUE(specB.ok()) << specB.error();
+    auto b = svc.submit(specB.value());
     ASSERT_TRUE(b.ok);
     EXPECT_TRUE(b.cacheHit);
     EXPECT_EQ(b.payload, a.payload);
@@ -134,7 +124,7 @@ TEST_F(ServiceTest, EquivalentSpellingsShareOneCacheEntry)
 
 TEST_F(ServiceTest, InvalidScenarioRejectedStructured)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     ScenarioSpec bad = scenario();
     bad.policy = "NoSuchPolicy";
     auto r = svc.submit(bad);
@@ -143,17 +133,13 @@ TEST_F(ServiceTest, InvalidScenarioRejectedStructured)
     EXPECT_NE(r.errorMessage.find("NoSuchPolicy"),
               std::string::npos);
     EXPECT_EQ(svc.stats().invalid, 1u);
-
-    auto p = svc.submitJsonText("this is not json");
-    EXPECT_FALSE(p.ok);
-    EXPECT_EQ(p.errorCode, "parse");
 }
 
 TEST_F(ServiceTest, ZeroCapacityQueueRejectsEveryMiss)
 {
     ServiceOptions opts;
     opts.queueCapacity = 0;
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
     auto r = svc.submit(scenario());
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.errorCode, "busy");
@@ -163,7 +149,7 @@ TEST_F(ServiceTest, ZeroCapacityQueueRejectsEveryMiss)
 
 TEST_F(ServiceTest, DrainedServiceRejectsNewWork)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     svc.drain();
     auto r = svc.submit(scenario());
     EXPECT_FALSE(r.ok);
@@ -175,7 +161,7 @@ TEST_F(ServiceTest, CacheEvictsLeastRecentlyUsed)
 {
     ServiceOptions opts;
     opts.cacheCapacity = 1;
-    ScenarioService svc(lib(), dvfs(), opts);
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
 
     ScenarioSpec a = scenario();
     a.budgets = {0.75};
@@ -195,14 +181,12 @@ TEST_F(ServiceTest, StatsCountStoreWriteFailures)
 {
     // Failed writes cost only persistence: the submit is served,
     // and each tier counts what it could not keep.
-    char tmpl[] = "/tmp/gpm_service_stores_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    const std::string root = tmpl;
-    ProfileLibrary storeLib(dvfs(), 0.03);
-    storeLib.attachStore(root + "/profiles");
+    test::TempDir root;
+    ProfileLibrary storeLib(test::dvfs(), 0.03);
+    storeLib.attachStore(root.path() + "/profiles");
     ServiceOptions opts;
-    opts.cacheDir = root + "/results";
-    ScenarioService svc(storeLib, dvfs(), opts);
+    opts.cacheDir = root.path() + "/results";
+    ScenarioService svc(storeLib, test::dvfs(), opts);
 
     ASSERT_FALSE(fault::arm("disk-write-fail,profile-write-fail"));
     auto r = svc.submit(scenario());
@@ -212,14 +196,11 @@ TEST_F(ServiceTest, StatsCountStoreWriteFailures)
     EXPECT_EQ(st.diskWriteFailures, 1u);
     EXPECT_EQ(st.profileWriteFailures, 2u); // mcf, crafty
     EXPECT_EQ(st.profileBuilds, 2u);
-
-    std::string cmd = "rm -rf " + root;
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
 }
 
 TEST_F(ServiceTest, ConcurrentIdenticalSubmitsAgree)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     constexpr int kClients = 4;
     std::vector<ScenarioService::Response> out(kClients);
     std::vector<std::thread> clients;
@@ -236,7 +217,7 @@ TEST_F(ServiceTest, ConcurrentIdenticalSubmitsAgree)
 
 TEST_F(ServiceTest, DistinctSimKnobsGetDistinctRunnersAndResults)
 {
-    ScenarioService svc(lib(), dvfs());
+    ScenarioService svc(test::profiles(), test::dvfs());
     ScenarioSpec fast = scenario();
     fast.budgets = {0.75};
     ScenarioSpec coarse = fast;
@@ -251,7 +232,8 @@ TEST_F(ServiceTest, DistinctSimKnobsGetDistinctRunnersAndResults)
     EXPECT_NE(a.payload, b.payload);
 
     // Each knob set is deterministic on its own runner.
-    ExperimentRunner direct(lib(), dvfs(), coarse.simConfig());
+    ExperimentRunner direct(test::profiles(), test::dvfs(),
+                            coarse.simConfig());
     EXPECT_EQ(b.payload,
               serializeResults(coarse,
                                direct.sweep(coarse.sweepSpec())));

@@ -11,9 +11,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "harness.hh"
 #include "service/disk_cache.hh"
 #include "trace/profile_store.hh"
 #include "util/binio.hh"
@@ -134,22 +134,8 @@ const std::string kProfileBlob(
 class StoreFormatTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        char tmpl[] = "/tmp/gpm_store_format_XXXXXX";
-        ASSERT_NE(::mkdtemp(tmpl), nullptr);
-        dir = tmpl;
-    }
-
-    void
-    TearDown() override
-    {
-        std::string cmd = "rm -rf " + dir;
-        ASSERT_EQ(std::system(cmd.c_str()), 0);
-    }
-
-    std::string dir;
+    test::TempDir tmp;
+    const std::string dir = tmp.path();
 };
 
 TEST_F(StoreFormatTest, Crc32CheckValue)

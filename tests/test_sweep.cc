@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness.hh"
 #include "metrics/experiment.hh"
 #include "trace/workload.hh"
 #include "util/thread_pool.hh"
@@ -17,21 +18,6 @@ namespace
 class SweepTest : public ::testing::Test
 {
   protected:
-    static ProfileLibrary &
-    lib()
-    {
-        static DvfsTable dvfs = DvfsTable::classic3();
-        static ProfileLibrary l(dvfs, 0.03);
-        return l;
-    }
-
-    static DvfsTable &
-    dvfs()
-    {
-        static DvfsTable d = DvfsTable::classic3();
-        return d;
-    }
-
     /** The spec used throughout: two combos, dynamic policies and a
      *  Static point, several budgets. */
     static SweepSpec
@@ -101,7 +87,7 @@ TEST_F(SweepTest, MatchesSerialLoopAtEveryConcurrency)
     SweepSpec s = spec();
 
     // The serial ground truth, on its own runner.
-    ExperimentRunner serial_runner(lib(), dvfs());
+    ExperimentRunner serial_runner(test::profiles(), test::dvfs());
     std::vector<PolicyEval> serial;
     for (const auto &p : s.points)
         serial.push_back(p.policy == "Static"
@@ -114,7 +100,7 @@ TEST_F(SweepTest, MatchesSerialLoopAtEveryConcurrency)
         SCOPED_TRACE("concurrency " + std::to_string(threads));
         // A fresh runner per concurrency so cache population order
         // is also exercised under contention.
-        ExperimentRunner r(lib(), dvfs());
+        ExperimentRunner r(test::profiles(), test::dvfs());
         expectIdentical(serial, r.sweep(s, threads));
     }
 }
@@ -122,7 +108,7 @@ TEST_F(SweepTest, MatchesSerialLoopAtEveryConcurrency)
 TEST_F(SweepTest, RepeatedSweepOnOneRunnerIsStable)
 {
     SweepSpec s = spec();
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     auto first = r.sweep(s, 4);
     auto second = r.sweep(s, 4);
     expectIdentical(first, second);
@@ -130,13 +116,13 @@ TEST_F(SweepTest, RepeatedSweepOnOneRunnerIsStable)
 
 TEST_F(SweepTest, EmptySpecYieldsEmptyResult)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     EXPECT_TRUE(r.sweep(SweepSpec{}, 4).empty());
 }
 
 TEST_F(SweepTest, TrySweepRejectsBadSpecsWithPointIndex)
 {
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
 
     SweepSpec bad_policy;
     bad_policy.add({"mcf"}, "MaxBIPS", 0.8);
@@ -173,7 +159,7 @@ TEST_F(SweepTest, TrySweepMatchesSweepOnValidSpecs)
     SweepSpec s;
     s.add({"mcf", "crafty"}, "MaxBIPS", 0.8);
     s.add({"mcf", "crafty"}, "Static", 0.85);
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
     auto tried = r.trySweep(s, 2);
     ASSERT_TRUE(tried.ok());
     expectIdentical(r.sweep(s, 2), tried.value());
@@ -182,7 +168,7 @@ TEST_F(SweepTest, TrySweepMatchesSweepOnValidSpecs)
 TEST_F(SweepTest, CancelTokenStopsSweepBetweenPoints)
 {
     SweepSpec s = spec();
-    ExperimentRunner r(lib(), dvfs());
+    ExperimentRunner r(test::profiles(), test::dvfs());
 
     // A pre-cancelled token: the sweep abandons the spec at its
     // first checkpoint and returns a truncated result.
@@ -218,8 +204,8 @@ TEST_F(SweepTest, ConcurrentRunnersShareOneProfileLibrary)
     // the library's internal locking must keep profiles consistent.
     SweepSpec s;
     s.addGrid({{"mcf", "art"}}, {"MaxBIPS"}, {0.8, 0.9});
-    ExperimentRunner a(lib(), dvfs());
-    ExperimentRunner b(lib(), dvfs());
+    ExperimentRunner a(test::profiles(), test::dvfs());
+    ExperimentRunner b(test::profiles(), test::dvfs());
     std::vector<PolicyEval> ra, rb;
     ThreadPool pool(2);
     pool.parallelFor(2, [&](std::size_t i) {
