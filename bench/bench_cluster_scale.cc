@@ -42,7 +42,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -66,56 +65,6 @@ constexpr double kBudgetFrac = 0.75;
 
 /** Flat reference only where the single-chip engine is plausible. */
 constexpr std::size_t flatRefMaxCores = 1024;
-
-std::vector<std::size_t>
-listFromEnv(const char *env, const char *fallback)
-{
-    const char *s = std::getenv(env);
-    if (!s || !*s)
-        s = fallback;
-    std::vector<std::size_t> out;
-    std::string tok;
-    for (const char *p = s;; p++) {
-        if (*p == ',' || *p == '\0') {
-            if (!tok.empty()) {
-                long v = std::atol(tok.c_str());
-                if (v >= 1)
-                    out.push_back(static_cast<std::size_t>(v));
-                tok.clear();
-            }
-            if (*p == '\0')
-                break;
-        } else {
-            tok += *p;
-        }
-    }
-    if (out.empty())
-        fatal("%s '%s' has no valid counts", env, s);
-    return out;
-}
-
-std::size_t
-itersFromEnv()
-{
-    const char *s = std::getenv("GPM_CLUSTER_ITERS");
-    if (!s || !*s)
-        return 50;
-    long v = std::atol(s);
-    return v > 0 ? static_cast<std::size_t>(v) : 50;
-}
-
-/** Percentile of an ascending-sorted sample [same unit as input]. */
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    double idx = p * static_cast<double>(sorted.size() - 1);
-    auto lo = static_cast<std::size_t>(idx);
-    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    double f = idx - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - f) + sorted[hi] * f;
-}
 
 /**
  * Chip i's predicted N-core ModeMatrix: core c runs suite workload
@@ -156,16 +105,19 @@ main()
         "MaxBIPS-DP allocation) and hierarchical-vs-flat BIPS at "
         "4-64 chips x 16-256 cores, k = 5 modes.");
 
-    DvfsTable dvfs = DvfsTable::linear(5);
+    // Every knob is read before the profile build, so a malformed
+    // one exits at once.
+    const std::vector<std::size_t> chip_counts =
+        bench::countsFromEnv("GPM_CLUSTER_M", "4,16,64");
+    const std::vector<std::size_t> core_counts =
+        bench::countsFromEnv("GPM_CLUSTER_N", "16,64,256");
+    const std::size_t iters =
+        bench::countFromEnv("GPM_CLUSTER_ITERS", 50);
     double scale = bench::scaleFromEnv();
+
+    DvfsTable dvfs = DvfsTable::linear(5);
     ProfileLibrary lib(dvfs, scale);
     bench::loadSuite(lib);
-
-    const std::vector<std::size_t> chip_counts =
-        listFromEnv("GPM_CLUSTER_M", "4,16,64");
-    const std::vector<std::size_t> core_counts =
-        listFromEnv("GPM_CLUSTER_N", "16,64,256");
-    const std::size_t iters = itersFromEnv();
 
     Table t({"chips", "cores", "p50 [us]", "p99 [us]", "hier BIPS",
              "flat BIPS", "gap"});
@@ -233,8 +185,8 @@ main()
             for (std::size_t i = 0; i < iters; i++)
                 lat_us[i] = decide();
             std::sort(lat_us.begin(), lat_us.end());
-            double p50 = percentile(lat_us, 0.50);
-            double p99 = percentile(lat_us, 0.99);
+            double p50 = bench::percentile(lat_us, 0.50);
+            double p99 = bench::percentile(lat_us, 0.99);
 
             if (!alloc.feasible)
                 fatal("facility budget infeasible at M=%zu N=%zu",

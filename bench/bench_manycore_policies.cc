@@ -60,57 +60,6 @@ constexpr double phi = 0.6180339887498949;
 /** Exact search stays affordable up to this many cores. */
 constexpr std::size_t exactRefMaxCores = 16;
 
-std::vector<std::size_t>
-coreCountsFromEnv()
-{
-    const char *s = std::getenv("GPM_MANYCORE_N");
-    if (!s || !*s)
-        return {8, 64, 256, 1024};
-    std::vector<std::size_t> ns;
-    std::string tok;
-    for (const char *p = s;; p++) {
-        if (*p == ',' || *p == '\0') {
-            if (!tok.empty()) {
-                long v = std::atol(tok.c_str());
-                if (v >= 1 &&
-                    v <= static_cast<long>(maxManyCoreCores))
-                    ns.push_back(static_cast<std::size_t>(v));
-                tok.clear();
-            }
-            if (*p == '\0')
-                break;
-        } else {
-            tok += *p;
-        }
-    }
-    if (ns.empty())
-        fatal("GPM_MANYCORE_N '%s' has no valid core counts", s);
-    return ns;
-}
-
-std::size_t
-itersFromEnv()
-{
-    const char *s = std::getenv("GPM_MANYCORE_ITERS");
-    if (!s || !*s)
-        return 100;
-    long v = std::atol(s);
-    return v > 0 ? static_cast<std::size_t>(v) : 100;
-}
-
-/** Percentile of an ascending-sorted sample [same unit as input]. */
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    double idx = p * static_cast<double>(sorted.size() - 1);
-    auto lo = static_cast<std::size_t>(idx);
-    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    double f = idx - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - f) + sorted[hi] * f;
-}
-
 /** Fraction of the slowest samples dropped before taking p99:
  *  migration/IRQ outliers, not solver behaviour. */
 constexpr double trimFrac = 0.02;
@@ -127,7 +76,7 @@ trimmedP99(const std::vector<double> &sorted)
         drop = sorted.size() - 1;
     std::vector<double> kept(sorted.begin(),
                              sorted.end() - drop);
-    return percentile(kept, 0.99);
+    return bench::percentile(kept, 0.99);
 }
 
 /** Pin this thread to the CPU it is on (best-effort): latency
@@ -191,15 +140,19 @@ main()
         "gap of the approximate MaxBIPS policies at 8-1024 cores, "
         "k = 5 modes.");
 
+    // Every knob is read before the profile build, so a malformed
+    // one exits at once.
+    const std::vector<std::size_t> core_counts = bench::countsFromEnv(
+        "GPM_MANYCORE_N", "8,64,256,1024", maxManyCoreCores);
+    const std::size_t iters =
+        bench::countFromEnv("GPM_MANYCORE_ITERS", 100);
+    double scale = bench::scaleFromEnv();
+
     // k = 5 linear modes: the many-core frontier needs more than the
     // paper's 3 points to differentiate DP/water-fill/greedy.
     DvfsTable dvfs = DvfsTable::linear(5);
-    double scale = bench::scaleFromEnv();
     ProfileLibrary lib(dvfs, scale);
     bench::loadSuite(lib);
-
-    const std::vector<std::size_t> core_counts = coreCountsFromEnv();
-    const std::size_t iters = itersFromEnv();
     const double budget_frac = 0.75;
 
     pinToCurrentCpu();
@@ -259,7 +212,7 @@ main()
                         .count();
             }
             std::sort(lat_us.begin(), lat_us.end());
-            double p50 = percentile(lat_us, 0.50);
+            double p50 = bench::percentile(lat_us, 0.50);
             double p99 = trimmedP99(lat_us);
             double bips = m.totalBips(assign);
             Watts power = m.totalPowerW(assign);

@@ -47,16 +47,6 @@ namespace
 
 using namespace gpm;
 
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    long v = std::atol(s);
-    return v > 0 ? static_cast<std::size_t>(v) : fallback;
-}
-
 /** Every request gets a budget no prior request of this process
  *  used (odd multiplier mod 2^16 is a bijection), so each one is a
  *  guaranteed cache miss while staying inside the valid (0, 1]
@@ -93,16 +83,6 @@ struct RunResult
             : 0.0;
     }
 };
-
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    std::size_t idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
-}
 
 /**
  * Submit @p n unique scenarios at @p perSec paced arrivals (0 =
@@ -170,7 +150,7 @@ report(const char *phase, const char *mode, double mult,
                 "ok %3zu  degraded %3zu  shed %3zu  deadline %3zu  "
                 "busy %3zu  internal %3zu\n",
                 phase, mode, mult, r.goodputPerSec(),
-                percentile(r.latenciesMs, 0.99), r.ok, r.degraded,
+                bench::percentile(r.latenciesMs, 0.99), r.ok, r.degraded,
                 r.shed, r.deadline, r.busy, r.internal);
     char buf[360];
     std::snprintf(
@@ -181,7 +161,7 @@ report(const char *phase, const char *mode, double mult,
         "\"ok\": %zu, \"degraded\": %zu, \"shed\": %zu, "
         "\"deadline\": %zu, \"busy\": %zu, \"internal\": %zu }",
         phase, mode, mult, r.goodputPerSec(),
-        percentile(r.latenciesMs, 0.99), r.ok, r.degraded, r.shed,
+        bench::percentile(r.latenciesMs, 0.99), r.ok, r.degraded, r.shed,
         r.deadline, r.busy, r.internal);
     bench::appendBenchLine(buf);
 }
@@ -225,7 +205,7 @@ hardenedOpts()
 int
 main()
 {
-    std::size_t n = envSize("GPM_BENCH_REQUESTS", 24);
+    std::size_t n = bench::countFromEnv("GPM_BENCH_REQUESTS", 24);
 
     bench::banner("Overload resilience",
                   "goodput + p99 across offered-load sweeps, "

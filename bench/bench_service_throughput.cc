@@ -92,16 +92,6 @@ namespace
 
 using namespace gpm;
 
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    long v = std::atol(s);
-    return v > 0 ? static_cast<std::size_t>(v) : fallback;
-}
-
 /** Lift the soft fd limit to the hard one: the transport phases
  *  hold (client + server) x conns sockets in one process. */
 void
@@ -256,16 +246,6 @@ runPhase(std::uint16_t port, std::size_t clients,
     return res;
 }
 
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    std::size_t idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
-}
-
 /** Failed requests summed over every reported phase. */
 std::size_t totalFailures = 0;
 
@@ -278,8 +258,8 @@ report(const char *phase, std::size_t clients,
     double total = static_cast<double>(clients * perClient);
     double perSec =
         res.wallMs > 0.0 ? total / (res.wallMs / 1000.0) : 0.0;
-    double p50 = percentile(res.latenciesMs, 0.50);
-    double p99 = percentile(res.latenciesMs, 0.99);
+    double p50 = bench::percentile(res.latenciesMs, 0.50);
+    double p99 = bench::percentile(res.latenciesMs, 0.99);
     std::printf("%-18s %7.0f scen/s  p50 %8.1f ms  p99 %8.1f ms  "
                 "wall %8.1f ms  degraded %zu  hits %zu%s\n",
                 phase, perSec, p50, p99, res.wallMs, res.degraded,
@@ -732,17 +712,17 @@ driveChurn(std::uint16_t port, std::size_t totalConns,
 int
 main()
 {
-    std::size_t clients = envSize("GPM_BENCH_CLIENTS", 4);
-    std::size_t perClient = envSize("GPM_BENCH_SCENARIOS", 8);
+    std::size_t clients = bench::countFromEnv("GPM_BENCH_CLIENTS", 4);
+    std::size_t perClient = bench::countFromEnv("GPM_BENCH_SCENARIOS", 8);
     std::size_t reactorConns =
-        envSize("GPM_BENCH_REACTOR_CONNS", 5000);
-    std::size_t tpcConns = envSize(
+        bench::countFromEnv("GPM_BENCH_REACTOR_CONNS", 5000);
+    std::size_t tpcConns = bench::countFromEnv(
         "GPM_BENCH_TPC_CONNS",
         reactorConns >= 5 ? reactorConns / 5 : 1);
     std::size_t connScenarios =
-        envSize("GPM_BENCH_CONN_SCENARIOS", 8);
+        bench::countFromEnv("GPM_BENCH_CONN_SCENARIOS", 8);
     std::size_t churnConns =
-        envSize("GPM_BENCH_CHURN_CONNS", 2000);
+        bench::countFromEnv("GPM_BENCH_CHURN_CONNS", 2000);
 
     bench::banner("Serving-path throughput",
                   "pipelined clients against an in-process gpmd: "

@@ -14,8 +14,10 @@
 #ifndef GPM_BENCH_COMMON_HH
 #define GPM_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fcntl.h>
@@ -42,6 +44,61 @@ scaleFromEnv(const char *var = "GPM_SCALE", double fallback = 1.0)
 {
     const char *s = std::getenv(var);
     return s && *s ? scaleFlag(var, s) : fallback;
+}
+
+/** The whole of @p text as a count in [1, @p max] (the strict
+ *  parseNumber() of the command-line flags), or exit 1 naming
+ *  @p var. */
+inline std::size_t
+countValue(const char *var, const char *text, std::size_t max)
+{
+    auto v = parseNumber<std::size_t>(text);
+    if (!v || *v < 1 || *v > max)
+        fatal("%s: '%s' is not a count in [1, %zu]", var, text, max);
+    return *v;
+}
+
+/** The count in @p var (@p fallback when unset or empty); a value
+ *  that is not an integer in [1, @p max] exits 1 naming @p var. */
+inline std::size_t
+countFromEnv(const char *var, std::size_t fallback,
+             std::size_t max = SIZE_MAX)
+{
+    const char *s = std::getenv(var);
+    return s && *s ? countValue(var, s, max) : fallback;
+}
+
+/** The comma-separated counts in @p var (@p fallback when unset or
+ *  empty), each read as countFromEnv() reads one. */
+inline std::vector<std::size_t>
+countsFromEnv(const char *var, const char *fallback,
+              std::size_t max = SIZE_MAX)
+{
+    const char *s = std::getenv(var);
+    std::string text = s && *s ? s : fallback;
+    std::vector<std::size_t> out;
+    std::size_t start = 0, comma;
+    do {
+        comma = text.find(',', start);
+        out.push_back(countValue(
+            var, text.substr(start, comma - start).c_str(), max));
+        start = comma + 1;
+    } while (comma != std::string::npos);
+    return out;
+}
+
+/** The @p p quantile of an ascending-sorted sample, interpolated
+ *  linearly between the two nearest ranks (0 when empty). */
+inline double
+percentile(const std::vector<double> &sorted, double p)
+{
+    if (sorted.empty())
+        return 0.0;
+    double idx = p * static_cast<double>(sorted.size() - 1);
+    auto lo = static_cast<std::size_t>(idx);
+    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    double f = idx - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - f) + sorted[hi] * f;
 }
 
 /**

@@ -18,8 +18,8 @@ BUILD="${1:-build}"
 # service (concurrent identical submits; each job carries its
 # scenario text from the submitting thread to a worker), the cluster
 # manager (chips fanned out over the shared pool), and the serving
-# stack over real sockets: protocol, faults, overload, batches, the
-# reactor and /metrics, and gpmctl against two daemons.
+# stack over real sockets: protocol, faults, overload, pipelined
+# submits, the reactor and /metrics, and gpmctl against two daemons.
 TSAN_FILTER="ThreadPool.*:SweepTest.*:ProfileStoreTest.*"
 TSAN_FILTER+=":ServiceTest.*"
 TSAN_FILTER+=":ServerTest.*:ChaosServerTest.*:ChaosServiceTest.*"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 #include "core/policies.hh"
 #include "util/logging.hh"
@@ -95,34 +94,6 @@ quantizeFrontier(const ChipFrontier &f, unsigned levels)
     return out;
 }
 
-namespace
-{
-
-/** Dispatch a facility-level solve to the named policy kernel. */
-std::vector<PowerMode>
-solveClusterLevel(const std::string &policy, const ModeMatrix &m,
-                  Watts budget_w)
-{
-    if (policy == "MaxBIPS")
-        return MaxBipsPolicy::solve(m, budget_w);
-    if (policy.rfind("MaxBIPS-DP", 0) == 0) {
-        const std::string suffix = policy.substr(10);
-        unsigned grid = MaxBipsDpPolicy::defaultGrid;
-        if (!suffix.empty())
-            grid = static_cast<unsigned>(
-                std::strtoul(suffix.c_str(), nullptr, 10));
-        return MaxBipsDpPolicy::solve(m, budget_w, grid);
-    }
-    if (policy == "WaterFill")
-        return WaterFillPolicy::solve(m, budget_w);
-    if (policy == "GreedyTurbo")
-        return GreedyTurboPolicy::solve(m, budget_w);
-    fatal("'%s' is not a cluster arbitration policy",
-          policy.c_str());
-}
-
-} // namespace
-
 bool
 isClusterPolicyName(const std::string &name)
 {
@@ -140,6 +111,7 @@ allocateFacilityBudget(const std::vector<ChipFrontier> &chips,
 {
     const std::size_t m = chips.size();
     GPM_ASSERT(m > 0);
+    GPM_ASSERT(isClusterPolicyName(policy));
     std::size_t k = 0;
     Watts floor_w = 0.0;
     for (const auto &c : chips) {
@@ -178,8 +150,12 @@ allocateFacilityBudget(const std::vector<ChipFrontier> &chips,
         }
     }
 
-    std::vector<PowerMode> pick =
-        solveClusterLevel(policy, mat, facility_w);
+    // The facility level is one policy decision: chips as cores,
+    // frontier points as modes.
+    PolicyInput in;
+    in.predicted = &mat;
+    in.budgetW = facility_w;
+    std::vector<PowerMode> pick = makePolicy(policy)->decide(in);
     for (std::size_t i = 0; i < m; i++) {
         out.awardsW[i] = mat.powerW(i, pick[i]);
         out.predictedBips += mat.bips(i, pick[i]);

@@ -59,8 +59,7 @@ AdmissionController::Decision
 AdmissionController::preAdmit(std::uint64_t clientId,
                               const std::string &serviceKey,
                               const std::string &floorKey,
-                              double deadlineMs, std::size_t load,
-                              std::size_t count)
+                              double deadlineMs, std::size_t load)
 {
     Decision d;
     if (!opts.enabled)
@@ -76,8 +75,8 @@ AdmissionController::preAdmit(std::uint64_t clientId,
         if (auto it = queuedByClient.find(clientId);
             it != queuedByClient.end())
             held = it->second;
-        if (held + count > clientShare) {
-            shed += count;
+        if (held >= clientShare) {
+            shed++;
             d.admit = false;
             d.errorCode = "rejected_overload";
             d.errorMessage = "client already holds " +
@@ -102,7 +101,7 @@ AdmissionController::preAdmit(std::uint64_t clientId,
                  static_cast<double>(workers));
             double predictedMs = waitMs + per;
             if (predictedMs * opts.headroom > deadlineMs) {
-                shed += count;
+                shed++;
                 d.admit = false;
                 d.errorCode = "rejected_overload";
                 char buf[160];
@@ -121,13 +120,12 @@ AdmissionController::preAdmit(std::uint64_t clientId,
 }
 
 void
-AdmissionController::onEnqueue(std::uint64_t clientId,
-                               std::size_t count)
+AdmissionController::onEnqueue(std::uint64_t clientId)
 {
     if (clientId == 0)
         return;
     std::lock_guard<std::mutex> lock(mtx);
-    queuedByClient[clientId] += count;
+    queuedByClient[clientId]++;
 }
 
 void

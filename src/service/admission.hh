@@ -91,19 +91,16 @@ class AdmissionController
      * EWMA key (see serviceKeyFor); @p floorKey is the EWMA key of
      * the cheapest solver execution could degrade to (equal to
      * @p serviceKey when the ladder does not apply); @p deadlineMs
-     * 0 means none; @p count admits a batch of N as one client
-     * unit (fairness counts all N, doom prediction treats them as
-     * queued work).
+     * 0 means none.
      */
     Decision preAdmit(std::uint64_t clientId,
                       const std::string &serviceKey,
                       const std::string &floorKey,
-                      double deadlineMs, std::size_t load,
-                      std::size_t count = 1);
+                      double deadlineMs, std::size_t load);
 
     /** The request was enqueued; holds a fairness slot until
      *  onDequeue(). */
-    void onEnqueue(std::uint64_t clientId, std::size_t count = 1);
+    void onEnqueue(std::uint64_t clientId);
     /** A worker popped (or shed) the client's request. */
     void onDequeue(std::uint64_t clientId);
 

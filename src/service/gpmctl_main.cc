@@ -33,21 +33,19 @@
  * ping/stats/shutdown, start at the first endpoint and move down
  * the list.
  *
- * submit-batch reads one scenario object per line from FILE, groups
- * the scenarios by owning endpoint (input order kept within each
- * group), sends each group as submit_batch requests, and prints one
- * result line per scenario on stdout in input order, every line's
- * "index" set to its input-file position (the server answers in
- * completion order and indexes within its own request; gpmctl
- * reorders and re-indexes). Exit 0 only when every scenario
- * succeeded. Retries (below) re-send a whole request, never a
- * subset, and a request's lines are printed only once its full
- * response set arrived — a mid-stream retry cannot duplicate
- * output. --max-inflight N caps how many scenarios one request
- * keeps in flight: a group larger than N is sent as consecutive
- * windows of N, each retried as a unit down the ranking of its
- * first scenario. This keeps one gpmctl from monopolizing a
- * server's per-client queue share.
+ * submit-batch reads one scenario object per line from FILE and
+ * sends each as a pipelined submit whose "id" is its input-file
+ * position. The scenarios are grouped by owning endpoint (input
+ * order kept within each group), and each group goes out in windows
+ * of at most --max-inflight scenarios (0 = the whole group), one
+ * connection per window. Each scenario's submit response line is
+ * printed on stdout in input order, whatever order the daemons
+ * answered in. Exit 0 only when every scenario succeeded. A retry
+ * (below) re-sends only the window's scenarios that are not settled
+ * yet — answered with a transient code, or not answered at all — so
+ * no line is ever printed twice, and a file larger than one
+ * client's share of a daemon's queue finishes under --retries
+ * instead of being refused whole.
  *
  * Retry options (see docs/ROBUSTNESS.md): --retries N (additional
  * attempts after the first, default 0), --retry-base-ms B (backoff
@@ -76,6 +74,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -230,7 +229,7 @@ main(int argc, char **argv)
     double deadline_ms = 0.0;
     double timeout_ms = 0.0;
     unsigned long long seed = 1;
-    long max_inflight = 0; // 0 = the whole batch in one request
+    long max_inflight = 0; // 0 = each owner group is one window
 
     auto need = [&](int i) -> const char * {
         if (i + 1 >= argc)
@@ -358,8 +357,7 @@ main(int argc, char **argv)
 
     Value request = Value::object();
     request.set("id", "gpmctl");
-    request.set("verb", command == "submit-batch" ? "submit_batch"
-                                                  : command);
+    request.set("verb", command);
 
     if (command == "submit") {
         Value scenario = Value::object();
@@ -437,9 +435,13 @@ main(int argc, char **argv)
         request.set("scenario", std::move(scenario));
     }
 
-    std::vector<Value> batch_scenarios;
-    std::size_t batch_count = 0;
-    if (command == "submit-batch") {
+    // The requests to send, in output order: ping, stats, shutdown
+    // and submit send one, with id "gpmctl"; submit-batch sends one
+    // submit per scenario of FILE, its id the input position.
+    std::vector<Value> requests;
+    if (command != "submit-batch") {
+        requests.push_back(std::move(request));
+    } else {
         if (batch_file.empty())
             die("submit-batch needs an @FILE.ndjson argument");
         std::FILE *f = std::fopen(batch_file.c_str(), "rb");
@@ -455,8 +457,8 @@ main(int argc, char **argv)
         if (!read_ok)
             die("cannot read '" + batch_file + "'");
         // One scenario object per non-blank line; reject the whole
-        // file on the first malformed line rather than sending a
-        // batch the server will reject anyway.
+        // file on the first line that is not JSON (a scenario that
+        // is JSON but invalid gets its own "invalid" answer).
         std::size_t line_no = 0, pos = 0;
         while (pos < text.size()) {
             std::size_t nl = text.find('\n', pos);
@@ -473,10 +475,13 @@ main(int argc, char **argv)
             if (!parsed.ok())
                 die(batch_file + ":" + std::to_string(line_no) +
                     ": " + parsed.error().message);
-            batch_scenarios.push_back(std::move(parsed.value()));
-            batch_count++;
+            Value req = Value::object();
+            req.set("id", Value(requests.size()));
+            req.set("verb", "submit");
+            req.set("scenario", std::move(parsed.value()));
+            requests.push_back(std::move(req));
         }
-        if (batch_count == 0)
+        if (requests.empty())
             die("'" + batch_file + "' holds no scenarios");
     }
 
@@ -508,30 +513,30 @@ main(int argc, char **argv)
         return h && h->isNumber() ? h->asNumber() : 0.0;
     };
 
-    // submit-batch output by input-file position: empty until the
-    // scenario's request is answered, then the line to print ("" for
-    // none). Lines print as soon as every line before them is known,
-    // so output stays in input order however the batch was split.
-    std::vector<std::optional<std::string>> pending(batch_count);
+    // Response lines by request, in input order: empty until the
+    // request is settled. A line prints as soon as every line before
+    // it has, so output stays in input order however the requests
+    // were grouped.
+    std::vector<std::optional<std::string>> settled(requests.size());
     std::size_t printed = 0;
-    auto settle = [&](std::size_t pos, std::string line) {
-        pending[pos] = std::move(line);
-        for (; printed < pending.size() && pending[printed]; printed++)
-            if (!pending[printed]->empty())
-                std::printf("%s\n", pending[printed]->c_str());
+    int rc = 0;
+    auto settle = [&](std::size_t pos, std::string line, bool ok) {
+        if (!ok)
+            rc = 2;
+        settled[pos] = std::move(line);
+        for (; printed < settled.size() && settled[printed]; printed++)
+            std::printf("%s\n", settled[printed]->c_str());
     };
 
-    // One request's full send/retry cycle; attempt k goes to
-    // endpoint order[k % size]. For submit_batch requests
-    // @p positions holds each scenario's input-file position (the
-    // responses are buffered, sorted by index and settled together);
-    // empty means a single-response verb. Returns the exit code;
-    // transport failures past the retry budget die(1) from inside.
-    auto runWire = [&](const std::string &wire,
-                       const std::vector<std::size_t> &order,
-                       const std::vector<std::size_t> &positions)
-        -> int {
-        const std::size_t expect = positions.size();
+    // One window's send/retry cycle: every attempt sends the
+    // window's open requests pipelined on one connection, to
+    // endpoint order[k % size] on attempt k, and settles each final
+    // response. A response is final unless it carries a transient
+    // code while the retry budget is open; those requests, and any
+    // a failed attempt left unanswered, are the next attempt's.
+    // Transport failures past the retry budget die(1) from inside.
+    auto runWindow = [&](std::vector<std::size_t> open,
+                         const std::vector<std::size_t> &order) {
         for (long attempt = 0;; attempt++) {
             double remaining_ms = deadline_ms > 0.0
                 ? deadline_ms - elapsed_ms()
@@ -542,9 +547,13 @@ main(int argc, char **argv)
                     std::to_string(attempt) + " attempt(s)");
 
             std::string failure;
-            std::string response;
-            bool got_response = false;
             double retry_floor_ms = 0.0;
+            // The open requests not answered yet, by id.
+            std::map<std::string, std::size_t> owed;
+            for (std::size_t pos : open)
+                owed.emplace(requests[pos].find("id")->dump(), pos);
+            std::vector<std::size_t> again;
+            std::string transient;
 
             const Endpoint &ep = endpoints[order[static_cast<
                 std::size_t>(attempt) % order.size()]];
@@ -565,178 +574,68 @@ main(int argc, char **argv)
                     stream.setReadTimeoutMs(ms);
                     stream.setWriteTimeoutMs(ms);
                 }
-                if (!stream.writeAll(wire)) {
+                std::string wire;
+                for (std::size_t pos : open) {
+                    wire += requests[pos].dump();
+                    wire += '\n';
+                }
+                if (!stream.writeAll(wire))
                     failure = "failed to send request";
-                } else if (expect > 0) {
-                    // Buffer the full response set before printing
-                    // anything: a retry re-sends the whole batch,
-                    // so partial output from a failed attempt would
-                    // be duplicated.
-                    std::vector<std::pair<std::size_t, std::string>>
-                        results;
-                    std::string batch_error;
-                    while (results.size() < expect &&
-                           failure.empty() && batch_error.empty()) {
-                        std::string ln;
-                        switch (stream.readLine(ln)) {
-                        case gpm::TcpStream::ReadStatus::Line: {
-                            auto parsed = gpm::json::parse(ln);
-                            if (!parsed.ok()) {
-                                failure =
-                                    "unparseable response line";
-                                break;
-                            }
-                            const Value *idx =
-                                parsed.value().find("index");
-                            if (!idx || !idx->isNumber()) {
-                                // Batch-level line: the
-                                // one-and-only response (admission
-                                // error).
-                                batch_error = ln;
-                                break;
-                            }
-                            if (!(idx->asNumber() >= 0.0 &&
-                                  idx->asNumber() <
-                                      static_cast<double>(expect))) {
-                                failure = "response index out of "
-                                          "range";
-                                break;
-                            }
-                            results.emplace_back(
-                                static_cast<std::size_t>(
-                                    idx->asNumber()),
-                                ln);
-                            break;
-                        }
-                        case gpm::TcpStream::ReadStatus::Timeout:
-                            failure = "timed out waiting for "
-                                      "batch responses";
-                            break;
-                        default:
-                            failure = "connection closed mid-batch";
-                        }
-                    }
-                    if (!batch_error.empty()) {
-                        auto parsed = gpm::json::parse(batch_error);
-                        const Value *err =
-                            parsed.value().find("error");
-                        std::string code;
-                        if (err && err->find("code") &&
-                            err->find("code")->isString())
-                            code = err->find("code")->asString();
-                        if (!transientCode(code) ||
-                            !canRetry(attempt)) {
-                            settle(positions[0], batch_error);
-                            for (std::size_t k = 1; k < expect; k++)
-                                settle(positions[k], "");
-                            return 2;
-                        }
-                        retry_floor_ms = retryHintOf(err);
-                        failure =
-                            "server rejected the batch with '" +
-                            code + "'";
-                    } else if (failure.empty()) {
-                        // Full set received: settle in input order,
-                        // exit non-zero if any scenario failed.
-                        std::sort(results.begin(), results.end(),
-                                  [](const auto &a, const auto &b) {
-                                      return a.first < b.first;
-                                  });
-                        int rc = 0;
-                        for (const auto &r : results) {
-                            auto parsed =
-                                gpm::json::parse(r.second);
-                            const Value *ok = parsed.ok()
-                                ? parsed.value().find("ok")
-                                : nullptr;
-                            if (!(ok && ok->isBool() &&
-                                  ok->asBool()))
-                                rc = 2;
-                            // The daemon indexes within *its*
-                            // request; re-index lines to their
-                            // input-file positions so callers can
-                            // match lines by index.
-                            std::size_t pos = positions[r.first];
-                            if (pos != r.first && parsed.ok()) {
-                                parsed.value().set("index",
-                                                   Value(pos));
-                                settle(pos, parsed.value().dump());
-                            } else {
-                                settle(pos, r.second);
-                            }
-                        }
-                        return rc;
-                    }
-                } else {
-                    switch (stream.readLine(response)) {
-                    case gpm::TcpStream::ReadStatus::Line:
-                        got_response = true;
+                while (failure.empty() && !owed.empty()) {
+                    std::string ln;
+                    auto status = stream.readLine(ln);
+                    if (status == gpm::TcpStream::ReadStatus::Timeout) {
+                        failure = "timed out waiting for a response";
                         break;
-                    case gpm::TcpStream::ReadStatus::Timeout:
-                        failure =
-                            "timed out waiting for a response";
-                        break;
-                    default:
-                        failure = "connection closed before a "
+                    }
+                    if (status != gpm::TcpStream::ReadStatus::Line) {
+                        failure = "connection closed before every "
                                   "response arrived";
+                        break;
                     }
-                }
-            }
-
-            if (got_response) {
-                auto parsed = gpm::json::parse(response);
-                if (!parsed.ok())
-                    die("unparseable response");
-                // Transient server-side outcomes are retried;
-                // anything else (including validation errors) is
-                // final.
-                const Value *err = parsed.value().find("error");
-                std::string code;
-                if (err && err->find("code") &&
-                    err->find("code")->isString())
-                    code = err->find("code")->asString();
-                if (!transientCode(code) || !canRetry(attempt)) {
-                    std::printf("%s\n", response.c_str());
+                    auto parsed = gpm::json::parse(ln);
+                    const Value *id =
+                        parsed.ok() ? parsed.value().find("id") : nullptr;
+                    auto it = id ? owed.find(id->dump()) : owed.end();
+                    if (it == owed.end()) {
+                        failure = "response matches no request";
+                        break;
+                    }
+                    std::size_t pos = it->second;
+                    owed.erase(it);
+                    // Transient server-side outcomes are retried;
+                    // anything else (including validation errors)
+                    // is final.
+                    const Value *err = parsed.value().find("error");
+                    const Value *c = err ? err->find("code") : nullptr;
+                    std::string code = c && c->isString() ? c->asString()
+                                                          : "";
+                    if (transientCode(code) && canRetry(attempt)) {
+                        again.push_back(pos);
+                        transient = code;
+                        retry_floor_ms =
+                            std::max(retry_floor_ms, retryHintOf(err));
+                        continue;
+                    }
                     const Value *ok = parsed.value().find("ok");
-                    bool is_ok =
-                        ok && ok->isBool() && ok->asBool();
-                    // After the raw JSON line (which scripts
-                    // grep), pretty-print every counter the server
-                    // reported — generically and KEY-SORTED, so
-                    // new counters show up without a client
-                    // release and smoke greps see a stable order.
-                    // Bare strings print unquoted (breaker states
-                    // read as open/half-open/closed, not
-                    // "\"open\"").
-                    if (command == "stats" && is_ok) {
-                        const Value *res =
-                            parsed.value().find("result");
-                        if (res && res->isObject()) {
-                            std::vector<std::pair<std::string,
-                                                  std::string>>
-                                rows;
-                            for (const auto &[key, val] :
-                                 res->asObject())
-                                rows.emplace_back(
-                                    key,
-                                    val.isString()
-                                        ? val.asString()
-                                        : val.dump());
-                            std::sort(rows.begin(), rows.end());
-                            for (const auto &[key, val] : rows)
-                                std::fprintf(stderr,
-                                             "gpmctl: %s: %s\n",
-                                             key.c_str(),
-                                             val.c_str());
-                        }
-                    }
-                    return is_ok ? 0 : 2;
+                    settle(pos, std::move(ln),
+                           ok && ok->isBool() && ok->asBool());
                 }
-                retry_floor_ms = retryHintOf(err);
-                failure = "server reported '" + code + "'";
-            } else if (!canRetry(attempt)) {
-                die(failure);
             }
+            for (const auto &[id, pos] : owed)
+                again.push_back(pos);
+            if (again.empty())
+                return;
+            if (!failure.empty() && !canRetry(attempt))
+                die(failure);
+            std::sort(again.begin(), again.end());
+            open = std::move(again);
+            if (failure.empty())
+                failure = "server reported '" + transient + "'" +
+                    (open.size() > 1
+                         ? " for " + std::to_string(open.size()) +
+                             " requests"
+                         : "");
 
             // Any retried failure — transport or a transient
             // refusal — moves to the next endpoint in @p order, so
@@ -784,42 +683,47 @@ main(int argc, char **argv)
         }
     };
 
-    if (command != "submit-batch")
-        return runWire(request.dump() + "\n",
-                       endpointOrder(request.find("scenario")), {});
-
-    // Split the batch by owning endpoint, keeping input order within
-    // each group, and send each group as consecutive submit_batch
-    // windows of at most --max-inflight scenarios. A window is
-    // retried as a unit down the ranking of its first scenario.
+    // Group the requests by owning endpoint, keeping input order
+    // within each group, and send each group as consecutive windows
+    // of at most --max-inflight requests. A window's retries walk
+    // the ranking of its first request.
     std::vector<std::vector<std::size_t>> orders;
     std::vector<std::vector<std::size_t>> groups(endpoints.size());
-    for (std::size_t i = 0; i < batch_count; i++) {
-        orders.push_back(endpointOrder(&batch_scenarios[i]));
+    for (std::size_t i = 0; i < requests.size(); i++) {
+        orders.push_back(endpointOrder(requests[i].find("scenario")));
         groups[orders.back()[0]].push_back(i);
     }
     std::size_t window = max_inflight > 0
         ? static_cast<std::size_t>(max_inflight)
-        : batch_count;
-    int rc = 0;
-    for (const auto &group : groups) {
-        for (std::size_t off = 0; off < group.size(); off += window) {
-            std::vector<std::size_t> positions(
-                group.begin() + static_cast<std::ptrdiff_t>(off),
-                group.begin() + static_cast<std::ptrdiff_t>(
-                                    std::min(group.size(),
-                                             off + window)));
-            Value scenarios = Value::array();
-            for (std::size_t pos : positions)
-                scenarios.push(batch_scenarios[pos]);
-            Value req = Value::object();
-            req.set("id", "gpmctl");
-            req.set("verb", "submit_batch");
-            req.set("scenarios", std::move(scenarios));
-            int wrc = runWire(req.dump() + "\n", orders[positions[0]],
-                              positions);
-            if (wrc != 0)
-                rc = wrc;
+        : requests.size();
+    for (const auto &group : groups)
+        for (std::size_t off = 0; off < group.size(); off += window)
+            runWindow(
+                std::vector<std::size_t>(
+                    group.begin() + static_cast<std::ptrdiff_t>(off),
+                    group.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(group.size(),
+                                                 off + window))),
+                orders[group[off]]);
+
+    // After the raw JSON line (which scripts grep), pretty-print
+    // every counter the server reported — generically and
+    // KEY-SORTED, so new counters show up without a client release
+    // and smoke greps see a stable order. Bare strings print
+    // unquoted (breaker states read as open/half-open/closed, not
+    // "\"open\"").
+    if (command == "stats" && rc == 0) {
+        auto parsed = gpm::json::parse(*settled[0]);
+        const Value *res = parsed.value().find("result");
+        if (res && res->isObject()) {
+            std::vector<std::pair<std::string, std::string>> rows;
+            for (const auto &[key, val] : res->asObject())
+                rows.emplace_back(key, val.isString() ? val.asString()
+                                                      : val.dump());
+            std::sort(rows.begin(), rows.end());
+            for (const auto &[key, val] : rows)
+                std::fprintf(stderr, "gpmctl: %s: %s\n", key.c_str(),
+                             val.c_str());
         }
     }
     return rc;

@@ -104,8 +104,6 @@ renderPrometheus(const ServiceStats &s, const ReactorStats &r,
             s.shedDeadline);
     promCounter(out,"gpm_worker_crashes_total",
             "Contained worker crashes", s.workerCrashes);
-    promCounter(out,"gpm_batch_requests_total",
-            "submit_batch requests admitted", s.batchRequests);
     promCounter(out,"gpm_disk_hits_total",
             "Disk-tier hits promoted to memory", s.diskHits);
     promCounter(out,"gpm_disk_evictions_total",

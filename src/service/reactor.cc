@@ -752,17 +752,17 @@ ReactorConn::wake()
 }
 
 void
-ReactorConn::addPending(std::size_t n)
+ReactorConn::addPending()
 {
-    pending.fetch_add(n, std::memory_order_acq_rel);
+    pending.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void
-ReactorConn::decPending(std::size_t n)
+ReactorConn::decPending()
 {
     // The last dispatched response just resolved: the owner must
     // re-evaluate whether an EOF'd/closing connection can go now.
-    if (pending.fetch_sub(n, std::memory_order_acq_rel) == n)
+    if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
         wake();
 }
 

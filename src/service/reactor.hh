@@ -110,10 +110,11 @@ class ReactorConn
      */
     void send(std::string line);
 
-    /** Responses dispatched but not yet enqueued via send(). */
-    void addPending(std::size_t n);
+    /** One more response dispatched but not yet enqueued via
+     *  send(). */
+    void addPending();
     /** One dispatched response was enqueued (or abandoned). */
-    void decPending(std::size_t n = 1);
+    void decPending();
     std::size_t pendingCount() const
     {
         return pending.load(std::memory_order_acquire);

@@ -119,15 +119,6 @@ okResponse(const Value &id, Value result)
     return root.dump();
 }
 
-std::string
-hashHex(std::uint64_t hash)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
-
 /** @p head's members, then the already-serialized @p payload as
  *  "result", appended in place (with room for sendLine's newline)
  *  so cached and computed responses are byte-identical in their
@@ -145,7 +136,7 @@ withResult(const Value &head, const std::string &payload)
     return out;
 }
 
-/** Single-submit response. */
+/** A submit's response line. */
 std::string
 submitResponse(const Value &id, const ScenarioService::Response &r)
 {
@@ -155,33 +146,6 @@ submitResponse(const Value &id, const ScenarioService::Response &r)
     Value head = Value::object();
     head.set("id", id);
     head.set("ok", true);
-    head.set("cached", r.cacheHit);
-    if (!r.degradedTo.empty())
-        head.set("degraded", degradedMarker(r));
-    return withResult(head, r.payload);
-}
-
-/** One submit_batch per-scenario response line: position in the
- *  request array plus the canonical hash, so clients can match
- *  out-of-order completions however they prefer. */
-std::string
-batchResponse(const Value &id, std::size_t index,
-              const ScenarioService::Response &r)
-{
-    Value head = Value::object();
-    head.set("id", id);
-    head.set("ok", r.ok);
-    head.set("index", index);
-    head.set("hash", hashHex(r.hash));
-    if (!r.ok) {
-        Value err = Value::object();
-        err.set("code", r.errorCode);
-        err.set("message", r.errorMessage);
-        if (r.retryAfterMs > 0.0)
-            err.set("retryAfterMs", r.retryAfterMs);
-        head.set("error", std::move(err));
-        return head.dump();
-    }
     head.set("cached", r.cacheHit);
     if (!r.degradedTo.empty())
         head.set("degraded", degradedMarker(r));
@@ -295,8 +259,7 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
     }
     for (const auto &[key, val] : req.asObject()) {
         (void)val;
-        if (key != "id" && key != "verb" && key != "scenario" &&
-            key != "scenarios") {
+        if (key != "id" && key != "verb" && key != "scenario") {
             sendInvalid(conn, id,
                         "unknown request field '" + key + "'");
             return;
@@ -334,7 +297,6 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
         result.set("shedDeadline", s.shedDeadline);
         result.set("workerCrashes", s.workerCrashes);
         result.set("workersAlive", s.workersAlive);
-        result.set("batchRequests", s.batchRequests);
         result.set("diskHits", s.diskHits);
         result.set("diskEvictions", s.diskEvictions);
         result.set("diskQuarantined", s.diskQuarantined);
@@ -391,7 +353,7 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
         // Dispatch and return to reading: the response line is
         // enqueued whenever the service completes it (immediately
         // for cache hits and rejections).
-        conn->addPending(1);
+        conn->addPending();
         svc.submitAsync(
             spec.value(),
             [conn, id](ScenarioService::Response &&r) {
@@ -399,53 +361,6 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
                 conn->decPending();
             },
             conn->clientId());
-        return;
-    }
-
-    if (v == "submit_batch") {
-        const Value *scenarios = req.find("scenarios");
-        if (!scenarios || !scenarios->isArray()) {
-            sendInvalid(conn, id,
-                        "submit_batch needs a 'scenarios' array");
-            return;
-        }
-        const Value::Array &arr = scenarios->asArray();
-        if (arr.empty()) {
-            sendInvalid(conn, id, "'scenarios' must not be empty");
-            return;
-        }
-        std::vector<ScenarioSpec> specs;
-        specs.reserve(arr.size());
-        for (std::size_t i = 0; i < arr.size(); i++) {
-            auto spec = parseScenario(arr[i]);
-            if (!spec.ok()) {
-                sendInvalid(conn, id,
-                            "scenario " + std::to_string(i) + ": " +
-                                spec.error());
-                return;
-            }
-            specs.push_back(std::move(spec.value()));
-        }
-        // Count the whole batch as pending before dispatch: hit
-        // callbacks fire synchronously inside submitBatch.
-        conn->addPending(specs.size());
-        auto outcome = svc.submitBatch(
-            specs,
-            [conn, id](std::size_t index,
-                       ScenarioService::Response &&r) {
-                sendLine(conn, batchResponse(id, index, r));
-                conn->decPending();
-            },
-            conn->clientId());
-        if (!outcome.admitted) {
-            // No per-scenario callback fired or ever will: answer
-            // with one batch-level error line (no "index").
-            conn->decPending(specs.size());
-            sendLine(conn,
-                     errorResponse(id, outcome.errorCode,
-                                   outcome.errorMessage,
-                                   outcome.retryAfterMs));
-        }
         return;
     }
 

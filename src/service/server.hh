@@ -8,7 +8,6 @@
  *   {"id": <scalar?>, "verb": "ping"}
  *   {"id": <scalar?>, "verb": "stats"}
  *   {"id": <scalar?>, "verb": "submit", "scenario": {...}}
- *   {"id": <scalar?>, "verb": "submit_batch", "scenarios": [...]}
  *   {"id": <scalar?>, "verb": "shutdown"}
  *
  * Responses echo the request id and carry either "result" (with
@@ -20,17 +19,13 @@
  * server's backoff floor hint.
  *
  * Pipelining: a client may send further request lines before
- * earlier responses arrive. submit and submit_batch are dispatched
- * asynchronously — the reactor keeps reading while workers compute
- * — and responses are written as results complete, not in request
- * order; clients match them by "id". Each response line is enqueued
+ * earlier responses arrive, and that is how it keeps many scenarios
+ * in flight: each submit is dispatched to the service as soon as
+ * its line is read — the reactor keeps reading while workers
+ * compute — and is admitted, rejected or served on its own.
+ * Responses are written as results complete, not in request order;
+ * clients match them by "id". Each response line is enqueued
  * atomically on the connection's ordered output queue.
- *
- * submit_batch admits its scenarios all-or-nothing and answers with
- * either ONE batch-level error line (no "index") or exactly one
- * line per scenario carrying "index" (position in the request
- * array) and "hash" (canonical scenario hash, 16 hex digits), in
- * completion order.
  *
  * Connection model: an epoll reactor pool (reactor.hh; default one
  * event loop, ServerOptions::reactorThreads for more). Request

@@ -51,11 +51,9 @@ ScenarioService::ScenarioService(ProfileLibrary &lib_,
         opts.admission, opts.queueCapacity, opts.workers);
     workers.reserve(opts.workers);
     for (std::size_t i = 0; i < opts.workers; i++) {
-        workers.emplace_back(&ScenarioService::workerLoop, this, i);
+        workers.emplace_back(&ScenarioService::workerLoop, this);
         aliveWorkers++;
     }
-    supervisor =
-        std::thread(&ScenarioService::supervisorLoop, this);
 }
 
 ScenarioService::~ScenarioService() { drain(); }
@@ -241,112 +239,6 @@ ScenarioService::submitAsync(const ScenarioSpec &spec,
     queueCv.notify_one();
 }
 
-ScenarioService::BatchOutcome
-ScenarioService::submitBatch(
-    const std::vector<ScenarioSpec> &specs,
-    std::function<void(std::size_t, Response &&)> done,
-    std::uint64_t clientId)
-{
-    batchRequests++;
-    BatchOutcome out;
-
-    // Validate everything before anything runs: a batch with one
-    // malformed entry is a caller bug, not a partial workload.
-    for (std::size_t i = 0; i < specs.size(); i++) {
-        if (auto err = validateScenario(specs[i])) {
-            invalidCount++;
-            out.errorCode = "invalid";
-            out.errorIndex = i;
-            out.errorMessage = "scenario " + std::to_string(i) +
-                ": " + *err;
-            return out;
-        }
-    }
-
-    // Resolve the cache for every entry first, so admission can be
-    // all-or-nothing over the *misses* only. No counters yet — a
-    // rejected batch must not inflate hit stats.
-    struct Hit
-    {
-        std::size_t index;
-        Response r;
-    };
-    std::vector<Hit> hits;
-    std::vector<std::unique_ptr<Job>> misses;
-    for (std::size_t i = 0; i < specs.size(); i++) {
-        Response r;
-        std::string text = specs[i].canonicalText();
-        r.hash = ScenarioSpec::hashOf(text);
-        bool diskHit = false;
-        if (cacheGet(r.hash, r.payload, diskHit)) {
-            r.ok = true;
-            r.cacheHit = true;
-            r.diskHit = diskHit;
-            hits.push_back({i, std::move(r)});
-            continue;
-        }
-        misses.push_back(makeJob(
-            specs[i], std::move(text), r.hash,
-            [done, i](Response &&resp) {
-                done(i, std::move(resp));
-            },
-            clientId));
-    }
-
-    if (!misses.empty()) {
-        std::lock_guard<std::mutex> lock(queueMtx);
-        std::size_t load = queue.size() + inFlight.load();
-        if (draining) {
-            out.errorCode = "draining";
-            out.errorMessage = "service is shutting down";
-            return out;
-        }
-        if (queue.size() + misses.size() > opts.queueCapacity) {
-            rejectedBusy++;
-            out.errorCode = "busy";
-            out.errorMessage = "queue cannot admit " +
-                std::to_string(misses.size()) +
-                " scenarios, retry later";
-            out.retryAfterMs = admission->retryHintMs(load);
-            return out;
-        }
-        // All-or-nothing admission extends to fairness and
-        // overload: one decision covers the whole batch (deadline
-        // doom prediction stays per-request at execution — batch
-        // entries can carry heterogeneous deadlines).
-        auto d = admission->preAdmit(
-            clientId,
-            AdmissionController::serviceKeyFor(
-                misses.front()->spec.policy,
-                misses.front()->spec.cluster.has_value()),
-            floorKeyFor(misses.front()->spec), 0.0, load,
-            misses.size());
-        if (!d.admit) {
-            out.errorCode = std::move(d.errorCode);
-            out.errorMessage = std::move(d.errorMessage);
-            out.retryAfterMs = d.retryAfterMs;
-            return out;
-        }
-        admission->onEnqueue(clientId, misses.size());
-        cacheMisses += misses.size();
-        for (auto &job : misses) {
-            job->overloadAtAdmit = d.overloaded;
-            queue.push_back(std::move(job));
-        }
-    }
-    queueCv.notify_all();
-
-    out.admitted = true;
-    for (auto &h : hits) {
-        cacheHits++;
-        if (h.r.diskHit)
-            diskHits++;
-        served++;
-        done(h.index, std::move(h.r));
-    }
-    return out;
-}
-
 ScenarioSpec
 ScenarioService::degradeDecision(const Job &job,
                                  std::string &reason) const
@@ -512,7 +404,7 @@ ScenarioService::executeCluster(Job &job, const ScenarioSpec &spec,
 }
 
 void
-ScenarioService::workerLoop(std::size_t slot)
+ScenarioService::workerLoop()
 {
     for (;;) {
         std::unique_ptr<Job> job;
@@ -571,82 +463,31 @@ ScenarioService::workerLoop(std::size_t slot)
             r.errorMessage = "worker exception of unknown type";
         }
         inFlight--;
-        if (!crashed) {
+        if (crashed) {
+            // Counted before the response is published, so a caller
+            // that just saw "internal_error" finds the crash in
+            // stats(). The worker serves on: the exception unwound
+            // its stack, and it keeps no other state of its own.
+            workerCrashes++;
+            warn("scenario worker crashed (contained): %s",
+                 r.errorMessage.c_str());
+        } else if (r.ok && !r.cacheHit) {
             // Feed the admission EWMAs from actual computations
             // only (a degraded-cache hit says nothing about the
             // solver's cost), keyed by the policy that served.
-            if (r.ok && !r.cacheHit) {
-                double wallMs =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() -
-                        execStart)
-                        .count();
-                const std::string &ran = r.degradedTo.empty()
-                    ? job->spec.policy
-                    : r.degradedTo;
-                admission->recordService(
-                    AdmissionController::serviceKeyFor(
-                        ran, job->spec.cluster.has_value()),
-                    wallMs);
-            }
-            job->done(std::move(r));
-            continue;
+            double wallMs = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() -
+                                execStart)
+                                .count();
+            const std::string &ran = r.degradedTo.empty()
+                ? job->spec.policy
+                : r.degradedTo;
+            admission->recordService(
+                AdmissionController::serviceKeyFor(
+                    ran, job->spec.cluster.has_value()),
+                wallMs);
         }
-
-        // Crashed: this thread's state is no longer trusted. Count
-        // and retire *before* publishing the response, so a caller
-        // that just saw "internal_error" finds both the crash
-        // counter and the worker's retirement in stats() — never a
-        // stale "still alive" count. During drain there is no
-        // supervisor turnover — keep serving in place so queued
-        // work still finishes.
-        workerCrashes++;
-        warn("scenario worker %zu crashed (contained): %s",
-             slot, r.errorMessage.c_str());
-        bool retire;
-        {
-            std::lock_guard<std::mutex> lock(queueMtx);
-            retire = !draining;
-            if (retire) {
-                aliveWorkers--;
-                retiredSlots.push_back(slot);
-            }
-        }
-        if (retire)
-            supCv.notify_one();
         job->done(std::move(r));
-        if (retire)
-            return;
-    }
-}
-
-void
-ScenarioService::supervisorLoop()
-{
-    for (;;) {
-        std::size_t slot;
-        {
-            std::unique_lock<std::mutex> lock(queueMtx);
-            supCv.wait(lock, [&] {
-                return draining || !retiredSlots.empty();
-            });
-            if (retiredSlots.empty())
-                return; // draining, nothing left to resurrect
-            slot = retiredSlots.front();
-            retiredSlots.pop_front();
-        }
-        // The retired thread has already returned (it pushed its
-        // slot as its last act); join() completes promptly.
-        if (workers[slot].joinable())
-            workers[slot].join();
-        std::lock_guard<std::mutex> lock(queueMtx);
-        // While draining, respawn only if queued work still needs a
-        // worker; otherwise drain() owns worker lifetime from here.
-        if (draining && queue.empty())
-            continue;
-        workers[slot] =
-            std::thread(&ScenarioService::workerLoop, this, slot);
-        aliveWorkers++;
     }
 }
 
@@ -661,7 +502,6 @@ ScenarioService::stats() const
     s.invalid = invalidCount.load();
     s.shedDeadline = shedDeadline.load();
     s.workerCrashes = workerCrashes.load();
-    s.batchRequests = batchRequests.load();
     s.diskHits = diskHits.load();
     s.cancelledMidSweep = cancelledMidSweep.load();
     s.clusterRequests = clusterRequests.load();
@@ -719,11 +559,6 @@ ScenarioService::drain()
         draining = true;
     }
     queueCv.notify_all();
-    supCv.notify_all();
-    // The supervisor goes first: once it has exited, nothing else
-    // touches the workers vector and the joins below are safe.
-    if (supervisor.joinable())
-        supervisor.join();
     for (auto &w : workers)
         if (w.joinable())
             w.join();

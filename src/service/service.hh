@@ -24,12 +24,8 @@
  *    completion callback instead of blocking; cache hits and
  *    rejections invoke it synchronously, computed results invoke it
  *    from a worker thread. This is what lets one connection keep
- *    many scenarios in flight (pipelining, batch submit).
- *  - submitBatch() — all-or-nothing admission of N scenarios:
- *    every entry is validated up front, then either ALL misses are
- *    enqueued (and each scenario's callback fires as its result
- *    completes, in whatever order workers finish) or the whole
- *    batch is rejected with one structured error.
+ *    many scenarios in flight (pipelined submits), each admitted,
+ *    rejected or served on its own.
  *
  * Robustness (see docs/ROBUSTNESS.md):
  *  - Deadlines: a spec may carry deadlineMs. A queued request whose
@@ -39,9 +35,9 @@
  *    through ExperimentRunner::trySweep), freeing the worker without
  *    waiting for the full sweep.
  *  - Crash containment: any exception thrown during sweep execution
- *    becomes a structured "internal_error" response. The throwing
- *    worker then retires (its state is no longer trusted) and a
- *    supervisor thread respawns a replacement, so the worker count
+ *    becomes a structured "internal_error" response, and the worker
+ *    keeps serving: the exception has unwound its stack, and a
+ *    worker keeps no other state of its own, so the worker count
  *    survives arbitrarily many crashes.
  *  - Adaptive admission (admission.hh): beneath the binary "busy"
  *    high-water mark, per-policy service-time EWMAs shed requests
@@ -126,7 +122,6 @@ struct ServiceStats
     std::uint64_t invalid = 0;     ///< failed validation
     std::uint64_t shedDeadline = 0;  ///< shed, deadline expired
     std::uint64_t workerCrashes = 0; ///< contained worker throws
-    std::uint64_t batchRequests = 0; ///< submitBatch() calls
     std::uint64_t diskHits = 0;      ///< hits promoted disk→memory
     std::uint64_t diskEvictions = 0; ///< disk entries LRU-evicted
     std::uint64_t diskQuarantined = 0; ///< corrupt entries set aside
@@ -199,21 +194,6 @@ class ScenarioService
      *  rejection) or later from a worker thread. */
     using Callback = std::function<void(Response &&)>;
 
-    /** submitBatch()'s admission outcome. When !admitted no
-     *  per-scenario callback has fired or ever will. */
-    struct BatchOutcome
-    {
-        bool admitted = false;
-        /** "invalid" | "busy" | "rejected_overload" | "draining"
-         *  when !admitted. */
-        std::string errorCode;
-        std::string errorMessage;
-        /** Offending scenario for "invalid". */
-        std::size_t errorIndex = 0;
-        /** Backoff floor hint on "busy"/"rejected_overload" [ms]. */
-        double retryAfterMs = 0.0;
-    };
-
     ScenarioService(ProfileLibrary &lib, const DvfsTable &dvfs,
                     ServiceOptions opts = ServiceOptions{});
 
@@ -243,21 +223,6 @@ class ScenarioService
      */
     void submitAsync(const ScenarioSpec &spec, Callback done,
                      std::uint64_t clientId = 0);
-
-    /**
-     * Admit @p specs as one unit. Every spec is validated before
-     * anything runs; on any validation failure, a full queue
-     * (queueDepth + misses would exceed queueCapacity), a client
-     * over its fairness share, or a draining service, the whole
-     * batch is rejected and no callback fires. Once admitted,
-     * @p done fires exactly once per scenario with its index —
-     * cache hits synchronously, in order; misses from worker
-     * threads in completion order.
-     */
-    BatchOutcome
-    submitBatch(const std::vector<ScenarioSpec> &specs,
-                std::function<void(std::size_t, Response &&)> done,
-                std::uint64_t clientId = 0);
 
     /** Count one request rejected as "invalid" before it reached
      *  the service (gpmd's request and scenario checks), so stats
@@ -303,8 +268,7 @@ class ScenarioService
     /** The EWMA key of the cheapest solver @p spec could degrade
      *  to (its own key when the ladder does not apply). */
     std::string floorKeyFor(const ScenarioSpec &spec) const;
-    void workerLoop(std::size_t slot);
-    void supervisorLoop();
+    void workerLoop();
     std::unique_ptr<Job> makeJob(const ScenarioSpec &spec,
                                  std::string scenarioText,
                                  std::uint64_t hash, Callback done,
@@ -334,15 +298,6 @@ class ScenarioService
     bool draining = false;
     std::vector<std::thread> workers;
 
-    /**
-     * Worker supervision: a crashed worker pushes its slot here and
-     * exits; the supervisor joins it and spawns a replacement into
-     * the same slot (guarded by queueMtx, signalled via supCv).
-     */
-    std::condition_variable supCv;
-    std::deque<std::size_t> retiredSlots;
-    std::thread supervisor;
-
     /** Memory tier: recency list + hash index into it. */
     mutable std::mutex cacheMtx;
     std::list<std::pair<std::uint64_t, std::string>> lru;
@@ -367,7 +322,6 @@ class ScenarioService
     std::atomic<std::uint64_t> invalidCount{0};
     std::atomic<std::uint64_t> shedDeadline{0};
     std::atomic<std::uint64_t> workerCrashes{0};
-    std::atomic<std::uint64_t> batchRequests{0};
     std::atomic<std::uint64_t> diskHits{0};
     std::atomic<std::uint64_t> cancelledMidSweep{0};
     std::atomic<std::uint64_t> clusterRequests{0};

@@ -20,7 +20,8 @@
  *                   request; the client sees no response and must
  *                   time out and retry)
  *   worker-throw    throw from inside worker sweep execution
- *                   (exercises crash containment + the supervisor)
+ *                   (exercises crash containment: the worker
+ *                   answers internal_error and keeps serving)
  *   worker-stall    sleep inside worker sweep execution before
  *                   computing (a deterministically long-running
  *                   request — pins the worker and its inFlight slot)

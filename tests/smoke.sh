@@ -215,7 +215,7 @@ gpmd_restart() {
     stop_gpmd "$PID" gpmd.log
 }
 
-# worker-throw crashes real workers (the supervisor respawns them),
+# worker-throw crashes real workers (each keeps serving),
 # conn-stall slows every request, read-drop swallows a fraction of
 # request lines inside the reactor; gpmctl's seeded backoff retries,
 # with a per-attempt timeout so a dropped request does not hang an

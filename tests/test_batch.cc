@@ -1,9 +1,9 @@
-/** @file The high-throughput serving path: submitBatch all-or-nothing
- *  admission and out-of-order completion streaming, batch fan-out
- *  across the worker pool, cooperative mid-sweep deadline
+/** @file The high-throughput serving path: many submitAsync
+ *  scenarios in flight streaming out-of-order completions, their
+ *  fan-out across the worker pool, cooperative mid-sweep deadline
  *  cancellation, the two-tier (memory + disk) result cache across
- *  restarts and shared directories, and the submit_batch wire verb
- *  over a pipelined connection. */
+ *  restarts and shared directories, and pipelined submit lines on
+ *  one connection. */
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ namespace gpm
 namespace
 {
 
-/** Collects streamed batch completions across worker threads. */
+/** Collects streamed completions across worker threads. */
 struct Collector
 {
     std::mutex mtx;
@@ -31,11 +31,11 @@ struct Collector
     std::vector<std::pair<std::size_t, ScenarioService::Response>>
         done;
 
-    std::function<void(std::size_t, ScenarioService::Response &&)>
-    sink()
+    /** The completion callback of the @p i-th scenario. */
+    ScenarioService::Callback
+    sink(std::size_t i)
     {
-        return [this](std::size_t i,
-                      ScenarioService::Response &&r) {
+        return [this, i](ScenarioService::Response &&r) {
             std::lock_guard<std::mutex> lock(mtx);
             done.emplace_back(i, std::move(r));
             cv.notify_all();
@@ -78,55 +78,6 @@ class BatchTest : public ::testing::Test
     test::TempDir cacheDir;
 };
 
-TEST_F(BatchTest, InvalidEntryRejectsWholeBatchBeforeAnythingRuns)
-{
-    ScenarioService svc(test::profiles(), test::dvfs());
-    std::vector<ScenarioSpec> specs = {scenario(0.7), scenario(0.8),
-                                       scenario(0.9)};
-    specs[1].policy = "NoSuchPolicy";
-
-    Collector got;
-    auto outcome = svc.submitBatch(specs, got.sink());
-    EXPECT_FALSE(outcome.admitted);
-    EXPECT_EQ(outcome.errorCode, "invalid");
-    EXPECT_EQ(outcome.errorIndex, 1u);
-    EXPECT_NE(outcome.errorMessage.find("scenario 1"),
-              std::string::npos);
-    EXPECT_NE(outcome.errorMessage.find("NoSuchPolicy"),
-              std::string::npos);
-    // Nothing ran: no callbacks, no counters moved.
-    EXPECT_EQ(got.count(), 0u);
-    ServiceStats s = svc.stats();
-    EXPECT_EQ(s.cacheMisses, 0u);
-    EXPECT_EQ(s.served, 0u);
-}
-
-TEST_F(BatchTest, FullQueueRejectsWholeBatchAllOrNothing)
-{
-    ServiceOptions opts;
-    opts.queueCapacity = 1; // room for one miss, batch needs two
-    ScenarioService svc(test::profiles(), test::dvfs(), opts);
-    Collector got;
-    auto outcome = svc.submitBatch({scenario(0.7), scenario(0.8)},
-                                   got.sink());
-    EXPECT_FALSE(outcome.admitted);
-    EXPECT_EQ(outcome.errorCode, "busy");
-    EXPECT_EQ(got.count(), 0u);
-    EXPECT_EQ(svc.stats().cacheMisses, 0u);
-    EXPECT_EQ(svc.stats().rejectedBusy, 1u);
-}
-
-TEST_F(BatchTest, DrainingServiceRejectsBatches)
-{
-    ScenarioService svc(test::profiles(), test::dvfs());
-    svc.drain();
-    Collector got;
-    auto outcome = svc.submitBatch({scenario()}, got.sink());
-    EXPECT_FALSE(outcome.admitted);
-    EXPECT_EQ(outcome.errorCode, "draining");
-    EXPECT_EQ(got.count(), 0u);
-}
-
 TEST_F(BatchTest, MixedHitMissBatchStreamsEveryScenarioOnce)
 {
     ScenarioService svc(test::profiles(), test::dvfs());
@@ -135,9 +86,9 @@ TEST_F(BatchTest, MixedHitMissBatchStreamsEveryScenarioOnce)
     ASSERT_TRUE(primed.ok);
 
     Collector got;
-    auto outcome = svc.submitBatch(
-        {scenario(0.7), scenario(0.8), scenario(0.9)}, got.sink());
-    ASSERT_TRUE(outcome.admitted) << outcome.errorCode;
+    const double budgets[] = {0.7, 0.8, 0.9};
+    for (std::size_t i = 0; i < 3; i++)
+        svc.submitAsync(scenario(budgets[i]), got.sink(i));
     ASSERT_TRUE(got.waitFor(3));
     EXPECT_EQ(got.count(), 3u);
 
@@ -157,19 +108,18 @@ TEST_F(BatchTest, MixedHitMissBatchStreamsEveryScenarioOnce)
     }
 
     ServiceStats s = svc.stats();
-    EXPECT_EQ(s.batchRequests, 1u);
     EXPECT_EQ(s.cacheHits, 1u);
-    EXPECT_EQ(s.cacheMisses, 3u); // primed + two batch misses
+    EXPECT_EQ(s.cacheMisses, 3u); // primed + two misses
     EXPECT_EQ(s.served, 4u);
 }
 
 TEST_F(BatchTest, BatchMissesFanOutAcrossTheWorkerPool)
 {
-    // Four misses on four workers should take roughly one
+    // Four misses in flight on four workers should take roughly one
     // single-scenario time, not four. CPU work serializes on a
     // 1-core host, so the per-scenario cost is dominated by an
-    // injected 250 ms worker stall — stalls overlap iff the batch
-    // genuinely fans out. Serial execution would exceed 1000 ms.
+    // injected 250 ms worker stall — stalls overlap iff the misses
+    // genuinely fan out. Serial execution would exceed 1000 ms.
     ServiceOptions opts;
     opts.workers = 4;
     opts.sweepConcurrency = 1;
@@ -180,11 +130,9 @@ TEST_F(BatchTest, BatchMissesFanOutAcrossTheWorkerPool)
     ASSERT_FALSE(fault::arm("worker-stall:1:250,seed:1"));
     Collector got;
     auto t0 = std::chrono::steady_clock::now();
-    auto outcome = svc.submitBatch(
-        {scenario(0.61), scenario(0.66), scenario(0.71),
-         scenario(0.76)},
-        got.sink());
-    ASSERT_TRUE(outcome.admitted) << outcome.errorCode;
+    const double budgets[] = {0.61, 0.66, 0.71, 0.76};
+    for (std::size_t i = 0; i < 4; i++)
+        svc.submitAsync(scenario(budgets[i]), got.sink(i));
     ASSERT_TRUE(got.waitFor(4));
     double wallMs =
         std::chrono::duration<double, std::milli>(
@@ -195,7 +143,7 @@ TEST_F(BatchTest, BatchMissesFanOutAcrossTheWorkerPool)
     for (auto &[idx, r] : got.done)
         ASSERT_TRUE(r.ok) << idx << ": " << r.errorMessage;
     EXPECT_GE(wallMs, 250.0); // every miss really stalled
-    EXPECT_LT(wallMs, 900.0) << "batch did not run in parallel";
+    EXPECT_LT(wallMs, 900.0) << "misses did not run in parallel";
 }
 
 TEST_F(BatchTest, DeadlineExpiringMidSweepCancelsCooperatively)
@@ -346,7 +294,7 @@ TEST_F(BatchTest, TwoLiveServicesShareOneCacheDirectory)
 
 using test::parseOk;
 
-/** submit_batch and pipelining over real loopback sockets. */
+/** Pipelined submits over real loopback sockets. */
 class BatchServerTest : public ::testing::Test
 {
   protected:
@@ -357,12 +305,14 @@ class BatchServerTest : public ::testing::Test
 
 TEST_F(BatchServerTest, BatchStreamsPerScenarioLinesAndPipelines)
 {
-    // One write carrying a 2-scenario batch AND a pipelined ping:
-    // the client owes nothing before sending the second request.
+    // One write carrying two submits AND a ping: the client owes
+    // nothing before sending the next request.
     const std::string wire =
-        R"({"id": "b", "verb": "submit_batch", "scenarios": [)"
-        R"({"combo": ["mcf"], "policy": "MaxBIPS", "budget": 0.7},)"
-        R"({"combo": ["mcf"], "policy": "MaxBIPS", "budget": 0.9}]})"
+        R"({"id": 0, "verb": "submit", "scenario": )"
+        R"({"combo": ["mcf"], "policy": "MaxBIPS", "budget": 0.7}})"
+        "\n"
+        R"({"id": 1, "verb": "submit", "scenario": )"
+        R"({"combo": ["mcf"], "policy": "MaxBIPS", "budget": 0.9}})"
         "\n"
         R"({"id": "p", "verb": "ping"})"
         "\n";
@@ -371,32 +321,28 @@ TEST_F(BatchServerTest, BatchStreamsPerScenarioLinesAndPipelines)
     ASSERT_TRUE(c.writeAll(wire));
 
     bool sawPing = false;
-    bool sawIndex[2] = {false, false};
+    bool sawId[2] = {false, false};
     for (int i = 0; i < 3; i++) {
         std::string line;
         ASSERT_EQ(c.readLine(line), TcpStream::ReadStatus::Line);
         json::Value r = parseOk(line);
         ASSERT_TRUE(r.find("ok") && r.find("ok")->asBool()) << line;
-        if (r.find("id")->asString() == "p") {
+        if (r.find("id")->isString()) {
+            EXPECT_EQ(r.find("id")->asString(), "p");
             sawPing = true;
             continue;
         }
-        // A per-scenario batch line: index, 16-hex hash, spliced
-        // result identical to a direct sweep.
-        EXPECT_EQ(r.find("id")->asString(), "b");
-        ASSERT_TRUE(r.find("index"));
-        auto idx =
-            static_cast<std::size_t>(r.find("index")->asNumber());
-        ASSERT_LT(idx, 2u);
-        sawIndex[idx] = true;
-        ASSERT_TRUE(r.find("hash"));
-        EXPECT_EQ(r.find("hash")->asString().size(), 16u);
+        // A submit line: its id, and a spliced result identical to
+        // a direct sweep.
+        auto id = static_cast<std::size_t>(r.find("id")->asNumber());
+        ASSERT_LT(id, 2u);
+        sawId[id] = true;
         EXPECT_FALSE(r.find("cached")->asBool());
 
         ScenarioSpec spec;
         spec.combo = {"mcf"};
         spec.policy = "MaxBIPS";
-        spec.budgets = {idx == 0 ? 0.7 : 0.9};
+        spec.budgets = {id == 0 ? 0.7 : 0.9};
         ExperimentRunner direct(test::profiles(), test::dvfs(),
                                 spec.simConfig());
         std::string payload =
@@ -404,62 +350,21 @@ TEST_F(BatchServerTest, BatchStreamsPerScenarioLinesAndPipelines)
         ASSERT_TRUE(r.find("result"));
         EXPECT_EQ(r.find("result")->canonical(),
                   parseOk(payload).canonical());
-        char hex[17];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      static_cast<unsigned long long>(spec.hash()));
-        EXPECT_EQ(r.find("hash")->asString(), hex);
     }
     EXPECT_TRUE(sawPing);
-    EXPECT_TRUE(sawIndex[0]);
-    EXPECT_TRUE(sawIndex[1]);
+    EXPECT_TRUE(sawId[0]);
+    EXPECT_TRUE(sawId[1]);
 
-    // The stats verb counts the batch and the cache traffic.
+    // The stats verb counts the cache traffic.
     std::string statsLine;
     ASSERT_TRUE(c.writeAll("{\"verb\": \"stats\"}\n"));
     ASSERT_EQ(c.readLine(statsLine), TcpStream::ReadStatus::Line);
     json::Value stats = parseOk(statsLine);
     const json::Value *sr = stats.find("result");
     ASSERT_TRUE(sr);
-    EXPECT_EQ(sr->find("batchRequests")->asNumber(), 1.0);
     EXPECT_EQ(sr->find("cacheMisses")->asNumber(), 2.0);
     EXPECT_EQ(sr->find("diskHits")->asNumber(), 0.0);
     EXPECT_EQ(sr->find("cancelledMidSweep")->asNumber(), 0.0);
-}
-
-TEST_F(BatchServerTest, BatchLevelErrorsAreOneLineWithNoIndex)
-{
-    TcpStream c = gpmd.connect();
-
-    // An invalid scenario rejects the whole batch with one line.
-    ASSERT_TRUE(c.writeAll(
-        R"({"id": "b", "verb": "submit_batch", "scenarios": [)"
-        R"({"combo": ["mcf"], "policy": "MaxBIPS", "budget": 0.7},)"
-        R"({"combo": ["mcf"], "policy": "Nope", "budget": 0.9}]})"
-        "\n"));
-    std::string line;
-    ASSERT_EQ(c.readLine(line), TcpStream::ReadStatus::Line);
-    json::Value r = parseOk(line);
-    EXPECT_FALSE(r.find("ok")->asBool());
-    EXPECT_EQ(r.find("index"), nullptr);
-    EXPECT_EQ(r.find("error")->find("code")->asString(), "invalid");
-    EXPECT_NE(
-        r.find("error")->find("message")->asString().find(
-            "scenario 1"),
-        std::string::npos);
-
-    // An empty scenarios array is invalid, not a zero-line no-op.
-    ASSERT_TRUE(c.writeAll(
-        R"({"id": "b", "verb": "submit_batch", "scenarios": []})"
-        "\n"));
-    ASSERT_EQ(c.readLine(line), TcpStream::ReadStatus::Line);
-    r = parseOk(line);
-    EXPECT_FALSE(r.find("ok")->asBool());
-    EXPECT_EQ(r.find("error")->find("code")->asString(), "invalid");
-
-    // The connection survives both errors.
-    ASSERT_TRUE(c.writeAll(R"({"verb": "ping"})" "\n"));
-    ASSERT_EQ(c.readLine(line), TcpStream::ReadStatus::Line);
-    EXPECT_TRUE(parseOk(line).find("ok")->asBool());
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /** @file Chaos harness: every fault point in util/fault.hh armed
  *  in turn against a live ScenarioService / GpmServer over loopback,
  *  asserting graceful degradation — structured errors instead of
- *  dead daemons, supervisor-respawned workers, shed expired
+ *  dead daemons, crashed workers that keep serving, shed expired
  *  deadlines, reaped idle connections, answered over-long lines, and
  *  payloads that stay bitwise-identical to a direct sweep once the
  *  fault clears. Plus the deterministic backoff schedule gpmctl
@@ -141,7 +141,7 @@ TEST_F(FaultSpec, DisarmedPointsNeverFire)
 }
 
 // ---------------------------------------------------------------
-// Service-level chaos: crash containment, supervisor, deadlines.
+// Service-level chaos: crash containment, deadlines.
 // ---------------------------------------------------------------
 
 class ChaosServiceTest : public ::testing::Test
@@ -197,7 +197,7 @@ TEST_F(ChaosServiceTest, WorkerThrowBecomesInternalErrorNotADeadService)
     ServiceStats s = svc.stats();
     EXPECT_GE(s.workerCrashes, 1u);
 
-    // The supervisor respawns the crashed worker.
+    // The crashed worker keeps serving: the count stays whole.
     EXPECT_TRUE(waitForStats(svc, [&](const ServiceStats &st) {
         return st.workersAlive == svc.options().workers;
     })) << "worker count not restored";
@@ -216,7 +216,7 @@ TEST_F(ChaosServiceTest, ServiceSurvivesRepeatedCrashes)
     ASSERT_FALSE(fault::arm("worker-throw:1,seed:9").has_value());
 
     // Distinct scenarios so nothing is served from cache; each one
-    // kills a worker and the supervisor must keep up.
+    // crashes a worker, which must keep serving.
     for (int i = 0; i < 4; i++) {
         ScenarioSpec spec = scenario();
         spec.budgets = {0.70 + 0.05 * i};
@@ -391,7 +391,7 @@ TEST_F(ChaosServerTest, WorkerThrowOverTheWireLeavesDaemonServing)
               "internal_error");
 
     // Same connection still pings; the stats verb reports the
-    // crash and the restored worker count.
+    // crash and the whole worker count.
     r = parseOk(roundTrip(c, R"({"verb": "ping"})"));
     EXPECT_TRUE(r.find("ok")->asBool());
     EXPECT_TRUE(waitForStats(*gpmd.svc, [&](const ServiceStats &st) {

@@ -1,7 +1,9 @@
 /** @file The built gpmctl, run as a child process with --host over
  *  two in-process gpmd backends: it places each scenario (cluster
  *  scenarios included) on its RendezvousRing owner, serves payloads
- *  byte-identical to a direct submit, splits and reorders batches,
+ *  byte-identical to a direct submit, splits batch files by owner
+ *  and prints their lines in input order, finishes a file larger
+ *  than one client's queue share by retrying only what was refused,
  *  leaves invalid scenarios to the first endpoint's validation,
  *  exits 2 on a server-side error such as an expired deadline,
  *  pretty-prints stats key-sorted on stderr, and gives up with exit
@@ -16,7 +18,6 @@
 #include <set>
 #include <sys/wait.h>
 #include <thread>
-#include <unistd.h>
 
 #include "harness.hh"
 #include "service/ring.hh"
@@ -129,6 +130,20 @@ class GpmctlShardTest : public ::testing::Test
             budget;
     }
 
+    /** A batch file holding @p text. */
+    std::string
+    batchFile(const std::string &text) const
+    {
+        std::string path = scratch.path() + "/batch.ndjson";
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        EXPECT_TRUE(f) << path;
+        if (f) {
+            std::fputs(text.c_str(), f);
+            std::fclose(f);
+        }
+        return path;
+    }
+
     /** The backend RendezvousRing places @p budget's scenario on. */
     std::size_t
     ownerOf(const std::string &budget) const
@@ -142,6 +157,7 @@ class GpmctlShardTest : public ::testing::Test
     test::Gpmd backends[nBackends];
     std::vector<std::string> names;
     std::string hosts;
+    test::TempDir scratch;
 };
 
 TEST_F(GpmctlShardTest, EachScenarioLandsOnItsRingOwner)
@@ -190,24 +206,17 @@ TEST_F(GpmctlShardTest, RoutedPayloadMatchesDirectSubmit)
 TEST_F(GpmctlShardTest, BatchSplitsByOwnerAndPrintsInInputOrder)
 {
     const std::size_t n = 10;
-    char path[] = "/tmp/gpm_gpmctl_batch_XXXXXX";
-    int fd = ::mkstemp(path);
-    ASSERT_GE(fd, 0);
     std::string text;
     std::vector<std::uint64_t> share(nBackends, 0);
     for (std::size_t i = 0; i < n; i++) {
         text += scenarioJson(budgetArg(i)) + "\n";
         share[ownerOf(budgetArg(i))]++;
     }
-    ASSERT_EQ(::write(fd, text.data(), text.size()),
-              static_cast<ssize_t>(text.size()));
-    ::close(fd);
 
-    // Windows of 3 within each owner's group exercise the
-    // daemon-to-input index remap.
+    // Windows of 3 within each owner's group; the lines still print
+    // in input order.
     CtlRun r = runGpmctl(hosts + " --max-inflight 3 submit-batch @" +
-                         path);
-    ::unlink(path);
+                         batchFile(text));
     EXPECT_EQ(r.status, 0) << r.out;
     std::vector<std::string> lines = splitLines(r.out);
     ASSERT_EQ(lines.size(), n) << r.out;
@@ -216,15 +225,77 @@ TEST_F(GpmctlShardTest, BatchSplitsByOwnerAndPrintsInInputOrder)
         auto v = json::parse(lines[i]);
         ASSERT_TRUE(v.ok()) << lines[i];
         ASSERT_TRUE(v.value().find("ok")->asBool()) << lines[i];
-        auto idx = static_cast<std::size_t>(
-            v.value().find("index")->asNumber());
-        EXPECT_EQ(idx, i) << lines[i];
-        seen.insert(idx);
+        auto id = static_cast<std::size_t>(
+            v.value().find("id")->asNumber());
+        EXPECT_EQ(id, i) << lines[i];
+        seen.insert(id);
     }
     EXPECT_EQ(seen.size(), n);
     for (std::size_t b = 0; b < nBackends; b++)
         EXPECT_EQ(backends[b].svc->stats().cacheMisses, share[b])
             << names[b];
+}
+
+TEST_F(GpmctlShardTest, BatchLargerThanTheFairShareFinishesUnderRetries)
+{
+    // 40 scenarios in one window to one daemon: more than one
+    // client's share of its queue (0.5 x 64 = 32 queued requests),
+    // so some come back rejected_overload; each retry re-sends only
+    // those, on a new connection, until every scenario is served.
+    const std::size_t n = 40;
+    std::string text;
+    for (std::size_t i = 0; i < n; i++) {
+        char budget[32];
+        std::snprintf(budget, sizeof(budget), "%.2f",
+                      0.5 + 0.01 * static_cast<double>(i));
+        text += R"({"combo": ["mcf"], "policy": "MaxBIPS", "budget": )" +
+            std::string(budget) + "}\n";
+    }
+    CtlRun r = runGpmctl("--host " + names[0] +
+                         " --retries 8 --retry-base-ms 10 submit-batch @" +
+                         batchFile(text));
+    EXPECT_EQ(r.status, 0) << r.out;
+    std::vector<std::string> lines = splitLines(r.out);
+    ASSERT_EQ(lines.size(), n) << r.out;
+    for (std::size_t i = 0; i < n; i++) {
+        auto v = json::parse(lines[i]);
+        ASSERT_TRUE(v.ok()) << lines[i];
+        EXPECT_TRUE(v.value().find("ok")->asBool()) << lines[i];
+        EXPECT_EQ(v.value().find("id")->asNumber(),
+                  static_cast<double>(i))
+            << lines[i];
+    }
+    EXPECT_EQ(backends[0].svc->stats().cacheMisses, n);
+}
+
+TEST_F(GpmctlShardTest, InvalidBatchScenarioGetsItsOwnLine)
+{
+    // One invalid scenario among five: the others are served, and
+    // it is answered "invalid" on its own line, in input order.
+    const std::size_t n = 5, bad = 2;
+    std::string text;
+    for (std::size_t i = 0; i < n; i++)
+        text += (i == bad ? R"({"combo": ["mcf"], "policy": "Nope", )"
+                            R"("budget": 0.8})"
+                          : scenarioJson(budgetArg(i))) +
+            "\n";
+    CtlRun r = runGpmctl(hosts + " submit-batch @" + batchFile(text));
+    EXPECT_EQ(r.status, 2) << r.out;
+    std::vector<std::string> lines = splitLines(r.out);
+    ASSERT_EQ(lines.size(), n) << r.out;
+    for (std::size_t i = 0; i < n; i++) {
+        auto v = json::parse(lines[i]);
+        ASSERT_TRUE(v.ok()) << lines[i];
+        EXPECT_EQ(v.value().find("id")->asNumber(),
+                  static_cast<double>(i))
+            << lines[i];
+        EXPECT_EQ(v.value().find("ok")->asBool(), i != bad) << lines[i];
+        if (i == bad) {
+            EXPECT_EQ(v.value().find("error")->find("code")->asString(),
+                      "invalid")
+                << lines[i];
+        }
+    }
 }
 
 TEST_F(GpmctlShardTest, PingAndClusterSubmitReachTheOwner)

@@ -265,8 +265,7 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
              "gpm_served_total", "gpm_cache_hits_total",
              "gpm_cache_misses_total", "gpm_rejected_busy_total",
              "gpm_invalid_total", "gpm_shed_deadline_total",
-             "gpm_worker_crashes_total",
-             "gpm_batch_requests_total", "gpm_disk_hits_total",
+             "gpm_worker_crashes_total", "gpm_disk_hits_total",
              "gpm_disk_evictions_total",
              "gpm_disk_quarantined_total",
              "gpm_disk_write_failures_total",

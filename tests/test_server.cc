@@ -149,13 +149,21 @@ TEST_F(ServerTest, MalformedAndInvalidLinesGetStructuredErrors)
     EXPECT_EQ(r.find("error")->find("code")->asString(),
               "invalid");
 
+    // A submit_batch line is an unknown request shape.
+    r = parseOk(roundTrip(
+        c, R"({"verb": "submit_batch", "scenarios": [)"
+           R"({"combo": ["mcf"], "policy": "MaxBIPS", )"
+           R"("budget": 0.8}]})"));
+    EXPECT_EQ(r.find("error")->find("code")->asString(),
+              "invalid");
+
     // The connection survives every error and still pings.
     r = parseOk(roundTrip(c, R"({"verb": "ping"})"));
     EXPECT_TRUE(r.find("ok")->asBool());
 
-    // Each of the four invalid lines is counted once.
+    // Each of the five invalid lines is counted once.
     r = parseOk(roundTrip(c, R"({"verb": "stats"})"));
-    EXPECT_EQ(r.find("result")->find("invalid")->asNumber(), 4.0);
+    EXPECT_EQ(r.find("result")->find("invalid")->asNumber(), 5.0);
 }
 
 TEST_F(ServerTest, MultipleRequestsPerConnectionAndCounters)
