@@ -12,37 +12,6 @@ ModeMatrix::ModeMatrix(std::size_t cores, std::size_t modes)
     GPM_ASSERT(cores > 0 && modes > 0);
 }
 
-std::size_t
-ModeMatrix::index(std::size_t c, PowerMode m) const
-{
-    GPM_ASSERT(c < nCores && m < nModes);
-    return c * nModes + m;
-}
-
-Watts &
-ModeMatrix::powerW(std::size_t c, PowerMode m)
-{
-    return power[index(c, m)];
-}
-
-Watts
-ModeMatrix::powerW(std::size_t c, PowerMode m) const
-{
-    return power[index(c, m)];
-}
-
-double &
-ModeMatrix::bips(std::size_t c, PowerMode m)
-{
-    return perf[index(c, m)];
-}
-
-double
-ModeMatrix::bips(std::size_t c, PowerMode m) const
-{
-    return perf[index(c, m)];
-}
-
 const double *
 ModeMatrix::powerRow(std::size_t c) const
 {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "power/dvfs.hh"
+#include "util/logging.hh"
 #include "util/units.hh"
 
 namespace gpm
@@ -54,12 +55,24 @@ class ModeMatrix
     std::size_t numModes() const { return nModes; }
 
     /** Predicted power of core @p c at mode @p m [W]. */
-    Watts &powerW(std::size_t c, PowerMode m);
-    Watts powerW(std::size_t c, PowerMode m) const;
+    Watts &powerW(std::size_t c, PowerMode m)
+    {
+        return power[index(c, m)];
+    }
+    Watts powerW(std::size_t c, PowerMode m) const
+    {
+        return power[index(c, m)];
+    }
 
     /** Predicted BIPS of core @p c at mode @p m. */
-    double &bips(std::size_t c, PowerMode m);
-    double bips(std::size_t c, PowerMode m) const;
+    double &bips(std::size_t c, PowerMode m)
+    {
+        return perf[index(c, m)];
+    }
+    double bips(std::size_t c, PowerMode m) const
+    {
+        return perf[index(c, m)];
+    }
 
     /**
      * Contiguous row of core @p c's predicted powers, one entry per
@@ -79,7 +92,11 @@ class ModeMatrix
     double totalBips(const std::vector<PowerMode> &assign) const;
 
   private:
-    std::size_t index(std::size_t c, PowerMode m) const;
+    std::size_t index(std::size_t c, PowerMode m) const
+    {
+        GPM_ASSERT(c < nCores && m < nModes);
+        return c * nModes + m;
+    }
 
     std::size_t nCores;
     std::size_t nModes;

@@ -1,7 +1,6 @@
 #include "dvfs.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hh"
 
@@ -68,43 +67,10 @@ DvfsTable::linear(std::size_t n, double lowest_scale)
     return DvfsTable(std::move(pts), 1.300, 1.0e9, 10.0e-3 * 1.0e6);
 }
 
-const OperatingPoint &
-DvfsTable::point(PowerMode m) const
-{
-    GPM_ASSERT(valid(m));
-    return points[m];
-}
-
-Volts
-DvfsTable::voltage(PowerMode m) const
-{
-    return nominalVddV * point(m).vScale;
-}
-
 Hertz
 DvfsTable::frequency(PowerMode m) const
 {
     return nominalFreq * point(m).fScale;
-}
-
-double
-DvfsTable::powerScale(PowerMode m) const
-{
-    const auto &p = point(m);
-    return p.vScale * p.vScale * p.fScale;
-}
-
-double
-DvfsTable::perfScale(PowerMode m) const
-{
-    return point(m).fScale;
-}
-
-MicroSec
-DvfsTable::transitionUs(PowerMode from, PowerMode to) const
-{
-    double dv = std::abs(voltage(from) - voltage(to));
-    return dv / slewVoltsPerSec * usPerSecond;
 }
 
 MicroSec

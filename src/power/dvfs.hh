@@ -21,10 +21,12 @@
 #ifndef GPM_POWER_DVFS_HH
 #define GPM_POWER_DVFS_HH
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "util/logging.hh"
 #include "util/units.hh"
 
 namespace gpm
@@ -99,10 +101,17 @@ class DvfsTable
     std::size_t numModes() const { return points.size(); }
 
     /** Operating point of @p m. */
-    const OperatingPoint &point(PowerMode m) const;
+    const OperatingPoint &point(PowerMode m) const
+    {
+        GPM_ASSERT(valid(m));
+        return points[m];
+    }
 
     /** Absolute supply voltage of mode @p m [V]. */
-    Volts voltage(PowerMode m) const;
+    Volts voltage(PowerMode m) const
+    {
+        return nominalVddV * point(m).vScale;
+    }
 
     /** Absolute clock frequency of mode @p m [Hz]. */
     Hertz frequency(PowerMode m) const;
@@ -117,20 +126,28 @@ class DvfsTable
      * Idealized dynamic-power scale of mode @p m relative to Turbo:
      * vScale^2 * fScale (cubic for linear DVFS).
      */
-    double powerScale(PowerMode m) const;
+    double powerScale(PowerMode m) const
+    {
+        const auto &p = point(m);
+        return p.vScale * p.vScale * p.fScale;
+    }
 
     /**
      * Idealized performance (BIPS) scale of mode @p m relative to
      * Turbo: fScale (an upper bound on degradation; memory-bound
      * code does better).
      */
-    double perfScale(PowerMode m) const;
+    double perfScale(PowerMode m) const { return point(m).fScale; }
 
     /**
      * Voltage-transition time between two modes [us]
      * (|dV| / slew rate); 0 for from == to.
      */
-    MicroSec transitionUs(PowerMode from, PowerMode to) const;
+    MicroSec transitionUs(PowerMode from, PowerMode to) const
+    {
+        double dv = std::abs(voltage(from) - voltage(to));
+        return dv / slewVoltsPerSec * usPerSecond;
+    }
 
     /** Largest transition time in the table [us]. */
     MicroSec maxTransitionUs() const;

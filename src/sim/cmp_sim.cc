@@ -53,10 +53,26 @@ SimResult::coreBips() const
     return b;
 }
 
+namespace
+{
+
+/** Ungated stall power of every mode of @p dvfs [W]. */
+std::vector<Watts>
+stallPowers(const DvfsTable &dvfs)
+{
+    CorePowerModel model(CorePowerParams::classic(), dvfs);
+    std::vector<Watts> w(dvfs.numModes());
+    for (std::size_t m = 0; m < w.size(); m++)
+        w[m] = model.stallPower(static_cast<PowerMode>(m));
+    return w;
+}
+
+} // namespace
+
 CmpSim::CmpSim(std::vector<const WorkloadProfile *> profiles,
                const DvfsTable &dvfs_, SimConfig cfg_)
     : profs(std::move(profiles)), dvfs(dvfs_), cfg(cfg_),
-      stallModel(CorePowerParams::classic(), dvfs_), uncore()
+      stallW(stallPowers(dvfs_)), uncore()
 {
     if (profs.empty())
         fatal("CmpSim requires at least one core");
@@ -132,7 +148,6 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         double energyJ = 0.0;
         double insts = 0.0;
         double misses = 0.0;
-        double accesses = 0.0;
     };
     std::vector<Acc> explore_acc(n);
     MicroSec explore_elapsed = 0.0;
@@ -145,8 +160,9 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
 
     std::vector<Watts> last_step_power(n, 0.0);
     for (std::size_t c = 0; c < n; c++)
-        last_step_power[c] = stallModel.stallPower(mode_v[c]);
-    std::vector<double> last_miss_rate(n, 0.0); // misses per us
+        last_step_power[c] = stallW[mode_v[c]];
+    // Misses per us; only the contention model reads it.
+    std::vector<double> last_miss_rate(n, 0.0);
 
     SimResult res;
     res.coreInstructions.assign(n, 0.0);
@@ -184,7 +200,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                 auto m = static_cast<PowerMode>(mi);
                 auto d = cursors[c].peek(cfg.exploreUs, m);
                 if (d.usedUs <= 0.0) {
-                    om.powerW(c, m) = stallModel.stallPower(m);
+                    om.powerW(c, m) = stallW[m];
                     om.bips(c, m) = 0.0;
                     continue;
                 }
@@ -219,7 +235,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                         s.memIntensity = d.l2Misses / d.usedUs;
                     } else {
                         s.active = false;
-                        s.powerW = stallModel.stallPower(mode_v[c]);
+                        s.powerW = stallW[mode_v[c]];
                     }
                 } else {
                     const Acc &a = explore_acc[c];
@@ -235,16 +251,13 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                 }
             }
 
-            ModeMatrix oracle_m(1, 1);
-            const ModeMatrix *oracle_p = nullptr;
-            if (mgr->wantsOracle()) {
-                oracle_m = build_oracle();
-                oracle_p = &oracle_m;
-            }
+            std::optional<ModeMatrix> oracle;
+            if (mgr->wantsOracle())
+                oracle = build_oracle();
 
             Watts core_budget = budget->at(t) * reference_power_w;
-            std::vector<PowerMode> new_modes =
-                mgr->atExplore(samples, core_budget, oracle_p);
+            std::vector<PowerMode> new_modes = mgr->atExplore(
+                samples, core_budget, oracle ? &*oracle : nullptr);
 
             // Apply transitions: all cores stall for the longest
             // per-core transition; CPU power is still consumed.
@@ -305,7 +318,6 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         double step_misses = 0.0;
         double step_accesses = 0.0;
         bool finished_now = false;
-        Watts step_core_power = 0.0;
 
         for (std::size_t c = 0; c < n; c++) {
             double step_energy = 0.0;
@@ -317,28 +329,28 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                 step_insts = d.instructions;
                 explore_acc[c].insts += d.instructions;
                 explore_acc[c].misses += d.l2Misses;
-                explore_acc[c].accesses += d.l2Accesses;
                 step_misses += d.l2Misses;
                 step_accesses += d.l2Accesses;
-                last_miss_rate[c] = d.l2Misses / dt;
+                if (cfg.contention)
+                    last_miss_rate[c] = d.l2Misses / dt;
                 if (d.finished) {
                     res.finished[c] = true;
                     finished_now = true;
                     double idle_us = dt - d.usedUs;
-                    step_energy += stallModel.stallPower(mode_v[c]) *
-                        idle_us * 1e-6;
+                    step_energy +=
+                        stallW[mode_v[c]] * idle_us * 1e-6;
                 }
             } else {
-                step_energy =
-                    stallModel.stallPower(mode_v[c]) * dt * 1e-6;
-                last_miss_rate[c] = 0.0;
+                step_energy = stallW[mode_v[c]] * dt * 1e-6;
+                if (cfg.contention)
+                    last_miss_rate[c] = 0.0;
             }
             res.coreEnergyJ[c] += step_energy;
             res.coreInstructions[c] += step_insts;
             explore_acc[c].energyJ += step_energy;
             last_step_power[c] = step_energy / (dt * 1e-6);
-            step_core_power += last_step_power[c];
-            step_bips[c] = bips_of(step_insts, dt);
+            if (record_timeline)
+                step_bips[c] = bips_of(step_insts, dt);
         }
 
         double unc_e = uncore.energy(
@@ -351,6 +363,9 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
             thermal.step(last_step_power, dt);
 
         if (record_timeline) {
+            Watts step_core_power = 0.0;
+            for (Watts w : last_step_power)
+                step_core_power += w;
             res.timeline.append(
                 step_t_us, last_step_power, step_bips, mode_v,
                 step_core_power,

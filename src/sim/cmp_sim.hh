@@ -157,8 +157,9 @@ struct SimResult
  * are safe to call concurrently on one instance. Every piece of
  * per-run state (cursors, accumulators, scratch buffers) lives on
  * the calling thread's stack; the members are either immutable after
- * construction (profiles, dvfs, cfg, power models) or synchronized
- * (the cached reference power, initialized under std::once_flag).
+ * construction (profiles, dvfs, cfg, per-mode stall powers, uncore
+ * model) or synchronized (the cached reference power, initialized
+ * under std::once_flag).
  */
 class CmpSim
 {
@@ -213,7 +214,9 @@ class CmpSim
     std::vector<const WorkloadProfile *> profs;
     const DvfsTable &dvfs;
     SimConfig cfg;
-    CorePowerModel stallModel;
+    /** Ungated core power of each mode (a stalled or finished core)
+     *  [W], indexed by PowerMode. */
+    const std::vector<Watts> stallW;
     UncorePowerModel uncore;
     /** Lazily computed all-Turbo core power; guarded by refOnce so
      *  concurrent referencePowerW() calls are race-free. */

@@ -174,6 +174,23 @@ ProfileCursor::rewind()
     instsAcc = 0.0;
 }
 
+namespace
+{
+
+/** Add fraction @p frac of chunk @p c, which holds @p insts
+ *  instructions, to @p d. */
+inline void
+addShare(ProfileCursor::Delta &d, double frac, const ChunkRecord &c,
+         double insts)
+{
+    d.instructions += frac * insts;
+    d.energyJ += frac * c.energyJ;
+    d.l2Accesses += frac * static_cast<double>(c.l2Accesses);
+    d.l2Misses += frac * static_cast<double>(c.l2Misses);
+}
+
+} // namespace
+
 ProfileCursor::Delta
 ProfileCursor::advanceFrom(Pos &pos, MicroSec dt_us, PowerMode m,
                            double dilation) const
@@ -181,59 +198,80 @@ ProfileCursor::advanceFrom(Pos &pos, MicroSec dt_us, PowerMode m,
     GPM_ASSERT(m < prof.modes.size());
     GPM_ASSERT(dilation >= 1.0);
     const ModeProfile &mp = prof.modes[m];
+    const std::size_t n = mp.chunks.size();
+    const double chunk_insts = static_cast<double>(mp.chunkInsts);
+    const double last_insts = static_cast<double>(mp.lastChunkInsts);
+    // x * 1.0 == x: an undilated step skips the multiply.
+    const bool dilated = dilation != 1.0;
     Delta d;
     double remaining_ps = dt_us * 1e6; // us -> ps
 
-    while (remaining_ps > 0.0 &&
-           !posFinished(pos, mp.chunks.size())) {
-        const ChunkRecord &c = mp.chunks[pos.chunk];
-        std::uint64_t this_chunk_insts =
-            pos.chunk + 1 == mp.chunks.size() ? mp.lastChunkInsts
-                                              : mp.chunkInsts;
-        // A wrapped shifted replay stops mid-chunk at the start
-        // fraction; everywhere else the chunk runs to its end.
-        double end_frac =
-            shifted && pos.wrapped && pos.chunk == start.chunk
-            ? start.frac
-            : 1.0;
-        double chunk_ps = static_cast<double>(c.timePs) * dilation;
-        double rem_frac = end_frac - pos.frac;
-        double rem_ps = chunk_ps * rem_frac;
+    // Whole chunks up to the pass boundary, fixed here: the end of
+    // the stream or, once a shifted replay has wrapped, its start
+    // chunk.
+    std::size_t stop = shifted && pos.wrapped ? start.chunk : n;
+    for (;;) {
+        while (pos.chunk < stop && remaining_ps > 0.0) {
+            const ChunkRecord &c = mp.chunks[pos.chunk];
+            const double insts =
+                pos.chunk + 1 == n ? last_insts : chunk_insts;
+            double chunk_ps = static_cast<double>(c.timePs);
+            if (dilated)
+                chunk_ps *= dilation;
+            double rem_frac = 1.0 - pos.frac;
+            double rem_ps = chunk_ps * rem_frac;
+            if (rem_ps <= remaining_ps) {
+                addShare(d, rem_frac, c, insts);
+                remaining_ps -= rem_ps;
+                pos.chunk++;
+                pos.frac = 0.0;
+            } else {
+                double f = remaining_ps / chunk_ps;
+                addShare(d, f, c, insts);
+                pos.frac += f;
+                remaining_ps = 0.0;
+            }
+        }
+        // The wrap to chunk 0 is eager: it happens when the last
+        // chunk ends, even with no time left.
+        if (pos.chunk < stop || !shifted || pos.wrapped)
+            break;
+        pos.chunk = 0;
+        pos.wrapped = true;
+        stop = start.chunk;
+    }
 
+    // A wrapped replay ends in its start chunk, at the start
+    // fraction.
+    if (shifted && pos.wrapped && pos.chunk == start.chunk &&
+        pos.frac < start.frac && remaining_ps > 0.0) {
+        const ChunkRecord &c = mp.chunks[pos.chunk];
+        const double insts =
+            pos.chunk + 1 == n ? last_insts : chunk_insts;
+        double chunk_ps = static_cast<double>(c.timePs);
+        if (dilated)
+            chunk_ps *= dilation;
+        double rem_frac = start.frac - pos.frac;
+        double rem_ps = chunk_ps * rem_frac;
         if (rem_ps <= remaining_ps) {
-            // Finish the chunk (or the final partial chunk).
-            d.instructions +=
-                rem_frac * static_cast<double>(this_chunk_insts);
-            d.energyJ += rem_frac * c.energyJ;
-            d.l2Accesses +=
-                rem_frac * static_cast<double>(c.l2Accesses);
-            d.l2Misses += rem_frac * static_cast<double>(c.l2Misses);
+            addShare(d, rem_frac, c, insts);
             remaining_ps -= rem_ps;
-            if (end_frac < 1.0) {
-                pos.frac = end_frac; // back at start: finished
+            if (start.frac < 1.0) {
+                pos.frac = start.frac; // back at start: finished
             } else {
                 pos.chunk++;
                 pos.frac = 0.0;
-                if (shifted && !pos.wrapped &&
-                    pos.chunk >= mp.chunks.size()) {
-                    pos.chunk = 0;
-                    pos.wrapped = true;
-                }
             }
         } else {
             double f = remaining_ps / chunk_ps;
-            d.instructions +=
-                f * static_cast<double>(this_chunk_insts);
-            d.energyJ += f * c.energyJ;
-            d.l2Accesses += f * static_cast<double>(c.l2Accesses);
-            d.l2Misses += f * static_cast<double>(c.l2Misses);
+            addShare(d, f, c, insts);
             pos.frac += f;
             remaining_ps = 0.0;
         }
     }
 
     d.usedUs = dt_us - remaining_ps * 1e-6;
-    d.finished = posFinished(pos, mp.chunks.size());
+    d.finished = posFinished(pos, n);
     return d;
 }
 

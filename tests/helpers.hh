@@ -1,14 +1,15 @@
 /**
  * @file
  * Shared test fixtures: scripted micro-op sources, hand-built
- * workload profiles, random ModeMatrix generators, and the
- * exhaustive reference the exact MaxBIPS / MinPower search must
- * reproduce.
+ * workload profiles, random ModeMatrix generators, the exhaustive
+ * reference the exact MaxBIPS / MinPower search must reproduce, and
+ * the chunk-at-a-time cursor the ProfileCursor step must reproduce.
  */
 
 #ifndef GPM_TESTS_HELPERS_HH
 #define GPM_TESTS_HELPERS_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "core/types.hh"
@@ -215,6 +216,186 @@ bruteForce(const ModeMatrix &m, double limit, Objective obj)
                                 : modes::Turbo);
     return best;
 }
+
+/**
+ * The replay ProfileCursor must reproduce bit for bit: the
+ * chunk-at-a-time loop that re-tests the pass boundary, re-selects
+ * and converts the chunk's instruction count and multiplies by the
+ * dilation for every chunk it touches. seekFraction(), advance(),
+ * peek(), finished(), instructionsDone() and progress() behave as
+ * ProfileCursor's, over this object's own position.
+ */
+class ReferenceCursor
+{
+  public:
+    using Delta = ProfileCursor::Delta;
+
+    explicit ReferenceCursor(const WorkloadProfile &profile)
+        : prof(profile)
+    {
+    }
+
+    void
+    seekFraction(double f)
+    {
+        const ModeProfile &mp = prof.modes[0];
+        start = Pos{};
+        shifted = false;
+        if (f > 0.0 && !mp.chunks.empty()) {
+            double target =
+                f * static_cast<double>(mp.totalInsts());
+            auto chunk = static_cast<std::size_t>(
+                target / static_cast<double>(mp.chunkInsts));
+            chunk = std::min(chunk, mp.chunks.size() - 1);
+            std::uint64_t this_chunk = chunk + 1 == mp.chunks.size()
+                ? mp.lastChunkInsts
+                : mp.chunkInsts;
+            double frac = (target -
+                           static_cast<double>(chunk) *
+                               static_cast<double>(mp.chunkInsts)) /
+                static_cast<double>(this_chunk);
+            start.chunk = chunk;
+            start.frac = std::clamp(frac, 0.0, 1.0);
+            shifted = true;
+        }
+        cur = start;
+        instsAcc = 0.0;
+    }
+
+    Delta
+    advance(MicroSec dt_us, PowerMode m, double dilation = 1.0)
+    {
+        Delta d = advanceFrom(cur, dt_us, m, dilation);
+        instsAcc += d.instructions;
+        return d;
+    }
+
+    Delta
+    peek(MicroSec dt_us, PowerMode m, double dilation = 1.0) const
+    {
+        Pos tmp = cur;
+        return advanceFrom(tmp, dt_us, m, dilation);
+    }
+
+    bool
+    finished() const
+    {
+        return posFinished(cur, prof.modes[0].chunks.size());
+    }
+
+    double
+    instructionsDone() const
+    {
+        const ModeProfile &mp = prof.modes[0];
+        if (shifted)
+            return std::min(instsAcc,
+                            static_cast<double>(mp.totalInsts()));
+        if (finished())
+            return static_cast<double>(mp.totalInsts());
+        double insts =
+            static_cast<double>(cur.chunk) *
+            static_cast<double>(mp.chunkInsts);
+        std::uint64_t this_chunk = cur.chunk + 1 == mp.chunks.size()
+            ? mp.lastChunkInsts
+            : mp.chunkInsts;
+        return insts + cur.frac * static_cast<double>(this_chunk);
+    }
+
+    double
+    progress() const
+    {
+        double total =
+            static_cast<double>(prof.modes[0].totalInsts());
+        if (total <= 0.0)
+            return 1.0;
+        return instructionsDone() / total;
+    }
+
+  private:
+    struct Pos
+    {
+        std::size_t chunk = 0;
+        double frac = 0.0;
+        bool wrapped = false;
+    };
+
+    bool
+    posFinished(const Pos &pos, std::size_t n_chunks) const
+    {
+        if (!shifted)
+            return pos.chunk >= n_chunks;
+        return pos.wrapped &&
+            (pos.chunk > start.chunk ||
+             (pos.chunk == start.chunk && pos.frac >= start.frac));
+    }
+
+    Delta
+    advanceFrom(Pos &pos, MicroSec dt_us, PowerMode m,
+                double dilation) const
+    {
+        const ModeProfile &mp = prof.modes[m];
+        Delta d;
+        double remaining_ps = dt_us * 1e6;
+
+        while (remaining_ps > 0.0 &&
+               !posFinished(pos, mp.chunks.size())) {
+            const ChunkRecord &c = mp.chunks[pos.chunk];
+            std::uint64_t this_chunk_insts =
+                pos.chunk + 1 == mp.chunks.size() ? mp.lastChunkInsts
+                                                  : mp.chunkInsts;
+            double end_frac =
+                shifted && pos.wrapped && pos.chunk == start.chunk
+                ? start.frac
+                : 1.0;
+            double chunk_ps =
+                static_cast<double>(c.timePs) * dilation;
+            double rem_frac = end_frac - pos.frac;
+            double rem_ps = chunk_ps * rem_frac;
+
+            if (rem_ps <= remaining_ps) {
+                d.instructions +=
+                    rem_frac * static_cast<double>(this_chunk_insts);
+                d.energyJ += rem_frac * c.energyJ;
+                d.l2Accesses +=
+                    rem_frac * static_cast<double>(c.l2Accesses);
+                d.l2Misses +=
+                    rem_frac * static_cast<double>(c.l2Misses);
+                remaining_ps -= rem_ps;
+                if (end_frac < 1.0) {
+                    pos.frac = end_frac;
+                } else {
+                    pos.chunk++;
+                    pos.frac = 0.0;
+                    if (shifted && !pos.wrapped &&
+                        pos.chunk >= mp.chunks.size()) {
+                        pos.chunk = 0;
+                        pos.wrapped = true;
+                    }
+                }
+            } else {
+                double f = remaining_ps / chunk_ps;
+                d.instructions +=
+                    f * static_cast<double>(this_chunk_insts);
+                d.energyJ += f * c.energyJ;
+                d.l2Accesses +=
+                    f * static_cast<double>(c.l2Accesses);
+                d.l2Misses += f * static_cast<double>(c.l2Misses);
+                pos.frac += f;
+                remaining_ps = 0.0;
+            }
+        }
+
+        d.usedUs = dt_us - remaining_ps * 1e-6;
+        d.finished = posFinished(pos, mp.chunks.size());
+        return d;
+    }
+
+    const WorkloadProfile &prof;
+    Pos cur;
+    Pos start;
+    bool shifted = false;
+    double instsAcc = 0.0;
+};
 
 } // namespace gpm::test
 

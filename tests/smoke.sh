@@ -220,16 +220,24 @@ gpmd_restart() {
 # request lines inside the reactor; gpmctl's seeded backoff retries,
 # with a per-attempt timeout so a dropped request does not hang an
 # attempt, must converge inside its deadline anyway.
+#
+# Each dropped request costs one per-attempt timeout, so the
+# timeouts are the slowest answered attempt plus a margin. Answered
+# attempts took at most 72 ms in the standard and the TSan build,
+# except a submit over an empty store, which waits for the suite
+# build: 0.85 s in the standard build. ping_ms and submit_ms are
+# about 14x and 2.4x those. Under TSan that build takes ~14 s; such
+# a submit times out and retries until it ends, inside the deadline.
 gpmd_faults() {
     GPMD=$1 GPMCTL=$2
-    local port stats budget
+    local port stats budget ping_ms=1000 submit_ms=2000
     GPMD_FAULT="worker-throw:0.8,conn-stall:1:20,read-drop:0.3,seed:5" \
         start_gpmd gpmd.log --profile-cache-dir "$STORE"
     port=$(await_port "$PID" gpmd.log "listening on")
     grep -q 'FAULT INJECTION ARMED' gpmd.log ||
         { cat gpmd.log >&2; fail "faults not armed"; }
 
-    ctl "$port" --retries 10 --retry-base-ms 20 --timeout-ms 3000 \
+    ctl "$port" --retries 10 --retry-base-ms 20 --timeout-ms "$ping_ms" \
         --seed 6 ping | grep -q '"pong":true' ||
         fail "ping did not survive conn-stall"
 
@@ -237,16 +245,17 @@ gpmd_faults() {
     # rolls that at least one crash is near-certain, and each
     # retrying submit must still end in the real sweep result.
     for budget in 0.8 0.7 0.75; do
-        ctl "$port" --retries 30 --retry-base-ms 20 --timeout-ms 5000 \
-            --deadline 60000 --seed 7 submit --combo mcf \
-            --policy MaxBIPS --budget "$budget" | grep -q '"ok":true' ||
+        ctl "$port" --retries 30 --retry-base-ms 20 \
+            --timeout-ms "$submit_ms" --deadline 60000 --seed 7 \
+            submit --combo mcf --policy MaxBIPS --budget "$budget" |
+            grep -q '"ok":true' ||
             fail "retrying submit did not converge"
     done
 
     # The daemon contained every crash: workers restored, crashes
     # counted, and it still serves and drains.
     stats=$(ctl "$port" --retries 10 --retry-base-ms 20 \
-        --timeout-ms 3000 --seed 8 stats)
+        --timeout-ms "$ping_ms" --seed 8 stats)
     echo "$stats" | grep -q '"faultsArmed":true' || fail "stats: $stats"
     echo "$stats" | grep -q '"workersAlive":2' ||
         fail "workers not restored: $stats"

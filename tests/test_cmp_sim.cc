@@ -213,6 +213,40 @@ TEST_F(CmpSimTest, ContentionSlowsMemoryHeavyCores)
     EXPECT_LT(rb.avgCorePowerW(), ra.avgCorePowerW());
 }
 
+TEST_F(CmpSimTest, TimelineRecordingChangesNoResult)
+{
+    // The delta loop computes the values only the timeline reads
+    // only when one is recorded; the run must not notice.
+    auto heavy = syntheticProfile(300, 10'000, 10.0, 1e-4,
+                                  {1.0, 1.0 / 0.95, 1.0 / 0.85},
+                                  {1.0, 0.857, 0.614}, 2'000);
+    auto light = classicSyntheticProfile(250, 8.0, 1.2e-4);
+    SimConfig cfg = quietConfig();
+    cfg.contention = true;
+    CmpSim sim({&heavy, &light, &heavy, &light}, dvfs, cfg);
+    Watts ref = sim.referencePowerW();
+    auto mgr_a = manager("MaxBIPS");
+    auto mgr_b = manager("MaxBIPS");
+    auto with = sim.run(mgr_a, BudgetSchedule(0.8), ref, true);
+    auto without = sim.run(mgr_b, BudgetSchedule(0.8), ref, false);
+    EXPECT_FALSE(with.timeline.empty());
+    EXPECT_TRUE(without.timeline.empty());
+    EXPECT_GT(with.managerStats.modeSwitches, 0u);
+    EXPECT_EQ(with.endUs, without.endUs);
+    EXPECT_EQ(with.coreInstructions, without.coreInstructions);
+    EXPECT_EQ(with.coreEnergyJ, without.coreEnergyJ);
+    EXPECT_EQ(with.uncoreEnergyJ, without.uncoreEnergyJ);
+    EXPECT_EQ(with.finished, without.finished);
+    EXPECT_EQ(with.managerStats.decisions,
+              without.managerStats.decisions);
+    EXPECT_EQ(with.managerStats.overshoots,
+              without.managerStats.overshoots);
+    EXPECT_EQ(with.managerStats.modeSwitches,
+              without.managerStats.modeSwitches);
+    EXPECT_EQ(with.predPowerError, without.predPowerError);
+    EXPECT_EQ(with.predBipsError, without.predBipsError);
+}
+
 TEST_F(CmpSimTest, PredictionsExactWhenModesSettle)
 {
     // Stationary profile and a budget that admits all-Turbo: after

@@ -2,12 +2,14 @@
  *  serializeResults for every Table 2 combination under MaxBIPS,
  *  Oracle, MinPower, HistoryMaxBIPS, Static and the paper's other
  *  three policies (Priority, PullHiPushLo, ChipWideDVFS), for many64
- *  under the approximate engines with a phase-shift stride, and of
+ *  under the approximate engines with a phase-shift stride, for a
+ *  few scenarios with a sim knob the delta loop branches on, and of
  *  serializeClusterResults for one cluster scenario, each over a
  *  budget list at the scale of the other end-to-end tests. The
  *  digests pin the policies' answers, tie-breaks included, and the
  *  serializers' bytes: the exact-search rows were recorded before
- *  the search was rewritten, the others before the serializers
+ *  the search was rewritten, the knob rows before the delta loop
+ *  and the profile cursor were, the others before the serializers
  *  were. */
 
 #include <gtest/gtest.h>
@@ -37,11 +39,20 @@ fnv1a(const std::string &s)
     return h;
 }
 
+/** The sim knob a row turns on; the others keep their defaults. */
+enum class Knob
+{
+    None,
+    Contention,  ///< the analytic contention model (dilation > 1)
+    SensorNoise, ///< 5% noise on the local monitors' samples
+};
+
 struct Frozen
 {
     const char *combo;
     const char *policy;
     std::uint64_t digest;
+    Knob knob = Knob::None;
 };
 
 const Frozen frozen[] = {
@@ -85,6 +96,8 @@ const Frozen frozen[] = {
     {"4way1", "Priority", 0x6df7a4c1abbabd76ull},
     {"4way1", "PullHiPushLo", 0xf7b3427d66715ae6ull},
     {"4way1", "ChipWideDVFS", 0xb8b37cdb7a863d5dull},
+    {"4way1", "MaxBIPS", 0x3220250409de9609ull, Knob::Contention},
+    {"4way1", "MaxBIPS", 0xb609178a99e12141ull, Knob::SensorNoise},
     {"4way2", "MaxBIPS", 0xd5eaf1db1f5b15d3ull},
     {"4way2", "Oracle", 0x57b2b7c3d8806a3dull},
     {"4way2", "MinPower", 0xac9283bedcb58406ull},
@@ -117,6 +130,7 @@ const Frozen frozen[] = {
     {"8way1", "Priority", 0x983fbe897c2e747cull},
     {"8way1", "PullHiPushLo", 0x69c9ce42c46f3475ull},
     {"8way1", "ChipWideDVFS", 0xa13ab0b81a5d773ull},
+    {"8way1", "Oracle", 0xa47b6eee8333bb3dull, Knob::Contention},
     {"8way2", "MaxBIPS", 0x1da43744134f41d6ull},
     {"8way2", "Oracle", 0xf4567b062c4a1a3full},
     {"8way2", "MinPower", 0x3eabeebc3eb8eaf8ull},
@@ -128,6 +142,7 @@ const Frozen frozen[] = {
     {"many64", "MaxBIPS-DP", 0x9bb2896bb012b74cull},
     {"many64", "WaterFill", 0x60821930e428db92ull},
     {"many64", "GreedyTurbo", 0x66f55d5fc21609b7ull},
+    {"many64", "GreedyTurbo", 0x72a20a41b8f02e39ull, Knob::Contention},
 };
 
 /** serializeClusterResults of clusterScenario() at both budgets. */
@@ -145,27 +160,30 @@ TEST_P(ExactPayloads, MatchFrozenDigests)
     const bool many = key.rfind("many", 0) == 0;
     const std::vector<std::string> *combo = findCombination(key);
     ASSERT_NE(combo, nullptr);
-    ScenarioSpec knobs;
-    if (many)
-        knobs.phaseShiftStride = 0.1;
-    ExperimentRunner runner(test::profiles(0.05), test::dvfs(),
-                            knobs.simConfig());
-    int checked = 0;
+    int plain = 0;
     for (const Frozen &f : frozen) {
         if (key != f.combo)
             continue;
-        ScenarioSpec spec = knobs;
+        ScenarioSpec spec;
+        if (many)
+            spec.phaseShiftStride = 0.1;
+        spec.contention = f.knob == Knob::Contention;
+        spec.sensorNoise = f.knob == Knob::SensorNoise ? 0.05 : 0.0;
         spec.combo = *combo;
         spec.policy = f.policy;
         spec.budgets = {0.55, 0.65, 0.75, 0.85, 0.95};
+        ExperimentRunner runner(test::profiles(0.05), test::dvfs(),
+                                spec.simConfig());
         std::string payload =
             serializeResults(spec, runner.sweep(spec.sweepSpec(), 1));
         EXPECT_EQ(fnv1a(payload), f.digest)
             << "{\"" << key << "\", \"" << f.policy << "\", 0x"
-            << std::hex << fnv1a(payload) << "ull},";
-        checked++;
+            << std::hex << fnv1a(payload) << "ull, knob "
+            << static_cast<int>(f.knob) << "},";
+        plain += f.knob == Knob::None;
     }
-    EXPECT_EQ(checked, many ? 3 : 8);
+    // Every policy has a row at the default knobs.
+    EXPECT_EQ(plain, many ? 3 : 8);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,5 +1,6 @@
 /** @file Unit tests for profiles, cursors and the profile library. */
 
+#include <cmath>
 #include <filesystem>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include "helpers.hh"
 #include "trace/phase_profile.hh"
 #include "trace/workload.hh"
+#include "util/rng.hh"
 
 namespace gpm
 {
@@ -138,6 +140,86 @@ TEST(ProfileCursor, L2TrafficAccumulates)
     auto d = cur.advance(35.0, static_cast<PowerMode>(0));
     EXPECT_NEAR(d.l2Misses, 3.5 * 500, 1);
     EXPECT_NEAR(d.l2Accesses, 3.5 * 1000, 2);
+}
+
+/**
+ * Drive a ProfileCursor and test::ReferenceCursor through one seeded
+ * mix of advance() and peek() calls at any mode, with dilation
+ * exactly 1 or drawn from [1, 1.6), from phase shift @p shift (0 =
+ * unshifted) until both finish, then two calls more, and require
+ * every Delta field and the cursors' finished(), instructionsDone()
+ * and progress() to compare == after every call.
+ */
+void
+expectStepsMatchReference(const WorkloadProfile &p, double shift,
+                          std::uint64_t seed)
+{
+    SCOPED_TRACE(p.name + " shift " + std::to_string(shift));
+    ProfileCursor cur(p);
+    test::ReferenceCursor ref(p);
+    if (shift > 0.0) {
+        cur.seekFraction(shift);
+        ref.seekFraction(shift);
+    }
+    Rng rng(seed);
+    const auto n_modes = static_cast<std::uint32_t>(p.modes.size());
+    int after_finish = 2;
+    for (int step = 0; after_finish > 0; step++) {
+        ASSERT_LT(step, 100'000) << "the replay never finished";
+        // Log-uniform in [1, 2000] us: mostly steps that end
+        // mid-chunk, some that cross the wrap or the whole stream.
+        const MicroSec dt = std::exp(rng.uniform(0.0, std::log(2000.0)));
+        const auto m = static_cast<PowerMode>(rng.below(n_modes));
+        const double dilation =
+            rng.below(2) ? 1.0 : rng.uniform(1.0, 1.6);
+        const bool peek = rng.below(4) == 0;
+        const ProfileCursor::Delta a =
+            peek ? cur.peek(dt, m, dilation)
+                 : cur.advance(dt, m, dilation);
+        const ProfileCursor::Delta b =
+            peek ? ref.peek(dt, m, dilation)
+                 : ref.advance(dt, m, dilation);
+        SCOPED_TRACE("step " + std::to_string(step));
+        ASSERT_EQ(a.instructions, b.instructions);
+        ASSERT_EQ(a.energyJ, b.energyJ);
+        ASSERT_EQ(a.l2Accesses, b.l2Accesses);
+        ASSERT_EQ(a.l2Misses, b.l2Misses);
+        ASSERT_EQ(a.usedUs, b.usedUs);
+        ASSERT_EQ(a.finished, b.finished);
+        ASSERT_EQ(cur.finished(), ref.finished());
+        ASSERT_EQ(cur.instructionsDone(), ref.instructionsDone());
+        ASSERT_EQ(cur.progress(), ref.progress());
+        if (cur.finished())
+            after_finish--;
+    }
+}
+
+TEST(ProfileCursor, StepsMatchReferenceBitForBit)
+{
+    // No suite profile has a last chunk shorter than the others at
+    // this scale; this one does, and irregular chunk times.
+    WorkloadProfile short_last = syntheticProfile(
+        40, 10'000, 10.0, 1e-4, {1.0, 1.0 / 0.95, 1.0 / 0.85},
+        {1.0, 0.857375, 0.614125}, 300);
+    short_last.name = "short-last-chunk";
+    Rng jitter(7);
+    for (ModeProfile &mp : short_last.modes) {
+        mp.lastChunkInsts = 3'700;
+        for (ChunkRecord &c : mp.chunks)
+            c.timePs = static_cast<std::uint64_t>(
+                static_cast<double>(c.timePs) *
+                jitter.uniform(0.3, 3.0));
+        mp.chunks.back().timePs = mp.chunks.back().timePs * 37 / 100;
+    }
+
+    std::vector<const WorkloadProfile *> profs = {&short_last};
+    for (const WorkloadSpec &w : spec2000Suite())
+        profs.push_back(&test::profiles(0.05).get(w.name));
+    std::uint64_t seed = 1;
+    for (const WorkloadProfile *p : profs)
+        for (double shift : {0.0, 0.1, 0.5, 0.999})
+            for (int sequence = 0; sequence < 10; sequence++)
+                expectStepsMatchReference(*p, shift, seed++);
 }
 
 TEST(WorkloadProfile, AtChecksBounds)
