@@ -94,31 +94,26 @@ ClusterManager::run(double budget_frac, std::size_t concurrency,
         return Expected<ClusterRunResult, ClusterError>::failure(
             cancelledErr());
 
+    // --- Simulators and reference powers, in one fan over the pool:
+    // every chip builds its CmpSim (which peeks each core's first
+    // explore interval), and the first of each set of identical
+    // chips runs the reference. Containment: a throwing reference
+    // sim surfaces as a per-chip error, not a pool rethrow.
     std::vector<std::unique_ptr<CmpSim>> sims(m);
-    for (std::size_t i = 0; i < m; i++)
-        sims[i] = std::make_unique<CmpSim>(
-            profs[i], dvfs, chipConfig(spec_.chips[i]));
-
-    // --- Reference powers, deduplicated across identical chips and
-    // fanned over the pool. Containment: a throwing reference sim
-    // surfaces as a per-chip error, not a pool rethrow.
     std::vector<Watts> refW(m, 0.0);
     std::vector<std::string> errs(m);
     {
         std::map<std::string, std::size_t> reps;
         std::vector<std::size_t> owner(m); // chip -> representative
-        std::vector<std::size_t> uniq;
-        for (std::size_t i = 0; i < m; i++) {
-            auto [it, fresh] =
-                reps.emplace(chipKey(spec_.chips[i]), i);
-            owner[i] = it->second;
-            if (fresh)
-                uniq.push_back(i);
-        }
-        parallelFor(concurrency, uniq.size(), [&](std::size_t u) {
-            const std::size_t i = uniq[u];
+        for (std::size_t i = 0; i < m; i++)
+            owner[i] =
+                reps.emplace(chipKey(spec_.chips[i]), i).first->second;
+        parallelFor(concurrency, m, [&](std::size_t i) {
             try {
-                refW[i] = sims[i]->referencePowerW();
+                sims[i] = std::make_unique<CmpSim>(
+                    profs[i], dvfs, chipConfig(spec_.chips[i]));
+                if (owner[i] == i)
+                    refW[i] = sims[i]->referencePowerW();
             } catch (const std::exception &e) {
                 errs[i] = e.what();
             } catch (...) {

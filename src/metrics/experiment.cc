@@ -87,8 +87,9 @@ ExperimentRunner::cacheFor(const std::vector<std::string> &combo)
     std::call_once(cc->init, [&] {
         cc->sim =
             std::make_unique<CmpSim>(profilesFor(combo), dvfs, cfg);
+        cc->memo = cc->sim->firstIntervalMemo();
         std::vector<PowerMode> all_turbo(combo.size(), modes::Turbo);
-        cc->turboRef = cc->sim->runStatic(all_turbo, false);
+        cc->turboRef = cc->sim->runStatic(all_turbo, false, &cc->memo);
         cc->refW = cc->turboRef.avgCorePowerW();
     });
     return *cc;
@@ -116,7 +117,7 @@ ExperimentRunner::evaluate(const std::vector<std::string> &combo,
     GlobalManager mgr(dvfs, makePolicy(policy), cfg.exploreUs,
                       idlePowerW);
     BudgetSchedule budget(budget_frac);
-    SimResult run = cc.sim->run(mgr, budget, cc.refW, false);
+    SimResult run = cc.sim->run(mgr, budget, cc.refW, false, &cc.memo);
 
     PolicyEval ev;
     ev.policy = policy;
@@ -135,27 +136,28 @@ ExperimentRunner::evaluateStatic(
     StaticFit fit)
 {
     ComboCache &cc = cacheFor(combo);
-    auto profiles = profilesFor(combo);
 
     // Whole-run "native" stats per core per mode: the optimistic
     // oracle knowledge the paper grants static management.
-    std::vector<std::vector<StaticModeStats>> per_core;
-    for (const auto *p : profiles) {
-        std::vector<StaticModeStats> row;
-        for (std::size_t mi = 0; mi < dvfs.numModes(); mi++) {
-            const ModeProfile &mp =
-                p->at(static_cast<PowerMode>(mi));
-            row.push_back({mp.avgPowerW(),
-                           mp.peakPowerW(cfg.exploreUs), mp.bips()});
+    std::call_once(cc.staticInit, [&] {
+        for (const auto *p : profilesFor(combo)) {
+            std::vector<StaticModeStats> row;
+            for (std::size_t mi = 0; mi < dvfs.numModes(); mi++) {
+                const ModeProfile &mp =
+                    p->at(static_cast<PowerMode>(mi));
+                row.push_back({mp.avgPowerW(),
+                               mp.peakPowerW(cfg.exploreUs),
+                               mp.bips()});
+            }
+            cc.staticStats.push_back(std::move(row));
         }
-        per_core.push_back(std::move(row));
-    }
+    });
 
     Watts core_budget = budget_frac * cc.refW;
     std::vector<PowerMode> assign =
-        planStaticAssignment(per_core, core_budget, fit);
+        planStaticAssignment(cc.staticStats, core_budget, fit);
 
-    SimResult run = cc.sim->runStatic(assign, false);
+    SimResult run = cc.sim->runStatic(assign, false, &cc.memo);
     PolicyEval ev;
     ev.policy = "Static";
     ev.budgetFrac = budget_frac;
@@ -289,7 +291,7 @@ ExperimentRunner::timeline(const std::vector<std::string> &combo,
     ComboCache &cc = cacheFor(combo);
     GlobalManager mgr(dvfs, makePolicy(policy), cfg.exploreUs,
                       idlePowerW);
-    return cc.sim->run(mgr, budget, cc.refW, true);
+    return cc.sim->run(mgr, budget, cc.refW, true, &cc.memo);
 }
 
 } // namespace gpm

@@ -99,14 +99,22 @@ struct SweepSpec
 /**
  * Drives CmpSim for whole experiments.
  *
+ * Per combination the runner keeps, for its lifetime, what every
+ * request of that combination would otherwise recompute: the bound
+ * CmpSim, its FirstIntervalMemo, the all-Turbo reference run, and
+ * (from the first Static point on) every core's whole-run mode
+ * statistics. Every run passes the memo back into CmpSim, so
+ * results are the bits a memo-less run computes.
+ *
  * Thread-safety contract: all evaluation entry points (evaluate,
  * evaluateStatic, curve, timeline, reference, referencePowerW,
  * sweep) may be called concurrently on one runner. The per-combo
  * cache is a map of once-initialized entries behind a shared_mutex;
- * each entry's CmpSim is built and its all-Turbo reference run
- * executed exactly once under std::call_once, and CmpSim itself is
- * reentrant (see sim/cmp_sim.hh). The ProfileLibrary performs its
- * own locking.
+ * each entry's CmpSim is built, its memo replayed and its all-Turbo
+ * reference run executed exactly once under std::call_once (the
+ * Static statistics under a second once_flag), after which the
+ * entry is read-only; CmpSim itself is reentrant (see
+ * sim/cmp_sim.hh). The ProfileLibrary performs its own locking.
  */
 class ExperimentRunner
 {
@@ -220,8 +228,13 @@ class ExperimentRunner
     {
         std::once_flag init;
         std::unique_ptr<CmpSim> sim;
+        /** The first explore interval every run of sim replays. */
+        FirstIntervalMemo memo;
         SimResult turboRef;
         Watts refW = 0.0;
+        std::once_flag staticInit;
+        /** Whole-run stats of each core at each mode, for Static. */
+        std::vector<std::vector<StaticModeStats>> staticStats;
     };
 
     ComboCache &cacheFor(const std::vector<std::string> &combo);

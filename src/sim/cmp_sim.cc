@@ -56,6 +56,22 @@ SimResult::coreBips() const
 namespace
 {
 
+/** @p profiles, once they and @p cfg are fit to simulate. */
+std::vector<const WorkloadProfile *>
+checked(std::vector<const WorkloadProfile *> profiles,
+        const DvfsTable &dvfs, const SimConfig &cfg)
+{
+    if (profiles.empty())
+        fatal("CmpSim requires at least one core");
+    for (const auto *p : profiles) {
+        GPM_ASSERT(p != nullptr);
+        GPM_ASSERT(p->modes.size() == dvfs.numModes());
+    }
+    if (cfg.deltaSimUs <= 0.0 || cfg.exploreUs < cfg.deltaSimUs)
+        fatal("CmpSim: need 0 < deltaSimUs <= exploreUs");
+    return profiles;
+}
+
 /** Ungated stall power of every mode of @p dvfs [W]. */
 std::vector<Watts>
 stallPowers(const DvfsTable &dvfs)
@@ -67,39 +83,124 @@ stallPowers(const DvfsTable &dvfs)
     return w;
 }
 
+/** Core c starts at fraction frac(phaseShiftBase + c * stride). */
+std::vector<ProfileCursor>
+startCursorsOf(const std::vector<const WorkloadProfile *> &profs,
+               const SimConfig &cfg)
+{
+    std::vector<ProfileCursor> cursors;
+    cursors.reserve(profs.size());
+    for (const auto *p : profs)
+        cursors.emplace_back(*p);
+    if (cfg.phaseShiftStride > 0.0 || cfg.phaseShiftBase > 0.0) {
+        for (std::size_t c = 0; c < cursors.size(); c++) {
+            double f = cfg.phaseShiftBase +
+                static_cast<double>(c) * cfg.phaseShiftStride;
+            cursors[c].seekFraction(f - std::floor(f));
+        }
+    }
+    return cursors;
+}
+
+double
+bipsOf(double insts, MicroSec us)
+{
+    return us > 0.0 ? insts / (us * 1000.0) : 0.0;
+}
+
+/** The first decision's samples: the trace-based tool knows the
+ *  first interval's behaviour, so it bootstraps from the profiles. */
+std::vector<CoreSample>
+bootstrapSamples(const std::vector<ProfileCursor> &cursors,
+                 const SimConfig &cfg, const std::vector<Watts> &stallW)
+{
+    std::vector<CoreSample> samples(cursors.size());
+    for (std::size_t c = 0; c < cursors.size(); c++) {
+        CoreSample &s = samples[c];
+        s.mode = cfg.startMode;
+        auto d = cursors[c].peek(cfg.exploreUs, cfg.startMode);
+        if (d.usedUs > 0.0) {
+            s.powerW = d.energyJ / (d.usedUs * 1e-6);
+            s.bips = bipsOf(d.instructions, d.usedUs);
+            s.memIntensity = d.l2Misses / d.usedUs;
+        } else {
+            s.active = false;
+            s.powerW = stallW[cfg.startMode];
+        }
+    }
+    return samples;
+}
+
 } // namespace
 
 CmpSim::CmpSim(std::vector<const WorkloadProfile *> profiles,
                const DvfsTable &dvfs_, SimConfig cfg_)
-    : profs(std::move(profiles)), dvfs(dvfs_), cfg(cfg_),
-      stallW(stallPowers(dvfs_)), uncore()
+    : profs(checked(std::move(profiles), dvfs_, cfg_)), dvfs(dvfs_),
+      cfg(cfg_), stallW(stallPowers(dvfs_)),
+      startCursors(startCursorsOf(profs, cfg)),
+      bootstrap(bootstrapSamples(startCursors, cfg, stallW)), uncore()
 {
-    if (profs.empty())
-        fatal("CmpSim requires at least one core");
-    for (const auto *p : profs) {
-        GPM_ASSERT(p != nullptr);
-        GPM_ASSERT(p->modes.size() == dvfs.numModes());
-    }
-    if (cfg.deltaSimUs <= 0.0 || cfg.exploreUs < cfg.deltaSimUs)
-        fatal("CmpSim: need 0 < deltaSimUs <= exploreUs");
 }
 
 SimResult
 CmpSim::run(GlobalManager &mgr, const BudgetSchedule &budget,
             Watts reference_power_w,
-            std::optional<bool> record_timeline)
+            std::optional<bool> record_timeline,
+            const FirstIntervalMemo *memo)
 {
     return runInternal(&mgr, &budget, reference_power_w, {},
-                       record_timeline.value_or(cfg.recordTimeline));
+                       record_timeline.value_or(cfg.recordTimeline),
+                       memo);
 }
 
 SimResult
 CmpSim::runStatic(const std::vector<PowerMode> &modes,
-                  std::optional<bool> record_timeline)
+                  std::optional<bool> record_timeline,
+                  const FirstIntervalMemo *memo)
 {
     GPM_ASSERT(modes.size() == profs.size());
     return runInternal(nullptr, nullptr, 0.0, modes,
-                       record_timeline.value_or(cfg.recordTimeline));
+                       record_timeline.value_or(cfg.recordTimeline),
+                       memo);
+}
+
+FirstIntervalMemo
+CmpSim::firstIntervalMemo() const
+{
+    FirstIntervalMemo memo;
+    if (cfg.contention)
+        return memo;
+    // The steps before the second decision, counted with the run's
+    // own arithmetic: the first decision (t = 0) sets the next one
+    // at exploreUs, and t grows by deltaSimUs per step.
+    std::size_t len = 0;
+    MicroSec t = 0.0;
+    do {
+        t += cfg.deltaSimUs;
+        len++;
+    } while (len < FirstIntervalMemo::maxSteps &&
+             t + 1e-6 < cfg.exploreUs);
+
+    const std::size_t n = profs.size();
+    const std::size_t n_modes = dvfs.numModes();
+    memo.owner = this;
+    memo.len = len;
+    memo.deltas.resize(len * n * n_modes);
+    memo.after.reserve(n * n_modes);
+    for (std::size_t c = 0; c < n; c++) {
+        for (std::size_t mi = 0; mi < n_modes; mi++) {
+            const auto m = static_cast<PowerMode>(mi);
+            ProfileCursor cur = startCursors[c];
+            for (std::size_t j = 0; j < len; j++) {
+                auto d = cur.advance(cfg.deltaSimUs, m);
+                memo.deltas[(j * n + c) * n_modes + mi] = d;
+                if (d.finished)
+                    break;
+            }
+            memo.after.push_back(cur);
+        }
+    }
+    return memo;
 }
 
 Watts
@@ -118,9 +219,12 @@ SimResult
 CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                     Watts reference_power_w,
                     const std::vector<PowerMode> &static_modes,
-                    bool record_timeline)
+                    bool record_timeline, const FirstIntervalMemo *memo)
 {
     const std::size_t n = profs.size();
+    const std::size_t n_modes = dvfs.numModes();
+    const std::size_t memo_steps = memo ? memo->steps() : 0;
+    GPM_ASSERT(memo_steps == 0 || memo->owner == this);
 
     // Every container this run touches is sized here, once. The
     // delta-step loop below performs no heap allocation in steady
@@ -128,17 +232,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
     // interval (the manager's returned mode vector and the optional
     // oracle matrix, at 1/10th the delta rate) and the amortized
     // geometric growth of the flat timeline arrays when recording.
-    std::vector<ProfileCursor> cursors;
-    cursors.reserve(n);
-    for (const auto *p : profs)
-        cursors.emplace_back(*p);
-    if (cfg.phaseShiftStride > 0.0 || cfg.phaseShiftBase > 0.0) {
-        for (std::size_t c = 0; c < n; c++) {
-            double f = cfg.phaseShiftBase +
-                static_cast<double>(c) * cfg.phaseShiftStride;
-            cursors[c].seekFraction(f - std::floor(f));
-        }
-    }
+    std::vector<ProfileCursor> cursors = startCursors;
 
     std::vector<PowerMode> mode_v =
         mgr ? std::vector<PowerMode>(n, cfg.startMode) : static_modes;
@@ -186,10 +280,6 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
             0.0, 1.0 + sensor_rng.gaussian(0.0, cfg.sensorNoise));
     };
 
-    auto bips_of = [](double insts, MicroSec us) {
-        return us > 0.0 ? insts / (us * 1000.0) : 0.0;
-    };
-
     // Future-exact matrices for the oracle policy: evaluate the next
     // explore interval at every mode directly from the profiles,
     // discounting BIPS for the transition the switch would incur.
@@ -211,40 +301,35 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                     tf = cfg.exploreUs / (cfg.exploreUs + tr);
                 }
                 om.bips(c, m) =
-                    bips_of(d.instructions, cfg.exploreUs) * tf;
+                    bipsOf(d.instructions, cfg.exploreUs) * tf;
             }
         }
         return om;
     };
 
+    std::size_t step = 0;
     while (t < cfg.maxTimeUs) {
+        // Past the memo, each core resumes from the cursor its
+        // memoized steps ended at: no mode has changed before here.
+        if (step == memo_steps && memo_steps > 0)
+            for (std::size_t c = 0; c < n; c++)
+                cursors[c] = memo->after[c * n_modes + mode_v[c]];
+
         // ---- Explore boundary: consult the global manager --------
         if (mgr && t + 1e-6 >= next_explore) {
-            for (std::size_t c = 0; c < n; c++) {
-                CoreSample &s = samples[c];
-                s = CoreSample{};
-                s.mode = mode_v[c];
-                s.active = !res.finished[c];
-                if (first_decision) {
-                    // Bootstrap from the profiles: the trace-based
-                    // tool knows the first interval's behaviour.
-                    auto d = cursors[c].peek(cfg.exploreUs, mode_v[c]);
-                    if (d.usedUs > 0.0) {
-                        s.powerW = d.energyJ / (d.usedUs * 1e-6);
-                        s.bips = bips_of(d.instructions, d.usedUs);
-                        s.memIntensity = d.l2Misses / d.usedUs;
-                    } else {
-                        s.active = false;
-                        s.powerW = stallW[mode_v[c]];
-                    }
-                } else {
+            if (!first_decision) {
+                for (std::size_t c = 0; c < n; c++) {
+                    CoreSample &s = samples[c];
+                    s = CoreSample{};
+                    s.mode = mode_v[c];
+                    s.active = !res.finished[c];
                     const Acc &a = explore_acc[c];
                     s.powerW = noisy(
                         explore_elapsed > 0.0
                             ? a.energyJ / (explore_elapsed * 1e-6)
                             : 0.0);
                     s.bips =
-                        noisy(bips_of(a.insts, explore_elapsed));
+                        noisy(bipsOf(a.insts, explore_elapsed));
                     s.memIntensity = explore_elapsed > 0.0
                         ? a.misses / explore_elapsed
                         : 0.0;
@@ -257,7 +342,8 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
 
             Watts core_budget = budget->at(t) * reference_power_w;
             std::vector<PowerMode> new_modes = mgr->atExplore(
-                samples, core_budget, oracle ? &*oracle : nullptr);
+                first_decision ? bootstrap : samples, core_budget,
+                oracle ? &*oracle : nullptr);
 
             // Apply transitions: all cores stall for the longest
             // per-core transition; CPU power is still consumed.
@@ -319,12 +405,17 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         double step_accesses = 0.0;
         bool finished_now = false;
 
+        // The first interval's steps come from the memo.
+        const ProfileCursor::Delta *memo_step = step < memo_steps
+            ? &memo->deltas[step * n * n_modes]
+            : nullptr;
         for (std::size_t c = 0; c < n; c++) {
             double step_energy = 0.0;
             double step_insts = 0.0;
             if (!res.finished[c]) {
-                auto d = cursors[c].advance(dt, mode_v[c],
-                                            dilation[c]);
+                const ProfileCursor::Delta d = memo_step
+                    ? memo_step[c * n_modes + mode_v[c]]
+                    : cursors[c].advance(dt, mode_v[c], dilation[c]);
                 step_energy = d.energyJ;
                 step_insts = d.instructions;
                 explore_acc[c].insts += d.instructions;
@@ -350,7 +441,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
             explore_acc[c].energyJ += step_energy;
             last_step_power[c] = step_energy / (dt * 1e-6);
             if (record_timeline)
-                step_bips[c] = bips_of(step_insts, dt);
+                step_bips[c] = bipsOf(step_insts, dt);
         }
 
         double unc_e = uncore.energy(
@@ -376,6 +467,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
 
         t += dt;
         explore_elapsed += dt;
+        step++;
 
         if (cfg.termination == SimConfig::Termination::FirstDone &&
             finished_now)

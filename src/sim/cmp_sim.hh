@@ -149,17 +149,73 @@ struct SimResult
     std::vector<double> coreBips() const;
 };
 
+class CmpSim;
+
+/**
+ * Every core's first explore interval at every mode, replayed once.
+ * For each (core, mode) it holds the Deltas of the delta steps
+ * ProfileCursor::advance(deltaSimUs, mode) takes from the core's
+ * start cursor, and the cursor after them. No run can make these
+ * steps differ: whatever mode the first decision gives a core, the
+ * core keeps it until the second decision, and without contention
+ * every step runs at dilation 1. So one memo, built by
+ * CmpSim::firstIntervalMemo(), serves every run of its simulator:
+ * run() and runStatic() read step j from it instead of advancing
+ * the cursor, and take the memoized cursor at the first step past
+ * it. The values are the same advance() calls on the same inputs,
+ * so results are bit-identical with and without a memo.
+ *
+ * Bounded whatever the sim knobs ask for: at most maxSteps steps per
+ * (core, mode), fewer when the first interval is shorter, and none
+ * after a core finishes. At the defaults (a 10-step interval,
+ * 3 modes) a core costs 3 x 10 Deltas of 48 B plus 3 cursors of
+ * 72 B, ~1.6 KB; a 256-core chip ~420 KB. Empty with contention on:
+ * dilation then follows the chip's traffic. Immutable once built,
+ * so concurrent runs may share one.
+ */
+class FirstIntervalMemo
+{
+  public:
+    /** Most steps memoized per (core, mode): the default interval
+     *  (500 us of 50 us steps) is 10. */
+    static constexpr std::size_t maxSteps = 16;
+
+    /** Steps memoized per (core, mode); 0 when empty. */
+    std::size_t steps() const { return len; }
+
+  private:
+    friend class CmpSim;
+
+    /** The simulator whose start cursors and config built it. */
+    const CmpSim *owner = nullptr;
+    std::size_t len = 0;
+    /** Step j of core c at mode m, at [(j * cores + c) * modes + m]:
+     *  a step's cores are adjacent. Entries after a core's finishing
+     *  step stay zero; no run reads them. */
+    std::vector<ProfileCursor::Delta> deltas;
+    /** Core c's cursor after its steps at mode m, at
+     *  [c * modes + m]. */
+    std::vector<ProfileCursor> after;
+};
+
 /**
  * The trace-based CMP simulator. Bind profiles once; each run*()
  * call replays from the beginning (cursors are rewound).
  *
- * Thread-safety contract: run(), runStatic() and referencePowerW()
- * are safe to call concurrently on one instance. Every piece of
- * per-run state (cursors, accumulators, scratch buffers) lives on
- * the calling thread's stack; the members are either immutable after
- * construction (profiles, dvfs, cfg, per-mode stall powers, uncore
- * model) or synchronized (the cached reference power, initialized
- * under std::once_flag).
+ * Everything a run does before its decisions can make it differ is
+ * computed once: each core's (phase-shifted) start cursor and the
+ * first decision's bootstrap samples when the simulator is built,
+ * and, on request, the FirstIntervalMemo a caller that runs many
+ * times keeps and passes back in.
+ *
+ * Thread-safety contract: run(), runStatic(), referencePowerW() and
+ * firstIntervalMemo() are safe to call concurrently on one instance.
+ * Every piece of per-run state (cursors, accumulators, scratch
+ * buffers) lives on the calling thread's stack; the members are
+ * either immutable after construction (profiles, dvfs, cfg, per-mode
+ * stall powers, start cursors, bootstrap samples, uncore model) or
+ * synchronized (the cached reference power, initialized under
+ * std::once_flag).
  */
 class CmpSim
 {
@@ -184,15 +240,28 @@ class CmpSim
      * @param record_timeline overrides cfg.recordTimeline for this
      *        run (sweeps evaluate thousands of points whose
      *        timelines nobody reads)
+     * @param memo this simulator's firstIntervalMemo(), or null to
+     *        replay every step; the result is the same bits
      */
     SimResult run(GlobalManager &mgr, const BudgetSchedule &budget,
                   Watts reference_power_w,
-                  std::optional<bool> record_timeline = std::nullopt);
+                  std::optional<bool> record_timeline = std::nullopt,
+                  const FirstIntervalMemo *memo = nullptr);
 
     /** Fixed-mode run (static assignments, references, bounds). */
     SimResult
     runStatic(const std::vector<PowerMode> &modes,
-              std::optional<bool> record_timeline = std::nullopt);
+              std::optional<bool> record_timeline = std::nullopt,
+              const FirstIntervalMemo *memo = nullptr);
+
+    /**
+     * Replay every core's first explore interval at every mode once
+     * (see FirstIntervalMemo): modes x that interval's steps per
+     * core, capped at FirstIntervalMemo::maxSteps. Worth it only for
+     * a caller that keeps the memo across many runs; empty with
+     * contention on.
+     */
+    FirstIntervalMemo firstIntervalMemo() const;
 
     /**
      * Average core power of the all-Turbo run — the reference
@@ -209,7 +278,8 @@ class CmpSim
                           const BudgetSchedule *budget,
                           Watts reference_power_w,
                           const std::vector<PowerMode> &static_modes,
-                          bool record_timeline);
+                          bool record_timeline,
+                          const FirstIntervalMemo *memo);
 
     std::vector<const WorkloadProfile *> profs;
     const DvfsTable &dvfs;
@@ -217,6 +287,12 @@ class CmpSim
     /** Ungated core power of each mode (a stalled or finished core)
      *  [W], indexed by PowerMode. */
     const std::vector<Watts> stallW;
+    /** Each core's cursor at its start: the beginning of its
+     *  workload, or the phase shift cfg asks for. */
+    const std::vector<ProfileCursor> startCursors;
+    /** The first decision's samples: each core's peek of one explore
+     *  interval at cfg.startMode from its start cursor. */
+    const std::vector<CoreSample> bootstrap;
     UncorePowerModel uncore;
     /** Lazily computed all-Turbo core power; guarded by refOnce so
      *  concurrent referencePowerW() calls are race-free. */

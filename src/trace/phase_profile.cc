@@ -88,9 +88,9 @@ WorkloadProfile::at(PowerMode m) const
 }
 
 ProfileCursor::ProfileCursor(const WorkloadProfile &profile)
-    : prof(profile)
+    : prof(&profile)
 {
-    GPM_ASSERT(!prof.modes.empty());
+    GPM_ASSERT(!prof->modes.empty());
 }
 
 bool
@@ -110,7 +110,7 @@ void
 ProfileCursor::seekFraction(double f)
 {
     GPM_ASSERT(f >= 0.0 && f < 1.0);
-    const ModeProfile &mp = prof.modes[0];
+    const ModeProfile &mp = prof->modes[0];
     start = Pos{};
     shifted = false;
     if (f > 0.0 && !mp.chunks.empty()) {
@@ -137,13 +137,13 @@ ProfileCursor::seekFraction(double f)
 bool
 ProfileCursor::finished() const
 {
-    return posFinished(cur, prof.modes[0].chunks.size());
+    return posFinished(cur, prof->modes[0].chunks.size());
 }
 
 double
 ProfileCursor::instructionsDone() const
 {
-    const ModeProfile &mp = prof.modes[0];
+    const ModeProfile &mp = prof->modes[0];
     if (shifted)
         return std::min(instsAcc,
                         static_cast<double>(mp.totalInsts()));
@@ -161,7 +161,7 @@ ProfileCursor::instructionsDone() const
 double
 ProfileCursor::progress() const
 {
-    double total = static_cast<double>(prof.modes[0].totalInsts());
+    double total = static_cast<double>(prof->modes[0].totalInsts());
     if (total <= 0.0)
         return 1.0;
     return instructionsDone() / total;
@@ -195,9 +195,9 @@ ProfileCursor::Delta
 ProfileCursor::advanceFrom(Pos &pos, MicroSec dt_us, PowerMode m,
                            double dilation) const
 {
-    GPM_ASSERT(m < prof.modes.size());
+    GPM_ASSERT(m < prof->modes.size());
     GPM_ASSERT(dilation >= 1.0);
-    const ModeProfile &mp = prof.modes[m];
+    const ModeProfile &mp = prof->modes[m];
     const std::size_t n = mp.chunks.size();
     const double chunk_insts = static_cast<double>(mp.chunkInsts);
     const double last_insts = static_cast<double>(mp.lastChunkInsts);

@@ -103,7 +103,9 @@ struct WorkloadProfile
  * Wall-clock replay of one WorkloadProfile: tracks a program
  * position (chunk + fractional instructions) and advances it through
  * time at a given mode, accumulating energy, instructions and L2
- * traffic. Mode switches keep the program position.
+ * traffic. Mode switches keep the program position. A cursor is a
+ * value: copying one copies its position, so a replay can resume
+ * from a saved cursor (CmpSim's first-interval memo does).
  */
 class ProfileCursor
 {
@@ -161,7 +163,7 @@ class ProfileCursor
     void rewind();
 
     /** The underlying profile. */
-    const WorkloadProfile &profile() const { return prof; }
+    const WorkloadProfile &profile() const { return *prof; }
 
   private:
     struct Pos
@@ -177,7 +179,8 @@ class ProfileCursor
                       double dilation) const;
     bool posFinished(const Pos &pos, std::size_t n_chunks) const;
 
-    const WorkloadProfile &prof;
+    /** Never null; a pointer keeps the cursor copy-assignable. */
+    const WorkloadProfile *prof;
     Pos cur;
     /** Replay origin; non-zero only after seekFraction(). */
     Pos start;

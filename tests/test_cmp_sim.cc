@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "helpers.hh"
 #include "sim/cmp_sim.hh"
+#include "util/rng.hh"
 
 namespace gpm
 {
@@ -13,6 +16,56 @@ namespace
 
 using test::classicSyntheticProfile;
 using test::syntheticProfile;
+
+/** @p p with each chunk's time and energy scaled by a seeded factor
+ *  in [0.3, 3): no two delta steps accumulate alike. */
+WorkloadProfile
+jittered(WorkloadProfile p, std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (ModeProfile &mp : p.modes)
+        for (ChunkRecord &c : mp.chunks) {
+            c.timePs = static_cast<std::uint64_t>(
+                static_cast<double>(c.timePs) * rng.uniform(0.3, 3.0));
+            c.energyJ *= rng.uniform(0.3, 3.0);
+        }
+    return p;
+}
+
+/** Every SimResult field, the timeline's too, compared with ==. */
+void
+expectSameResult(const SimResult &a, const SimResult &b)
+{
+    EXPECT_EQ(a.endUs, b.endUs);
+    EXPECT_EQ(a.coreInstructions, b.coreInstructions);
+    EXPECT_EQ(a.coreEnergyJ, b.coreEnergyJ);
+    EXPECT_EQ(a.uncoreEnergyJ, b.uncoreEnergyJ);
+    EXPECT_EQ(a.finished, b.finished);
+    EXPECT_EQ(a.managerStats.decisions, b.managerStats.decisions);
+    EXPECT_EQ(a.managerStats.overshoots, b.managerStats.overshoots);
+    EXPECT_EQ(a.managerStats.modeSwitches,
+              b.managerStats.modeSwitches);
+    EXPECT_EQ(a.predPowerError, b.predPowerError);
+    EXPECT_EQ(a.predBipsError, b.predBipsError);
+    EXPECT_EQ(a.peakTempC, b.peakTempC);
+    EXPECT_EQ(a.timeline.cores(), b.timeline.cores());
+    ASSERT_EQ(a.timeline.size(), b.timeline.size());
+    auto same = [](auto x, auto y) {
+        return std::equal(x.begin(), x.end(), y.begin(), y.end());
+    };
+    for (std::size_t i = 0; i < a.timeline.size(); i++) {
+        SCOPED_TRACE("timeline step " + std::to_string(i));
+        TimelinePoint x = a.timeline[i];
+        TimelinePoint y = b.timeline[i];
+        EXPECT_EQ(x.tUs, y.tUs);
+        EXPECT_TRUE(same(x.corePowerW, y.corePowerW));
+        EXPECT_TRUE(same(x.coreBips, y.coreBips));
+        EXPECT_TRUE(same(x.modes, y.modes));
+        EXPECT_EQ(x.totalPowerW, y.totalPowerW);
+        EXPECT_EQ(x.budgetW, y.budgetW);
+        EXPECT_EQ(x.hottestC, y.hottestC);
+    }
+}
 
 class CmpSimTest : public ::testing::Test
 {
@@ -245,6 +298,91 @@ TEST_F(CmpSimTest, TimelineRecordingChangesNoResult)
               without.managerStats.modeSwitches);
     EXPECT_EQ(with.predPowerError, without.predPowerError);
     EXPECT_EQ(with.predBipsError, without.predBipsError);
+}
+
+TEST_F(CmpSimTest, FirstIntervalMemoMatchesReplay)
+{
+    // Irregular chunks, distinct per core and phase-shifted, so a
+    // step read from the wrong slot or a cursor that misses the
+    // hand-off past the memo changes bits.
+    auto heavy = jittered(
+        syntheticProfile(300, 10'000, 10.0, 1e-4,
+                         {1.0, 1.0 / 0.95, 1.0 / 0.85},
+                         {1.0, 0.857, 0.614}, 2'000),
+        1);
+    auto light = jittered(classicSyntheticProfile(250, 8.0, 1.2e-4), 2);
+    auto mid = jittered(classicSyntheticProfile(320, 9.0, 1e-4), 3);
+    // ~300 us at Turbo: finishes inside the memoized steps.
+    auto brief = jittered(classicSyntheticProfile(30, 10.0, 1e-4), 4);
+    const std::vector<const WorkloadProfile *> four = {&heavy, &light,
+                                                       &mid, &heavy};
+    const std::vector<const WorkloadProfile *> with_brief = {
+        &heavy, &brief, &light};
+
+    // The memo's step count, then MaxBIPS and Oracle (which peeks
+    // from the cursors the memo hands over) under a budget that
+    // drops mid-run, and a mixed-mode static run: each with and
+    // without the memo on one simulator.
+    auto check = [&](const std::string &name, SimConfig cfg,
+                     const std::vector<const WorkloadProfile *> &profs,
+                     std::size_t steps) {
+        SCOPED_TRACE(name);
+        cfg.recordTimeline = true;
+        cfg.phaseShiftStride = 0.3;
+        CmpSim sim(profs, dvfs, cfg);
+        const FirstIntervalMemo memo = sim.firstIntervalMemo();
+        EXPECT_EQ(memo.steps(), steps);
+        Watts ref = sim.referencePowerW();
+        BudgetSchedule budget({{0.0, 0.85}, {1200.0, 0.7}});
+        for (const char *policy : {"MaxBIPS", "Oracle"}) {
+            SCOPED_TRACE(policy);
+            auto mgr_a = manager(policy);
+            auto mgr_b = manager(policy);
+            auto replayed = sim.run(mgr_a, budget, ref);
+            auto memoized = sim.run(mgr_b, budget, ref, {}, &memo);
+            expectSameResult(replayed, memoized);
+            EXPECT_GT(replayed.managerStats.modeSwitches, 0u);
+        }
+        std::vector<PowerMode> mixed(profs.size());
+        for (std::size_t c = 0; c < mixed.size(); c++)
+            mixed[c] = static_cast<PowerMode>(c % dvfs.numModes());
+        expectSameResult(sim.runStatic(mixed),
+                         sim.runStatic(mixed, {}, &memo));
+    };
+
+    using Termination = SimConfig::Termination;
+    SimConfig cfg = quietConfig();
+    check("FirstDone", cfg, four, 10);
+    check("FirstDone, a core finishing inside the memo", cfg,
+          with_brief, 10);
+    cfg.termination = Termination::AllDone;
+    check("AllDone, a core finishing inside the memo", cfg, with_brief,
+          10);
+    cfg.termination = Termination::FixedTime;
+    cfg.maxTimeUs = 3000.0;
+    check("FixedTime", cfg, four, 10);
+    cfg.maxTimeUs = 320.0;
+    check("maxTimeUs shorter than one interval", cfg, four, 10);
+
+    cfg = quietConfig();
+    cfg.deltaSimUs = 30.0;
+    cfg.exploreUs = 500.0;
+    // 17 steps to the second decision: the memo ends mid-interval.
+    check("deltaSimUs 30, exploreUs 500", cfg, four,
+          FirstIntervalMemo::maxSteps);
+
+    cfg = quietConfig();
+    cfg.sensorNoise = 0.05;
+    check("sensorNoise", cfg, four, 10);
+
+    cfg = quietConfig();
+    cfg.trackThermal = true;
+    check("trackThermal", cfg, four, 10);
+
+    // Dilation follows the chip's traffic: no step can be memoized.
+    cfg = quietConfig();
+    cfg.contention = true;
+    check("contention", cfg, four, 0);
 }
 
 TEST_F(CmpSimTest, PredictionsExactWhenModesSettle)

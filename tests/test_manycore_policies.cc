@@ -15,8 +15,11 @@
 
 #include "core/mckp.hh"
 #include "core/policies.hh"
+#include "harness.hh"
 #include "helpers.hh"
 #include "service/scenario.hh"
+#include "service/service.hh"
+#include "sim/cmp_sim.hh"
 #include "trace/workload.hh"
 
 namespace gpm
@@ -421,6 +424,47 @@ TEST(ManycoreScenario, DpGridIsPartOfTheCacheKey)
         R"({"combo": ["mcf"], "policy": "MaxBIPS-DP256",
             "budget": 0.8})");
     EXPECT_NE(a.hash(), b.hash());
+}
+
+TEST(ManycoreScenario, FirstIntervalMemoCappedUnderClientKnobs)
+{
+    // A first explore interval of 20,000 steps: whatever a client
+    // asks for, the memo keeps at most its cap per (core, mode).
+    ScenarioSpec spec = parseOk(
+        R"({"combo": "many256", "policy": "GreedyTurbo",
+            "budget": 0.8,
+            "sim": {"exploreUs": 1e5, "deltaSimUs": 5,
+                    "phaseShiftStride": 0.1}})");
+    std::vector<const WorkloadProfile *> profs;
+    for (const auto &name : spec.combo)
+        profs.push_back(&test::profiles().get(name));
+    CmpSim sim(profs, test::dvfs(), spec.simConfig());
+    const FirstIntervalMemo memo = sim.firstIntervalMemo();
+    EXPECT_EQ(memo.steps(), FirstIntervalMemo::maxSteps);
+
+    Watts ref = sim.referencePowerW();
+    GlobalManager mgr_a(test::dvfs(), makePolicy(spec.policy),
+                        spec.exploreUs);
+    GlobalManager mgr_b(test::dvfs(), makePolicy(spec.policy),
+                        spec.exploreUs);
+    SimResult replayed = sim.run(mgr_a, BudgetSchedule(0.8), ref);
+    SimResult memoized =
+        sim.run(mgr_b, BudgetSchedule(0.8), ref, {}, &memo);
+    // The run outlives the memo, so the cursor hand-off is covered.
+    EXPECT_GT(replayed.endUs,
+              static_cast<double>(memo.steps()) * spec.deltaSimUs);
+    EXPECT_EQ(replayed.endUs, memoized.endUs);
+    EXPECT_EQ(replayed.coreInstructions, memoized.coreInstructions);
+    EXPECT_EQ(replayed.coreEnergyJ, memoized.coreEnergyJ);
+    EXPECT_EQ(replayed.uncoreEnergyJ, memoized.uncoreEnergyJ);
+    EXPECT_EQ(replayed.finished, memoized.finished);
+    EXPECT_EQ(replayed.managerStats.modeSwitches,
+              memoized.managerStats.modeSwitches);
+
+    ScenarioService svc(test::profiles(), test::dvfs());
+    auto r = svc.submit(spec);
+    ASSERT_TRUE(r.ok) << r.errorCode << ": " << r.errorMessage;
+    EXPECT_FALSE(r.payload.empty());
 }
 
 TEST(ManycoreScenario, RejectsBadStride)

@@ -105,6 +105,39 @@ TEST_F(SweepTest, MatchesSerialLoopAtEveryConcurrency)
     }
 }
 
+TEST_F(SweepTest, ManyCoreMemoFirstUseMatchesSerialLoop)
+{
+    // A combination's first use builds its first-interval memo.
+    // Fresh phase-shifted many64 runners meet that first use from
+    // 1, 2 and 8 threads: evaluate() straight from the pool (no
+    // warm-up, so the threads race to build the entry), then sweep().
+    SimConfig cfg;
+    cfg.phaseShiftStride = 0.1;
+    SweepSpec s;
+    s.addGrid({manyCoreCombo(64)}, {"WaterFill", "GreedyTurbo"},
+              {0.6, 0.7, 0.8, 0.9});
+
+    ExperimentRunner serial_runner(test::profiles(), test::dvfs(), cfg);
+    std::vector<PolicyEval> serial;
+    for (const auto &p : s.points)
+        serial.push_back(
+            serial_runner.evaluate(p.combo, p.policy, p.budgetFrac));
+
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("concurrency " + std::to_string(threads));
+        ExperimentRunner raced(test::profiles(), test::dvfs(), cfg);
+        std::vector<PolicyEval> got(s.size());
+        parallelFor(threads, s.size(), [&](std::size_t i) {
+            const SweepPoint &p = s.points[i];
+            got[i] = raced.evaluate(p.combo, p.policy, p.budgetFrac);
+        });
+        expectIdentical(serial, got);
+
+        ExperimentRunner swept(test::profiles(), test::dvfs(), cfg);
+        expectIdentical(serial, swept.sweep(s, threads));
+    }
+}
+
 TEST_F(SweepTest, RepeatedSweepOnOneRunnerIsStable)
 {
     SweepSpec s = spec();
