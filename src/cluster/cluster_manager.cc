@@ -19,7 +19,9 @@ namespace
 {
 
 /** Dedup key: chips with identical workloads and phase geometry
- *  share one reference-power simulation. */
+ *  share one reference-power simulation. The shifts go in as their
+ *  exact bits: chips whose shifts differ in any bit simulate
+ *  differently. */
 std::string
 chipKey(const ChipSpec &chip)
 {
@@ -28,10 +30,11 @@ chipKey(const ChipSpec &chip)
         key += w;
         key += ',';
     }
-    key += '|';
-    key += std::to_string(chip.phaseShiftStride);
-    key += '|';
-    key += std::to_string(chip.phaseOffset);
+    for (double shift : {chip.phaseShiftStride, chip.phaseOffset}) {
+        key += '|';
+        key.append(reinterpret_cast<const char *>(&shift),
+                   sizeof shift);
+    }
     return key;
 }
 

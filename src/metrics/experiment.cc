@@ -48,8 +48,10 @@ std::string
 ExperimentRunner::keyOf(const std::vector<std::string> &combo)
 {
     std::string key;
-    for (const auto &n : combo)
-        key += n + "|";
+    for (const auto &n : combo) {
+        key += n;
+        key += '|';
+    }
     return key;
 }
 
@@ -87,12 +89,23 @@ ExperimentRunner::cacheFor(const std::vector<std::string> &combo)
     std::call_once(cc->init, [&] {
         cc->sim =
             std::make_unique<CmpSim>(profilesFor(combo), dvfs, cfg);
-        cc->memo = cc->sim->firstIntervalMemo();
         std::vector<PowerMode> all_turbo(combo.size(), modes::Turbo);
-        cc->turboRef = cc->sim->runStatic(all_turbo, false, &cc->memo);
+        cc->turboRef = cc->sim->runStatic(all_turbo, false);
         cc->refW = cc->turboRef.avgCorePowerW();
     });
     return *cc;
+}
+
+const HeldModeMemo *
+ExperimentRunner::memoFor(ComboCache &cc)
+{
+    // The load keeps a warm combination's runs from all writing the
+    // flag's cache line.
+    if (!cc.ran.load() && !cc.ran.exchange(true))
+        return nullptr;
+    std::call_once(cc.memoInit,
+                   [&] { cc.memo = cc.sim->heldModeMemo(); });
+    return &cc.memo;
 }
 
 const SimResult &
@@ -117,7 +130,8 @@ ExperimentRunner::evaluate(const std::vector<std::string> &combo,
     GlobalManager mgr(dvfs, makePolicy(policy), cfg.exploreUs,
                       idlePowerW);
     BudgetSchedule budget(budget_frac);
-    SimResult run = cc.sim->run(mgr, budget, cc.refW, false, &cc.memo);
+    SimResult run =
+        cc.sim->run(mgr, budget, cc.refW, false, memoFor(cc));
 
     PolicyEval ev;
     ev.policy = policy;
@@ -157,7 +171,7 @@ ExperimentRunner::evaluateStatic(
     std::vector<PowerMode> assign =
         planStaticAssignment(cc.staticStats, core_budget, fit);
 
-    SimResult run = cc.sim->runStatic(assign, false, &cc.memo);
+    SimResult run = cc.sim->runStatic(assign, false, memoFor(cc));
     PolicyEval ev;
     ev.policy = "Static";
     ev.budgetFrac = budget_frac;
@@ -291,7 +305,7 @@ ExperimentRunner::timeline(const std::vector<std::string> &combo,
     ComboCache &cc = cacheFor(combo);
     GlobalManager mgr(dvfs, makePolicy(policy), cfg.exploreUs,
                       idlePowerW);
-    return cc.sim->run(mgr, budget, cc.refW, true, &cc.memo);
+    return cc.sim->run(mgr, budget, cc.refW, true, memoFor(cc));
 }
 
 } // namespace gpm

@@ -11,6 +11,7 @@
 #ifndef GPM_METRICS_EXPERIMENT_HH
 #define GPM_METRICS_EXPERIMENT_HH
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -101,19 +102,22 @@ struct SweepSpec
  *
  * Per combination the runner keeps, for its lifetime, what every
  * request of that combination would otherwise recompute: the bound
- * CmpSim, its FirstIntervalMemo, the all-Turbo reference run, and
- * (from the first Static point on) every core's whole-run mode
- * statistics. Every run passes the memo back into CmpSim, so
- * results are the bits a memo-less run computes.
+ * CmpSim, the all-Turbo reference run, (from its second run on) the
+ * simulator's HeldModeMemo, and (from the first Static point on)
+ * every core's whole-run mode statistics. A combination's first
+ * evaluate/evaluateStatic/timeline run replays every step, so a
+ * combination that is run once builds and holds no memo; the second
+ * run builds it, and every later run passes it back into CmpSim.
+ * Either way a run's results are the bits a memo-less run computes.
  *
  * Thread-safety contract: all evaluation entry points (evaluate,
  * evaluateStatic, curve, timeline, reference, referencePowerW,
  * sweep) may be called concurrently on one runner. The per-combo
  * cache is a map of once-initialized entries behind a shared_mutex;
- * each entry's CmpSim is built, its memo replayed and its all-Turbo
- * reference run executed exactly once under std::call_once (the
- * Static statistics under a second once_flag), after which the
- * entry is read-only; CmpSim itself is reentrant (see
+ * each entry's CmpSim is built and its all-Turbo reference run
+ * executed exactly once under std::call_once, the memo under a
+ * second once_flag and the Static statistics under a third, after
+ * which each is read-only; CmpSim itself is reentrant (see
  * sim/cmp_sim.hh). The ProfileLibrary performs its own locking.
  */
 class ExperimentRunner
@@ -228,16 +232,21 @@ class ExperimentRunner
     {
         std::once_flag init;
         std::unique_ptr<CmpSim> sim;
-        /** The first explore interval every run of sim replays. */
-        FirstIntervalMemo memo;
         SimResult turboRef;
         Watts refW = 0.0;
+        /** Set by the combination's first run, which replays every
+         *  step; the run after it builds the memo. */
+        std::atomic<bool> ran{false};
+        std::once_flag memoInit;
+        HeldModeMemo memo;
         std::once_flag staticInit;
         /** Whole-run stats of each core at each mode, for Static. */
         std::vector<std::vector<StaticModeStats>> staticStats;
     };
 
     ComboCache &cacheFor(const std::vector<std::string> &combo);
+    /** The memo @p cc's next run reads: none for its first run. */
+    static const HeldModeMemo *memoFor(ComboCache &cc);
     static std::string keyOf(const std::vector<std::string> &combo);
 
     ProfileLibrary &lib;

@@ -143,7 +143,14 @@ static void
 writeEscaped(std::string &out, const std::string &s)
 {
     out += '"';
-    for (unsigned char c : s) {
+    // Each run of bytes that need no escape goes out in one append.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); i++) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -166,16 +173,14 @@ writeEscaped(std::string &out, const std::string &s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+          }
         }
     }
+    out.append(s, run);
     out += '"';
 }
 

@@ -146,7 +146,7 @@ SimResult
 CmpSim::run(GlobalManager &mgr, const BudgetSchedule &budget,
             Watts reference_power_w,
             std::optional<bool> record_timeline,
-            const FirstIntervalMemo *memo)
+            const HeldModeMemo *memo)
 {
     return runInternal(&mgr, &budget, reference_power_w, {},
                        record_timeline.value_or(cfg.recordTimeline),
@@ -156,7 +156,7 @@ CmpSim::run(GlobalManager &mgr, const BudgetSchedule &budget,
 SimResult
 CmpSim::runStatic(const std::vector<PowerMode> &modes,
                   std::optional<bool> record_timeline,
-                  const FirstIntervalMemo *memo)
+                  const HeldModeMemo *memo)
 {
     GPM_ASSERT(modes.size() == profs.size());
     return runInternal(nullptr, nullptr, 0.0, modes,
@@ -164,40 +164,31 @@ CmpSim::runStatic(const std::vector<PowerMode> &modes,
                        memo);
 }
 
-FirstIntervalMemo
-CmpSim::firstIntervalMemo() const
+HeldModeMemo
+CmpSim::heldModeMemo() const
 {
-    FirstIntervalMemo memo;
+    HeldModeMemo memo;
     if (cfg.contention)
         return memo;
-    // The steps before the second decision, counted with the run's
-    // own arithmetic: the first decision (t = 0) sets the next one
-    // at exploreUs, and t grows by deltaSimUs per step.
-    std::size_t len = 0;
-    MicroSec t = 0.0;
-    do {
-        t += cfg.deltaSimUs;
-        len++;
-    } while (len < FirstIntervalMemo::maxSteps &&
-             t + 1e-6 < cfg.exploreUs);
-
     const std::size_t n = profs.size();
     const std::size_t n_modes = dvfs.numModes();
+    const std::size_t len = HeldModeMemo::maxSteps;
     memo.owner = this;
-    memo.len = len;
     memo.deltas.resize(len * n * n_modes);
-    memo.after.reserve(n * n_modes);
+    memo.marks.resize(len * n * n_modes);
     for (std::size_t c = 0; c < n; c++) {
         for (std::size_t mi = 0; mi < n_modes; mi++) {
             const auto m = static_cast<PowerMode>(mi);
             ProfileCursor cur = startCursors[c];
+            bool finished = false;
             for (std::size_t j = 0; j < len; j++) {
-                auto d = cur.advance(cfg.deltaSimUs, m);
-                memo.deltas[(j * n + c) * n_modes + mi] = d;
-                if (d.finished)
-                    break;
+                const std::size_t i = (j * n + c) * n_modes + mi;
+                if (!finished) {
+                    memo.deltas[i] = cur.advance(cfg.deltaSimUs, m);
+                    finished = memo.deltas[i].finished;
+                }
+                memo.marks[i] = cur.mark();
             }
-            memo.after.push_back(cur);
         }
     }
     return memo;
@@ -219,7 +210,7 @@ SimResult
 CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                     Watts reference_power_w,
                     const std::vector<PowerMode> &static_modes,
-                    bool record_timeline, const FirstIntervalMemo *memo)
+                    bool record_timeline, const HeldModeMemo *memo)
 {
     const std::size_t n = profs.size();
     const std::size_t n_modes = dvfs.numModes();
@@ -236,6 +227,11 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
 
     std::vector<PowerMode> mode_v =
         mgr ? std::vector<PowerMode>(n, cfg.startMode) : static_modes;
+
+    // Cores that still hold the mode they ran at step 0 read their
+    // steps from the memo; their cursors are brought up to date only
+    // where something reads them.
+    std::vector<char> on_memo(n, 1);
 
     struct Acc
     {
@@ -309,14 +305,23 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
 
     std::size_t step = 0;
     while (t < cfg.maxTimeUs) {
-        // Past the memo, each core resumes from the cursor its
-        // memoized steps ended at: no mode has changed before here.
-        if (step == memo_steps && memo_steps > 0)
+        const bool decide = mgr && t + 1e-6 >= next_explore;
+
+        // Cores on the memo take the cursor a replay holds after
+        // `step` steps: at a later decision (the Oracle peeks from
+        // it, and a core whose mode changes advances from it) and
+        // where the memo ends.
+        if (step > 0 &&
+            (step == memo_steps || (decide && step < memo_steps))) {
+            const ProfileCursor::Mark *marks =
+                &memo->marks[(step - 1) * n * n_modes];
             for (std::size_t c = 0; c < n; c++)
-                cursors[c] = memo->after[c * n_modes + mode_v[c]];
+                if (on_memo[c])
+                    cursors[c].restore(marks[c * n_modes + mode_v[c]]);
+        }
 
         // ---- Explore boundary: consult the global manager --------
-        if (mgr && t + 1e-6 >= next_explore) {
+        if (decide) {
             if (!first_decision) {
                 for (std::size_t c = 0; c < n; c++) {
                     CoreSample &s = samples[c];
@@ -370,6 +375,11 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                     stalled_us = trans;
                 }
             }
+            // A core whose mode changes leaves the memo for good.
+            if (!first_decision)
+                for (std::size_t c = 0; c < n; c++)
+                    if (new_modes[c] != mode_v[c])
+                        on_memo[c] = 0;
             mode_v = new_modes;
             first_decision = false;
             explore_acc.assign(n, Acc{});
@@ -405,7 +415,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         double step_accesses = 0.0;
         bool finished_now = false;
 
-        // The first interval's steps come from the memo.
+        // Past the memo every core advances live.
         const ProfileCursor::Delta *memo_step = step < memo_steps
             ? &memo->deltas[step * n * n_modes]
             : nullptr;
@@ -413,7 +423,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
             double step_energy = 0.0;
             double step_insts = 0.0;
             if (!res.finished[c]) {
-                const ProfileCursor::Delta d = memo_step
+                const ProfileCursor::Delta d = memo_step && on_memo[c]
                     ? memo_step[c * n_modes + mode_v[c]]
                     : cursors[c].advance(dt, mode_v[c], dilation[c]);
                 step_energy = d.energyJ;

@@ -152,64 +152,68 @@ struct SimResult
 class CmpSim;
 
 /**
- * Every core's first explore interval at every mode, replayed once.
- * For each (core, mode) it holds the Deltas of the delta steps
- * ProfileCursor::advance(deltaSimUs, mode) takes from the core's
- * start cursor, and the cursor after them. No run can make these
- * steps differ: whatever mode the first decision gives a core, the
- * core keeps it until the second decision, and without contention
- * every step runs at dilation 1. So one memo, built by
- * CmpSim::firstIntervalMemo(), serves every run of its simulator:
- * run() and runStatic() read step j from it instead of advancing
- * the cursor, and take the memoized cursor at the first step past
- * it. The values are the same advance() calls on the same inputs,
- * so results are bit-identical with and without a memo.
+ * Every core's first maxSteps delta steps at every mode, each mode
+ * held from step 0, replayed once. For each (core, mode) it holds
+ * the Delta of each step ProfileCursor::advance(deltaSimUs, mode)
+ * takes from the core's start cursor, and the cursor's Mark after
+ * it. Without contention every step runs at dilation 1, so a core's
+ * steps depend on its own modes only: while a core keeps the mode it
+ * ran at step 0, its steps are these, whatever the decisions give the
+ * other cores. So one memo, built by CmpSim::heldModeMemo(), serves
+ * every run of its simulator. run() and runStatic() read a core's
+ * step j from it while the core holds its step-0 mode. At every later
+ * decision each such core's cursor is set from the memo, so the
+ * Oracle peeks, and a core whose mode changes resumes live, from the
+ * cursor a replay holds there; at step maxSteps every core still on
+ * the memo takes its cursor and advances live. The values are the
+ * same advance() calls on the same inputs, so results are
+ * bit-identical with and without a memo.
  *
- * Bounded whatever the sim knobs ask for: at most maxSteps steps per
- * (core, mode), fewer when the first interval is shorter, and none
- * after a core finishes. At the defaults (a 10-step interval,
- * 3 modes) a core costs 3 x 10 Deltas of 48 B plus 3 cursors of
- * 72 B, ~1.6 KB; a 256-core chip ~420 KB. Empty with contention on:
- * dilation then follows the chip's traffic. Immutable once built,
- * so concurrent runs may share one.
+ * Bounded whatever the sim knobs ask for: maxSteps steps per
+ * (core, mode), no further Deltas past a core's finish. A step costs
+ * a 48 B Delta and a 32 B Mark, so at 3 modes a core costs
+ * 3 x 32 x 80 B = 7.5 KB and a 256-core chip ~1.9 MB. Empty with
+ * contention on: dilation then follows the chip's traffic. Immutable
+ * once built, so concurrent runs may share one.
  */
-class FirstIntervalMemo
+class HeldModeMemo
 {
   public:
-    /** Most steps memoized per (core, mode): the default interval
-     *  (500 us of 50 us steps) is 10. */
-    static constexpr std::size_t maxSteps = 16;
+    /** Steps memoized per (core, mode). Few cores change mode in a
+     *  run, so the memo serves most steps of any run this short: a
+     *  perfbench manycore request (~23 steps) makes ~56 live
+     *  advance() calls at 32 and ~1,100 at 16 (docs/PERF.md). */
+    static constexpr std::size_t maxSteps = 32;
 
-    /** Steps memoized per (core, mode); 0 when empty. */
-    std::size_t steps() const { return len; }
+    /** Steps memoized per (core, mode): maxSteps, or 0 when empty. */
+    std::size_t steps() const { return deltas.empty() ? 0 : maxSteps; }
 
   private:
     friend class CmpSim;
 
     /** The simulator whose start cursors and config built it. */
     const CmpSim *owner = nullptr;
-    std::size_t len = 0;
     /** Step j of core c at mode m, at [(j * cores + c) * modes + m]:
-     *  a step's cores are adjacent. Entries after a core's finishing
+     *  a step's reads are adjacent. Entries after a core's finishing
      *  step stay zero; no run reads them. */
     std::vector<ProfileCursor::Delta> deltas;
-    /** Core c's cursor after its steps at mode m, at
-     *  [c * modes + m]. */
-    std::vector<ProfileCursor> after;
+    /** The cursor after step j of core c at mode m, at the same
+     *  index. Past a core's finish it stays where the core finished. */
+    std::vector<ProfileCursor::Mark> marks;
 };
 
 /**
  * The trace-based CMP simulator. Bind profiles once; each run*()
  * call replays from the beginning (cursors are rewound).
  *
- * Everything a run does before its decisions can make it differ is
- * computed once: each core's (phase-shifted) start cursor and the
- * first decision's bootstrap samples when the simulator is built,
- * and, on request, the FirstIntervalMemo a caller that runs many
- * times keeps and passes back in.
+ * What no decision can change is computed once: each core's
+ * (phase-shifted) start cursor and the first decision's bootstrap
+ * samples when the simulator is built, and, on request, the
+ * HeldModeMemo a caller that runs many times keeps and passes back
+ * in.
  *
  * Thread-safety contract: run(), runStatic(), referencePowerW() and
- * firstIntervalMemo() are safe to call concurrently on one instance.
+ * heldModeMemo() are safe to call concurrently on one instance.
  * Every piece of per-run state (cursors, accumulators, scratch
  * buffers) lives on the calling thread's stack; the members are
  * either immutable after construction (profiles, dvfs, cfg, per-mode
@@ -240,28 +244,27 @@ class CmpSim
      * @param record_timeline overrides cfg.recordTimeline for this
      *        run (sweeps evaluate thousands of points whose
      *        timelines nobody reads)
-     * @param memo this simulator's firstIntervalMemo(), or null to
+     * @param memo this simulator's heldModeMemo(), or null to
      *        replay every step; the result is the same bits
      */
     SimResult run(GlobalManager &mgr, const BudgetSchedule &budget,
                   Watts reference_power_w,
                   std::optional<bool> record_timeline = std::nullopt,
-                  const FirstIntervalMemo *memo = nullptr);
+                  const HeldModeMemo *memo = nullptr);
 
     /** Fixed-mode run (static assignments, references, bounds). */
     SimResult
     runStatic(const std::vector<PowerMode> &modes,
               std::optional<bool> record_timeline = std::nullopt,
-              const FirstIntervalMemo *memo = nullptr);
+              const HeldModeMemo *memo = nullptr);
 
     /**
-     * Replay every core's first explore interval at every mode once
-     * (see FirstIntervalMemo): modes x that interval's steps per
-     * core, capped at FirstIntervalMemo::maxSteps. Worth it only for
-     * a caller that keeps the memo across many runs; empty with
-     * contention on.
+     * Replay every core's first HeldModeMemo::maxSteps steps at every
+     * mode once (see HeldModeMemo): modes x maxSteps advance() calls
+     * per core. Worth it only for a caller that keeps the memo across
+     * many runs; empty with contention on.
      */
-    FirstIntervalMemo firstIntervalMemo() const;
+    HeldModeMemo heldModeMemo() const;
 
     /**
      * Average core power of the all-Turbo run — the reference
@@ -279,7 +282,7 @@ class CmpSim
                           Watts reference_power_w,
                           const std::vector<PowerMode> &static_modes,
                           bool record_timeline,
-                          const FirstIntervalMemo *memo);
+                          const HeldModeMemo *memo);
 
     std::vector<const WorkloadProfile *> profs;
     const DvfsTable &dvfs;

@@ -105,10 +105,19 @@ struct WorkloadProfile
  * time at a given mode, accumulating energy, instructions and L2
  * traffic. Mode switches keep the program position. A cursor is a
  * value: copying one copies its position, so a replay can resume
- * from a saved cursor (CmpSim's first-interval memo does).
+ * from a saved cursor, or from a saved Mark.
  */
 class ProfileCursor
 {
+    struct Pos
+    {
+        std::size_t chunk = 0;
+        double frac = 0.0; ///< fraction of the chunk completed
+        /** Wrapped past the last chunk back to chunk 0 (only ever
+         *  set on a seekFraction()-shifted cursor). */
+        bool wrapped = false;
+    };
+
   public:
     /** What an advance()/peek() accumulated. */
     struct Delta
@@ -165,16 +174,37 @@ class ProfileCursor
     /** The underlying profile. */
     const WorkloadProfile &profile() const { return *prof; }
 
-  private:
-    struct Pos
+    /**
+     * The 32 bytes of a cursor that advance() moves: the program
+     * position and the instructions retired. A cursor restored to a
+     * Mark continues exactly as the cursor the Mark was taken from,
+     * provided both started from the same cursor (CmpSim's held-mode
+     * memo keeps one per step instead of a whole cursor).
+     */
+    class Mark
     {
-        std::size_t chunk = 0;
-        double frac = 0.0; ///< fraction of the chunk completed
-        /** Wrapped past the last chunk back to chunk 0 (only ever
-         *  set on a seekFraction()-shifted cursor). */
-        bool wrapped = false;
+        friend class ProfileCursor;
+        Pos pos;
+        double instsAcc = 0.0;
     };
 
+    /** Where this cursor is. */
+    Mark mark() const
+    {
+        Mark m;
+        m.pos = cur;
+        m.instsAcc = instsAcc;
+        return m;
+    }
+
+    /** Move to @p m, a Mark of a cursor with this one's start. */
+    void restore(const Mark &m)
+    {
+        cur = m.pos;
+        instsAcc = m.instsAcc;
+    }
+
+  private:
     Delta advanceFrom(Pos &pos, MicroSec dt_us, PowerMode m,
                       double dilation) const;
     bool posFinished(const Pos &pos, std::size_t n_chunks) const;

@@ -15,6 +15,7 @@
 #include "cluster/cluster_manager.hh"
 #include "harness.hh"
 #include "service/service.hh"
+#include "trace/workload.hh"
 #include "util/fault.hh"
 
 namespace gpm
@@ -227,6 +228,40 @@ TEST_F(ClusterTest, DeterministicAcrossThreadCounts)
     }
     EXPECT_EQ(payloads[0], payloads[1]);
     EXPECT_EQ(payloads[0], payloads[2]);
+}
+
+TEST_F(ClusterTest, ChipReferencePowerIgnoresSiblingChips)
+{
+    // Offsets 0.3 and 0.3000004 agree to six decimals, but the chips
+    // start at different instructions: each must report the
+    // reference power it reports in a cluster alone.
+    ChipSpec a;
+    a.combo = manyCoreCombo(16);
+    a.policy = "GreedyTurbo";
+    a.phaseShiftStride = 0.1;
+    a.phaseOffset = 0.3;
+    ChipSpec b = a;
+    b.phaseOffset = 0.3000004;
+    auto refOf = [](std::vector<ChipSpec> chips) {
+        ClusterSpec s;
+        s.chips = std::move(chips);
+        s.policy = "GreedyTurbo";
+        s.epochs = 1;
+        s.epochUs = 500.0;
+        ClusterManager mgr(test::profiles(), test::dvfs(), SimConfig{},
+                           s);
+        auto run = mgr.run(0.8, 1);
+        EXPECT_TRUE(run.ok()) << run.error().message;
+        std::vector<Watts> w;
+        for (const ChipOutcome &c : run.value().chips)
+            w.push_back(c.refPowerW);
+        return w;
+    };
+    const Watts alone_a = refOf({a}).at(0);
+    const Watts alone_b = refOf({b}).at(0);
+    EXPECT_NE(alone_a, alone_b);
+    EXPECT_EQ(refOf({a, b}), (std::vector<Watts>{alone_a, alone_b}));
+    EXPECT_EQ(refOf({b, a}), (std::vector<Watts>{alone_b, alone_a}));
 }
 
 TEST_F(ClusterTest, ServiceServesAndCachesClusterScenarios)

@@ -300,11 +300,11 @@ TEST_F(CmpSimTest, TimelineRecordingChangesNoResult)
     EXPECT_EQ(with.predBipsError, without.predBipsError);
 }
 
-TEST_F(CmpSimTest, FirstIntervalMemoMatchesReplay)
+TEST_F(CmpSimTest, HeldModeMemoMatchesReplay)
 {
     // Irregular chunks, distinct per core and phase-shifted, so a
-    // step read from the wrong slot or a cursor that misses the
-    // hand-off past the memo changes bits.
+    // step read from the wrong slot or a cursor handed over at the
+    // wrong step changes bits.
     auto heavy = jittered(
         syntheticProfile(300, 10'000, 10.0, 1e-4,
                          {1.0, 1.0 / 0.95, 1.0 / 0.85},
@@ -330,7 +330,7 @@ TEST_F(CmpSimTest, FirstIntervalMemoMatchesReplay)
         cfg.recordTimeline = true;
         cfg.phaseShiftStride = 0.3;
         CmpSim sim(profs, dvfs, cfg);
-        const FirstIntervalMemo memo = sim.firstIntervalMemo();
+        const HeldModeMemo memo = sim.heldModeMemo();
         EXPECT_EQ(memo.steps(), steps);
         Watts ref = sim.referencePowerW();
         BudgetSchedule budget({{0.0, 0.85}, {1200.0, 0.7}});
@@ -351,38 +351,200 @@ TEST_F(CmpSimTest, FirstIntervalMemoMatchesReplay)
     };
 
     using Termination = SimConfig::Termination;
+    constexpr std::size_t cap = HeldModeMemo::maxSteps;
     SimConfig cfg = quietConfig();
-    check("FirstDone", cfg, four, 10);
+    check("FirstDone", cfg, four, cap);
     check("FirstDone, a core finishing inside the memo", cfg,
-          with_brief, 10);
+          with_brief, cap);
     cfg.termination = Termination::AllDone;
     check("AllDone, a core finishing inside the memo", cfg, with_brief,
-          10);
+          cap);
     cfg.termination = Termination::FixedTime;
     cfg.maxTimeUs = 3000.0;
-    check("FixedTime", cfg, four, 10);
+    check("FixedTime", cfg, four, cap);
     cfg.maxTimeUs = 320.0;
-    check("maxTimeUs shorter than one interval", cfg, four, 10);
+    check("maxTimeUs shorter than one interval", cfg, four, cap);
 
     cfg = quietConfig();
     cfg.deltaSimUs = 30.0;
     cfg.exploreUs = 500.0;
-    // 17 steps to the second decision: the memo ends mid-interval.
-    check("deltaSimUs 30, exploreUs 500", cfg, four,
-          FirstIntervalMemo::maxSteps);
+    // Decisions at steps 17 and 34: the memo ends mid-interval.
+    check("deltaSimUs 30, exploreUs 500", cfg, four, cap);
 
     cfg = quietConfig();
     cfg.sensorNoise = 0.05;
-    check("sensorNoise", cfg, four, 10);
+    check("sensorNoise", cfg, four, cap);
 
     cfg = quietConfig();
     cfg.trackThermal = true;
-    check("trackThermal", cfg, four, 10);
+    check("trackThermal", cfg, four, cap);
 
     // Dilation follows the chip's traffic: no step can be memoized.
     cfg = quietConfig();
     cfg.contention = true;
     check("contention", cfg, four, 0);
+}
+
+/** Plays a script: decision k returns script[k], and the last entry
+ *  from then on. Every sample it is shown, and with @p oracle every
+ *  future matrix, goes into @p seen, so two runs can be compared
+ *  decision by decision. */
+class ScriptedPolicy : public Policy
+{
+  public:
+    ScriptedPolicy(std::vector<std::vector<PowerMode>> script,
+                   bool oracle, std::vector<double> &seen)
+        : script(std::move(script)), oracle(oracle), seen(seen)
+    {
+    }
+
+    const char *name() const override { return "Scripted"; }
+    bool wantsOracle() const override { return oracle; }
+
+    std::vector<PowerMode>
+    decide(const PolicyInput &in) override
+    {
+        for (const CoreSample &s : *in.samples)
+            seen.insert(seen.end(),
+                        {s.powerW, s.bips, s.memIntensity,
+                         static_cast<double>(s.active)});
+        if (in.oracle)
+            for (std::size_t c = 0; c < in.oracle->numCores(); c++)
+                for (PowerMode m = 0; m < in.oracle->numModes(); m++)
+                    seen.insert(seen.end(),
+                                {in.oracle->powerW(c, m),
+                                 in.oracle->bips(c, m)});
+        return script[std::min(k++, script.size() - 1)];
+    }
+
+  private:
+    std::vector<std::vector<PowerMode>> script;
+    bool oracle;
+    std::vector<double> &seen;
+    std::size_t k = 0;
+};
+
+/** The first step at which core @p c runs another mode than at
+ *  step 0; the timeline's length if it never does. */
+std::size_t
+firstSwitch(const Timeline &tl, std::size_t c)
+{
+    for (std::size_t i = 1; i < tl.size(); i++)
+        if (tl[i].modes[c] != tl[0].modes[c])
+            return i;
+    return tl.size();
+}
+
+/** The step at which core @p c retired its last instruction. */
+std::size_t
+finishStep(const Timeline &tl, std::size_t c)
+{
+    std::size_t last = 0;
+    for (std::size_t i = 0; i < tl.size(); i++)
+        if (tl[i].coreBips[c] > 0.0)
+            last = i;
+    return last;
+}
+
+TEST_F(CmpSimTest, HeldModeMemoHandsOverEachCoreBitForBit)
+{
+    // Each case forces a way a core leaves the memo, asserts on the
+    // replayed run's timeline that it happened, and compares the
+    // memoized run with it: every SimResult field, every timeline
+    // point, and every sample and Oracle matrix a decision was shown.
+    auto heavy = jittered(
+        syntheticProfile(300, 10'000, 10.0, 1e-4,
+                         {1.0, 1.0 / 0.95, 1.0 / 0.85},
+                         {1.0, 0.857, 0.614}, 2'000),
+        11);
+    auto light = jittered(classicSyntheticProfile(250, 8.0, 1.2e-4), 12);
+    auto mid = jittered(classicSyntheticProfile(320, 9.0, 1e-4), 13);
+    auto brief = jittered(classicSyntheticProfile(30, 10.0, 1e-4), 14);
+    constexpr std::size_t cap = HeldModeMemo::maxSteps;
+    constexpr PowerMode T = modes::Turbo, E1 = 1, E2 = 2;
+
+    SimConfig cfg = quietConfig();
+    cfg.phaseShiftStride = 0.3;
+    CmpSim sim({&heavy, &light, &mid, &heavy}, dvfs, cfg);
+    const HeldModeMemo memo = sim.heldModeMemo();
+    ASSERT_EQ(memo.steps(), cap);
+    const Watts ref = sim.referencePowerW();
+
+    // One scripted policy run with and without the memo.
+    auto scripted = [&](CmpSim &s, const HeldModeMemo &m,
+                        const std::vector<std::vector<PowerMode>> &script,
+                        bool oracle, const BudgetSchedule &budget,
+                        Watts w) {
+        std::vector<double> seen_a, seen_b;
+        GlobalManager mgr_a(dvfs,
+                            std::make_unique<ScriptedPolicy>(
+                                script, oracle, seen_a),
+                            500.0, 2.0);
+        GlobalManager mgr_b(dvfs,
+                            std::make_unique<ScriptedPolicy>(
+                                script, oracle, seen_b),
+                            500.0, 2.0);
+        SimResult replayed = s.run(mgr_a, budget, w);
+        SimResult memoized = s.run(mgr_b, budget, w, {}, &m);
+        expectSameResult(replayed, memoized);
+        EXPECT_EQ(seen_a, seen_b);
+        EXPECT_FALSE(seen_a.empty());
+        return replayed;
+    };
+
+    {
+        SCOPED_TRACE("one core switches at the second decision, "
+                     "another at the third, Oracle peeks at each");
+        SimResult r = scripted(
+            sim, memo, {{T, E1, E2, T}, {T, E2, E2, T}, {T, E2, E2, E1}},
+            true, BudgetSchedule(1.0), ref);
+        const Timeline &tl = r.timeline;
+        EXPECT_EQ(firstSwitch(tl, 1), 10u);
+        EXPECT_EQ(firstSwitch(tl, 3), 20u);
+        // Cores 0 and 2 stay on the memo to its end, then go live.
+        EXPECT_EQ(firstSwitch(tl, 0), tl.size());
+        EXPECT_EQ(firstSwitch(tl, 2), tl.size());
+        EXPECT_GT(tl.size(), 2 * cap);
+        EXPECT_EQ(r.managerStats.decisions, (tl.size() + 9) / 10);
+    }
+    {
+        SCOPED_TRACE("every core switches: ChipWideDVFS, budget drop");
+        BudgetSchedule drop({{0.0, 1.05}, {400.0, 0.75}});
+        auto mgr_a = manager("ChipWideDVFS");
+        auto mgr_b = manager("ChipWideDVFS");
+        SimResult replayed = sim.run(mgr_a, drop, ref);
+        SimResult memoized = sim.run(mgr_b, drop, ref, {}, &memo);
+        expectSameResult(replayed, memoized);
+        for (std::size_t c = 0; c < 4; c++)
+            EXPECT_EQ(firstSwitch(replayed.timeline, c), 10u)
+                << "core " << c;
+        EXPECT_GT(replayed.timeline.size(), cap);
+    }
+    {
+        SCOPED_TRACE("a core finishes on the memo, then switches");
+        SimConfig all_done = cfg;
+        all_done.termination = SimConfig::Termination::AllDone;
+        CmpSim with_brief({&heavy, &brief, &light}, dvfs, all_done);
+        const HeldModeMemo m = with_brief.heldModeMemo();
+        SimResult r = scripted(with_brief, m,
+                               {{T, T, E1}, {T, E2, E1}, {E1, E2, E1}},
+                               true, BudgetSchedule(1.0),
+                               with_brief.referencePowerW());
+        const Timeline &tl = r.timeline;
+        EXPECT_TRUE(r.finished[1]);
+        EXPECT_LT(finishStep(tl, 1), 10u);
+        EXPECT_EQ(firstSwitch(tl, 1), 10u);
+        EXPECT_EQ(firstSwitch(tl, 0), 20u);
+        EXPECT_EQ(firstSwitch(tl, 2), tl.size());
+        EXPECT_GT(tl.size(), cap);
+    }
+    {
+        SCOPED_TRACE("a static run longer than the memo");
+        const std::vector<PowerMode> mixed = {E2, T, E1, E2};
+        SimResult replayed = sim.runStatic(mixed);
+        expectSameResult(replayed, sim.runStatic(mixed, {}, &memo));
+        EXPECT_GT(replayed.timeline.size(), cap);
+    }
 }
 
 TEST_F(CmpSimTest, PredictionsExactWhenModesSettle)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "service/json.hh"
+#include "trace/workload.hh"
 #include "util/thread_pool.hh"
 
 namespace gpm::json
@@ -141,6 +142,80 @@ TEST(Json, SerializerEscapesControlCharacters)
     EXPECT_EQ(v.dump(), "\"a\\\"b\\\\c\\n\\u0001\"");
     // And it parses back to the identical string.
     EXPECT_EQ(parseOk(v.dump()).asString(), v.asString());
+}
+
+/** The string writer as it was: one append per character. */
+std::string
+referenceEscaped(const std::string &s)
+{
+    std::string out = "\"";
+    for (unsigned char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\b':
+            out += "\\b";
+            break;
+          case '\f':
+            out += "\\f";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (c < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += static_cast<char>(c);
+            }
+        }
+    }
+    out += '"';
+    return out;
+}
+
+TEST(Json, StringWriterMatchesPerCharacterLoop)
+{
+    std::vector<std::string> inputs = {""};
+    std::string all;
+    for (int b = 0; b < 256; b++) {
+        const char c = static_cast<char>(b);
+        all += c;
+        // Alone, inside a run, and at either end of one.
+        inputs.push_back(std::string(1, c));
+        inputs.push_back("ab" + std::string(1, c) + "cd");
+        inputs.push_back(std::string(2, c) + "xyz");
+        inputs.push_back("xyz" + std::string(2, c));
+    }
+    inputs.push_back(all);
+    inputs.push_back(std::string(all.rbegin(), all.rend()));
+    for (const auto &w : spec2000Suite())
+        inputs.push_back(w.name);
+    for (const auto &[key, combo] : benchmarkCombinations()) {
+        inputs.push_back(key);
+        for (const auto &name : combo)
+            inputs.push_back(name);
+    }
+    for (const auto &in : inputs) {
+        const std::string want = referenceEscaped(in);
+        EXPECT_EQ(Value(in).dump(), want);
+        // Object keys go through the same writer.
+        Value obj = Value::object();
+        obj.set(in, Value(1.0));
+        EXPECT_EQ(obj.dump(), "{" + want + ":1}");
+    }
 }
 
 TEST(Json, DepthLimit)

@@ -426,10 +426,10 @@ TEST(ManycoreScenario, DpGridIsPartOfTheCacheKey)
     EXPECT_NE(a.hash(), b.hash());
 }
 
-TEST(ManycoreScenario, FirstIntervalMemoCappedUnderClientKnobs)
+TEST(ManycoreScenario, HeldModeMemoCappedUnderClientKnobs)
 {
-    // A first explore interval of 20,000 steps: whatever a client
-    // asks for, the memo keeps at most its cap per (core, mode).
+    // An explore interval of 20,000 steps: whatever a client asks
+    // for, the memo keeps its cap of steps per (core, mode).
     ScenarioSpec spec = parseOk(
         R"({"combo": "many256", "policy": "GreedyTurbo",
             "budget": 0.8,
@@ -439,8 +439,8 @@ TEST(ManycoreScenario, FirstIntervalMemoCappedUnderClientKnobs)
     for (const auto &name : spec.combo)
         profs.push_back(&test::profiles().get(name));
     CmpSim sim(profs, test::dvfs(), spec.simConfig());
-    const FirstIntervalMemo memo = sim.firstIntervalMemo();
-    EXPECT_EQ(memo.steps(), FirstIntervalMemo::maxSteps);
+    const HeldModeMemo memo = sim.heldModeMemo();
+    EXPECT_EQ(memo.steps(), HeldModeMemo::maxSteps);
 
     Watts ref = sim.referencePowerW();
     GlobalManager mgr_a(test::dvfs(), makePolicy(spec.policy),

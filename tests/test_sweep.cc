@@ -107,10 +107,13 @@ TEST_F(SweepTest, MatchesSerialLoopAtEveryConcurrency)
 
 TEST_F(SweepTest, ManyCoreMemoFirstUseMatchesSerialLoop)
 {
-    // A combination's first use builds its first-interval memo.
-    // Fresh phase-shifted many64 runners meet that first use from
-    // 1, 2 and 8 threads: evaluate() straight from the pool (no
-    // warm-up, so the threads race to build the entry), then sweep().
+    // A combination's first run replays every step; the run after it
+    // builds the held-mode memo, which every later run reads. Fresh
+    // phase-shifted many64 runners meet both from 1, 2 and 8 threads:
+    // evaluate() straight from the pool (no warm-up, so the threads
+    // race to build the entry and to be the first run), the same
+    // after one run (so they all race to build the memo), then
+    // sweep().
     SimConfig cfg;
     cfg.phaseShiftStride = 0.1;
     SweepSpec s;
@@ -123,15 +126,25 @@ TEST_F(SweepTest, ManyCoreMemoFirstUseMatchesSerialLoop)
         serial.push_back(
             serial_runner.evaluate(p.combo, p.policy, p.budgetFrac));
 
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE("concurrency " + std::to_string(threads));
-        ExperimentRunner raced(test::profiles(), test::dvfs(), cfg);
+    auto race = [&](ExperimentRunner &r, std::size_t threads) {
         std::vector<PolicyEval> got(s.size());
         parallelFor(threads, s.size(), [&](std::size_t i) {
             const SweepPoint &p = s.points[i];
-            got[i] = raced.evaluate(p.combo, p.policy, p.budgetFrac);
+            got[i] = r.evaluate(p.combo, p.policy, p.budgetFrac);
         });
-        expectIdentical(serial, got);
+        return got;
+    };
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("concurrency " + std::to_string(threads));
+        ExperimentRunner raced(test::profiles(), test::dvfs(), cfg);
+        expectIdentical(serial, race(raced, threads));
+
+        ExperimentRunner ran_once(test::profiles(), test::dvfs(), cfg);
+        const SweepPoint &first = s.points.front();
+        expectIdentical({serial.front()},
+                        {ran_once.evaluate(first.combo, first.policy,
+                                           first.budgetFrac)});
+        expectIdentical(serial, race(ran_once, threads));
 
         ExperimentRunner swept(test::profiles(), test::dvfs(), cfg);
         expectIdentical(serial, swept.sweep(s, threads));
