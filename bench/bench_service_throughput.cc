@@ -33,7 +33,13 @@
  * serving path, not the sweep engine.
  *
  * The run FAILS (exit 1) when any request of any phase failed: a
- * phase that served errors is not a throughput number. At full scale
+ * phase that served errors is not a throughput number. It also fails
+ * unless the cold phase served no cache hit and the warm-memory and
+ * warm-disk phases served nothing else: a cache phase that computed
+ * is not measuring its tier. The cache phases run without the
+ * degradation ladder for that reason: a substituted answer is
+ * cached under the substitute's hash, so its warm resubmit would
+ * compute. At full scale
  * (reactor conns >= 5000) it also fails unless the reactor's warm
  * scenarios/sec beat the baseline by >= 1.5x; set
  * GPM_BENCH_NO_ENFORCE=1 to record numbers without that ratio gate.
@@ -43,13 +49,9 @@
  *
  *   { "bench": "service_throughput", "phase": ..., "clients": N,
  *     "scenarios": M, "wall_ms": ..., "scenarios_per_sec": ...,
- *     "p50_ms": ..., "p99_ms": ..., "failures": F, "degraded": D,
- *     "hits": H }
+ *     "p50_ms": ..., "p99_ms": ..., "failures": F, "hits": H }
  *
- * D counts responses carrying the "degraded" marker (served a
- * ladder rung down) and H responses with "cached":true. No phase
- * gates on them yet: a degraded cold request is cached under its
- * own hash, so its warm resubmit misses.
+ * H counts responses with "cached":true.
  *
  * Latencies are per-scenario completion times from the moment the
  * client starts sending its pipeline (so the p99 of the cold phase
@@ -133,7 +135,6 @@ struct PhaseResult
     double wallMs = 0.0;
     std::vector<double> latenciesMs; // one per scenario
     std::size_t failures = 0;
-    std::size_t degraded = 0;
     std::size_t hits = 0;
 };
 
@@ -143,8 +144,6 @@ tally(PhaseResult &res, std::string_view line)
 {
     if (line.find("\"ok\":true") == std::string_view::npos)
         res.failures++;
-    if (line.find("\"degraded\":") != std::string_view::npos)
-        res.degraded++;
     if (line.find("\"cached\":true") != std::string_view::npos)
         res.hits++;
 }
@@ -239,7 +238,6 @@ runPhase(std::uint16_t port, std::size_t clients,
                                r.latenciesMs.begin(),
                                r.latenciesMs.end());
         res.failures += r.failures;
-        res.degraded += r.degraded;
         res.hits += r.hits;
     }
     std::sort(res.latenciesMs.begin(), res.latenciesMs.end());
@@ -261,21 +259,34 @@ report(const char *phase, std::size_t clients,
     double p50 = bench::percentile(res.latenciesMs, 0.50);
     double p99 = bench::percentile(res.latenciesMs, 0.99);
     std::printf("%-18s %7.0f scen/s  p50 %8.1f ms  p99 %8.1f ms  "
-                "wall %8.1f ms  degraded %zu  hits %zu%s\n",
-                phase, perSec, p50, p99, res.wallMs, res.degraded,
-                res.hits, res.failures ? "  [FAILURES]" : "");
+                "wall %8.1f ms  hits %zu%s\n",
+                phase, perSec, p50, p99, res.wallMs, res.hits,
+                res.failures ? "  [FAILURES]" : "");
     char buf[416];
     std::snprintf(
         buf, sizeof(buf),
         "{ \"bench\": \"service_throughput\", \"phase\": \"%s\", "
         "\"clients\": %zu, \"scenarios\": %zu, \"wall_ms\": %.1f, "
         "\"scenarios_per_sec\": %.1f, \"p50_ms\": %.1f, "
-        "\"p99_ms\": %.1f, \"failures\": %zu, \"degraded\": %zu, "
-        "\"hits\": %zu }",
+        "\"p99_ms\": %.1f, \"failures\": %zu, \"hits\": %zu }",
         phase, clients, perClient, res.wallMs, perSec, p50, p99,
-        res.failures, res.degraded, res.hits);
+        res.failures, res.hits);
     bench::appendBenchLine(buf);
     return perSec;
+}
+
+/** Run and report one cache-hierarchy phase, which must serve
+ *  exactly @p wantHits cache hits (none cold, all warm). */
+void
+cachePhase(const char *phase, std::uint16_t port, std::size_t clients,
+           std::size_t perClient, std::size_t wantHits)
+{
+    PhaseResult res = runPhase(port, clients, perClient);
+    report(phase, clients, perClient, res);
+    if (res.hits != wantHits)
+        fatal("%s phase served %zu cache hits of %zu requests, "
+              "expected %zu",
+              phase, res.hits, clients * perClient, wantHits);
 }
 
 /** Fresh scratch directory for the disk tier. */
@@ -695,7 +706,6 @@ driveChurn(std::uint16_t port, std::size_t totalConns,
                 return warmSubmitLine(base + conn, 0);
             });
         res.failures += w.failures;
-        res.degraded += w.degraded;
         res.hits += w.hits;
         res.latenciesMs.insert(res.latenciesMs.end(),
                                w.latenciesMs.begin(),
@@ -739,14 +749,14 @@ main()
     opts.queueCapacity = clients * perClient + 8;
     opts.sweepConcurrency = 1;
     opts.cacheDir = cacheDir;
+    opts.degradeLadder = false;
 
     {
         ScenarioService svc(env.lib, env.dvfs, opts);
         Daemon gpmd(svc);
-        report("cold", clients, perClient,
-               runPhase(gpmd.port(), clients, perClient));
-        report("warm-memory", clients, perClient,
-               runPhase(gpmd.port(), clients, perClient));
+        cachePhase("cold", gpmd.port(), clients, perClient, 0);
+        cachePhase("warm-memory", gpmd.port(), clients, perClient,
+                   clients * perClient);
     }
     {
         // Fresh daemon over the same cache directory: memory tier
@@ -754,8 +764,8 @@ main()
         ScenarioService svc(env.lib, env.dvfs, opts);
         {
             Daemon gpmd(svc);
-            report("warm-disk", clients, perClient,
-                   runPhase(gpmd.port(), clients, perClient));
+            cachePhase("warm-disk", gpmd.port(), clients, perClient,
+                       clients * perClient);
         }
         ServiceStats s = svc.stats();
         std::printf("\nwarm-disk daemon: diskHits=%llu "

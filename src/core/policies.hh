@@ -328,6 +328,13 @@ std::unique_ptr<Policy> makePolicy(const std::string &name);
  *  validity check callers with structured error paths need. */
 bool isPolicyName(const std::string &name);
 
+/** True when @p name decides by the exact search
+ *  (MaxBipsPolicy::solve / solveMinPower), whose cost grows
+ *  exponentially with the cores it decides: "MaxBIPS", "Oracle",
+ *  "HistoryMaxBIPS", "ExploreMaxBIPS", "MinPower[NN]", and the
+ *  "Static" plan (planStaticAssignment). */
+bool isExactSearchPolicy(const std::string &name);
+
 } // namespace gpm
 
 #endif // GPM_CORE_POLICIES_HH

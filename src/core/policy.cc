@@ -74,6 +74,15 @@ isPolicyName(const std::string &name)
     return tryMakePolicy(name) != nullptr;
 }
 
+bool
+isExactSearchPolicy(const std::string &name)
+{
+    return name == "MaxBIPS" || name == "Oracle" ||
+        name == "HistoryMaxBIPS" || name == "ExploreMaxBIPS" ||
+        name == "Static" ||
+        (name.rfind("MinPower", 0) == 0 && isPolicyName(name));
+}
+
 std::unique_ptr<Policy>
 makePolicy(const std::string &name)
 {

@@ -90,8 +90,10 @@ AdmissionController::preAdmit(std::uint64_t clientId,
 
     // Doomed deadline: predict queue wait + service from the
     // cheapest solver this request could degrade to. No prediction
-    // without an observed EWMA — a cold service admits everything.
-    if (deadlineMs > 0.0) {
+    // without an observed EWMA (a cold service admits everything),
+    // and none at load 0: the request starts at once, and its
+    // completion is what corrects an estimate gone stale.
+    if (deadlineMs > 0.0 && load > 0) {
         double per = knownEwmaLocked(floorKey);
         if (per <= 0.0)
             per = knownEwmaLocked(serviceKey);

@@ -12,7 +12,10 @@
  *    shed AT ADMISSION with a structured `rejected_overload` and a
  *    `retryAfterMs` hint, instead of burning queue space on an
  *    answer nobody will wait for. Prediction only ever fires from
- *    observed completions — a cold service admits everything.
+ *    observed completions — a cold service admits everything — and
+ *    never at load 0: a request with nothing queued or in flight
+ *    starts at once, and running it is the only way a wrong
+ *    estimate gets corrected.
  *
  *  - Per-client fairness: one pipelined connection may hold at most
  *    `fairShare` of the queue; entries beyond that are rejected

@@ -136,6 +136,21 @@ degradeSpec(const ScenarioSpec &spec, const std::string &policy)
 namespace
 {
 
+/** The rejection of exact-search policy @p policy over @p n
+ *  @p what past ScenarioSpec::maxExactCores, or nullopt when
+ *  within it. */
+std::optional<std::string>
+exactSearchLimit(const std::string &policy, std::size_t n,
+                 const char *what)
+{
+    if (n <= ScenarioSpec::maxExactCores || !isExactSearchPolicy(policy))
+        return std::nullopt;
+    return "'" + policy + "' is an exact search, limited to " +
+        std::to_string(ScenarioSpec::maxExactCores) + " " + what +
+        " (got " + std::to_string(n) +
+        "); GreedyTurbo and WaterFill serve larger shapes";
+}
+
 /** Cluster-specific half of validateScenario(). */
 std::optional<std::string>
 validateCluster(const ScenarioSpec &spec)
@@ -164,6 +179,9 @@ validateCluster(const ScenarioSpec &spec)
                 return "unknown workload '" + name + "'";
         if (!isPolicyName(chip.policy))
             return "unknown chip policy '" + chip.policy + "'";
+        if (auto err = exactSearchLimit(chip.policy, chip.combo.size(),
+                                        "cores per chip"))
+            return err;
         if (!std::isfinite(chip.phaseShiftStride) ||
             chip.phaseShiftStride < 0.0 ||
             chip.phaseShiftStride >= 1.0)
@@ -175,6 +193,9 @@ validateCluster(const ScenarioSpec &spec)
     if (!isClusterPolicyName(spec.policy))
         return "'" + spec.policy +
             "' is not a cluster arbitration policy";
+    if (auto err = exactSearchLimit(spec.policy, cl.chips.size(),
+                                    "chips"))
+        return err;
     if (cl.epochs < 1 || cl.epochs > ClusterSpec::maxEpochs)
         return "cluster.epochs must be in [1, " +
             std::to_string(ClusterSpec::maxEpochs) + "]";
@@ -210,6 +231,9 @@ validateScenario(const ScenarioSpec &spec)
                 return "unknown workload '" + name + "'";
         if (spec.policy != "Static" && !isPolicyName(spec.policy))
             return "unknown policy '" + spec.policy + "'";
+        if (auto err = exactSearchLimit(spec.policy, spec.combo.size(),
+                                        "cores per chip"))
+            return err;
     }
     if (spec.budgets.empty())
         return "budgets must contain at least one fraction";

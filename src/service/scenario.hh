@@ -81,6 +81,13 @@ struct ScenarioSpec
      *  cores; see trace/workload.hh manyCoreCombo). */
     static constexpr std::size_t maxCores = 1024;
     static constexpr std::size_t maxBudgets = 64;
+    /** Cap on the cores of a chip an exact-search policy decides
+     *  (isExactSearchPolicy), and on the chips facility MaxBIPS
+     *  arbitrates. The search cannot cut a subtree whose bound ties
+     *  the best answer, so identical cores make it enumerate; at 8
+     *  one decision over the 3-mode table has at most 3^8 = 6,561
+     *  leaves. 8 cores is the paper's largest chip. */
+    static constexpr std::size_t maxExactCores = 8;
 
     /** The SimConfig an ExperimentRunner needs for this scenario. */
     SimConfig simConfig() const;

@@ -286,9 +286,10 @@ manycore_policies() {
 }
 
 # Cache phases plus the transport comparison at small scale. The
-# bench fails any phase that served a request error itself, and
-# raises its own fd limit; its speedup gate applies only at
-# >= 5000 connections.
+# bench itself fails any phase that served a request error, a cold
+# phase that served a cache hit and a warm phase that served
+# anything else, and raises its own fd limit; its speedup gate
+# applies only at >= 5000 connections.
 service_throughput() {
     GPM_SCALE="$SCALE" GPM_PROFILE_CACHE_DIR="$STORE" \
         GPM_BENCH_JSON=bench.json \

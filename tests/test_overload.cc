@@ -220,27 +220,33 @@ TEST(Admission, DoomedDeadlinesShedOnlyAfterObservation)
     // Cold service: even an absurd deadline is admitted (no EWMA,
     // no prediction).
     EXPECT_TRUE(
-        ac.preAdmit(0, "MaxBIPS", "WaterFill", 0.001, 0).admit);
+        ac.preAdmit(0, "MaxBIPS", "WaterFill", 0.001, 1).admit);
 
-    // Observe the ladder floor at 500 ms; a 10 ms deadline is now
-    // predictably doomed, a 10 s one is fine.
+    // Observe the ladder floor at 500 ms; behind one queued request
+    // a 10 ms deadline is now predictably doomed, a 10 s one is
+    // fine.
     ac.recordService("WaterFill", 500.0);
     ac.recordService("WaterFill", 500.0);
     EXPECT_NEAR(ac.serviceTimeMs("WaterFill"), 500.0, 1e-9);
 
-    auto doomed = ac.preAdmit(0, "MaxBIPS", "WaterFill", 10.0, 0);
+    auto doomed = ac.preAdmit(0, "MaxBIPS", "WaterFill", 10.0, 1);
     EXPECT_FALSE(doomed.admit);
     EXPECT_EQ(doomed.errorCode, "rejected_overload");
     EXPECT_GE(doomed.retryAfterMs, 10.0);
     EXPECT_TRUE(
-        ac.preAdmit(0, "MaxBIPS", "WaterFill", 10000.0, 0).admit);
+        ac.preAdmit(0, "MaxBIPS", "WaterFill", 10000.0, 1).admit);
+
+    // At load 0 the request would start at once, so nothing is
+    // shed: running it is what corrects a stale estimate.
+    EXPECT_TRUE(
+        ac.preAdmit(0, "MaxBIPS", "WaterFill", 10.0, 0).admit);
 
     // Queue wait scales the prediction: a deadline that clears one
-    // service time but not the backlog's worth is shed at load.
+    // request ahead but not the backlog's worth is shed at load.
     EXPECT_TRUE(
-        ac.preAdmit(0, "MaxBIPS", "WaterFill", 700.0, 0).admit);
+        ac.preAdmit(0, "MaxBIPS", "WaterFill", 1200.0, 1).admit);
     EXPECT_FALSE(
-        ac.preAdmit(0, "MaxBIPS", "WaterFill", 700.0, 4).admit);
+        ac.preAdmit(0, "MaxBIPS", "WaterFill", 1200.0, 4).admit);
 
     // Deadline-less requests are never deadline-shed.
     EXPECT_TRUE(
@@ -420,6 +426,34 @@ TEST_F(OverloadServiceTest, ClusterFacilityKernelDegrades)
     auto direct = fresh.submit(fallback);
     ASSERT_TRUE(direct.ok);
     EXPECT_EQ(r.payload, direct.payload);
+}
+
+TEST_F(OverloadServiceTest, IdleRequestsCorrectAStaleEstimate)
+{
+    ServiceOptions opts;
+    opts.workers = 1;
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
+    // An estimate 1 s stale, far above what a 2-core Priority
+    // request costs. Priority is off the degradation ladder, so
+    // every request runs it and feeds its estimate.
+    AdmissionController &ac = svc.admissionController();
+    ac.recordService("Priority", 1000.0);
+    test::profiles().get("mcf");
+    test::profiles().get("crafty");
+
+    // Each submit finds the service idle, so none is shed on the
+    // estimate, and each completion pulls it down.
+    for (int i = 0; i < 20; i++) {
+        ScenarioSpec s = scenario();
+        s.policy = "Priority";
+        s.budgets = {0.6 + 0.01 * i};
+        s.deadlineMs = 100.0;
+        auto r = svc.submit(s);
+        ASSERT_TRUE(r.ok) << i << ": " << r.errorCode << ": "
+                          << r.errorMessage;
+    }
+    EXPECT_EQ(svc.stats().shedOverload, 0u);
+    EXPECT_LT(ac.serviceTimeMs("Priority"), 100.0);
 }
 
 TEST_F(OverloadServiceTest, BusyRejectionCarriesRetryHint)

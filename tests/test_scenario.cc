@@ -411,6 +411,71 @@ TEST(Scenario, ValidateCatchesOversizedRequests)
     EXPECT_FALSE(validateScenario(s).has_value());
 }
 
+/** An exact search enumerates ties, so it gets a chip of at most
+ *  maxExactCores cores, flat or in a cluster, and facility MaxBIPS
+ *  at most that many chips; the approximate engines keep the full
+ *  1024 cores. */
+TEST(Scenario, ExactSearchIsLimitedToEightCoresAndChips)
+{
+    const std::size_t n = ScenarioSpec::maxExactCores;
+    ASSERT_EQ(n, 8u);
+    auto flat = [](const std::string &policy, std::size_t cores) {
+        ScenarioSpec s;
+        s.combo.assign(cores, "mcf");
+        s.policy = policy;
+        s.budgets = {0.8};
+        return validateScenario(s);
+    };
+    auto cluster = [](const std::string &facility,
+                      const std::string &chipPolicy,
+                      std::size_t cores, std::size_t chips) {
+        ScenarioSpec s;
+        ClusterSpec cl;
+        ChipSpec chip;
+        chip.combo.assign(cores, "mcf");
+        chip.policy = chipPolicy;
+        cl.chips.assign(chips, chip);
+        s.cluster = std::move(cl);
+        s.policy = facility;
+        s.budgets = {0.8};
+        return validateScenario(s);
+    };
+    auto namesAlternatives = [](const std::optional<std::string> &e) {
+        return e && e->find("GreedyTurbo") != std::string::npos &&
+            e->find("WaterFill") != std::string::npos;
+    };
+
+    for (const char *p : {"MaxBIPS", "Oracle", "Static", "MinPower",
+                          "MinPower85", "HistoryMaxBIPS",
+                          "ExploreMaxBIPS"}) {
+        EXPECT_FALSE(flat(p, n)) << p << ": " << *flat(p, n);
+        EXPECT_TRUE(namesAlternatives(flat(p, n + 1))) << p;
+        if (std::string(p) == "Static")
+            continue; // a flat-only plan, never a chip policy
+        EXPECT_FALSE(cluster("GreedyTurbo", p, n, 2)) << p;
+        EXPECT_TRUE(namesAlternatives(cluster("GreedyTurbo", p, n + 1,
+                                              2)))
+            << p;
+    }
+
+    EXPECT_FALSE(cluster("MaxBIPS", "WaterFill", 2, n));
+    EXPECT_TRUE(namesAlternatives(cluster("MaxBIPS", "WaterFill", 2,
+                                          n + 1)));
+
+    for (const char *p : {"GreedyTurbo", "WaterFill", "MaxBIPS-DP",
+                          "Priority"}) {
+        EXPECT_FALSE(flat(p, ScenarioSpec::maxCores)) << p;
+        EXPECT_FALSE(cluster("GreedyTurbo", p, ScenarioSpec::maxCores,
+                             2))
+            << p;
+    }
+    for (const char *facility : {"GreedyTurbo", "WaterFill",
+                                 "MaxBIPS-DP"})
+        EXPECT_FALSE(cluster(facility, "MaxBIPS", 2,
+                             ClusterSpec::maxChips))
+            << facility;
+}
+
 TEST(Scenario, SerializeResultsIsCanonicalAndParsesBack)
 {
     ScenarioSpec s = parseOk(

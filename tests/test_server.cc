@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "harness.hh"
+#include "util/fault.hh"
 
 namespace gpm
 {
@@ -23,6 +24,7 @@ class ServerTest : public ::testing::Test
 {
   protected:
     void SetUp() override { gpmd.start(); }
+    void TearDown() override { fault::disarm(); }
 
     test::Gpmd gpmd;
 };
@@ -91,9 +93,22 @@ TEST_F(ServerTest, ShedAndDegradedSubmitsCarryTheirWireFields)
     };
     TcpStream c = gpmd.connect();
 
-    // Not even the floor meets 0.5 ms: shed at admission, with a
-    // backoff hint.
-    json::Value shed = parseOk(roundTrip(c, submit("0.7", "0.5")));
+    // Behind one request in flight on a stalled worker, not even
+    // the floor meets 0.5 ms: shed at admission, with a backoff
+    // hint. (An idle service admits it: load 0 never sheds.)
+    ASSERT_FALSE(fault::arm("worker-stall:1:200"));
+    ASSERT_TRUE(c.writeAll(submit("0.9", "0") + "\n" +
+                           submit("0.7", "0.5") + "\n"));
+    std::string lines[2];
+    ASSERT_EQ(c.readLine(lines[0]), TcpStream::ReadStatus::Line);
+    ASSERT_EQ(c.readLine(lines[1]), TcpStream::ReadStatus::Line);
+    fault::disarm();
+    json::Value first = parseOk(lines[0]);
+    json::Value second = parseOk(lines[1]);
+    bool firstShed = !first.find("ok")->asBool();
+    const json::Value &shed = firstShed ? first : second;
+    const json::Value &served = firstShed ? second : first;
+    EXPECT_TRUE(served.find("ok")->asBool()) << lines[0] << lines[1];
     EXPECT_FALSE(shed.find("ok")->asBool());
     const json::Value *err = shed.find("error");
     ASSERT_TRUE(err);
@@ -104,9 +119,9 @@ TEST_F(ServerTest, ShedAndDegradedSubmitsCarryTheirWireFields)
     // 5 s passes admission (the floor could meet it), but exact
     // MaxBIPS predictably blows it: served one rung down, marked.
     std::string line = roundTrip(c, submit("0.8", "5000"));
-    json::Value served = parseOk(line);
-    ASSERT_TRUE(served.find("ok")->asBool()) << line;
-    const json::Value *deg = served.find("degraded");
+    json::Value degraded = parseOk(line);
+    ASSERT_TRUE(degraded.find("ok")->asBool()) << line;
+    const json::Value *deg = degraded.find("degraded");
     ASSERT_TRUE(deg) << line;
     EXPECT_EQ(deg->find("from")->asString(), "MaxBIPS");
     EXPECT_EQ(deg->find("to")->asString(), "MaxBIPS-DP");
