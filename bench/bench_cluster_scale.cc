@@ -47,7 +47,6 @@
 
 #include "cluster/cluster.hh"
 #include "common.hh"
-#include "core/mckp.hh"
 #include "core/policies.hh"
 #include "trace/phase_profile.hh"
 #include "trace/workload.hh"
@@ -129,8 +128,8 @@ main()
             Watts turbo_total = 0.0;
             for (std::size_t i = 0; i < mchips; i++) {
                 mats.push_back(buildChipMatrix(lib, dvfs, i, n));
-                ModeColumns cols = ModeColumns::fromMatrix(mats[i]);
-                turbo_total += cols.uniformPowerW(modes::Turbo);
+                turbo_total += mats[i].totalPowerW(
+                    std::vector<PowerMode>(n, modes::Turbo));
             }
             const Watts facility_w = kBudgetFrac * turbo_total;
 

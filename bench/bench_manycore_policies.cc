@@ -178,10 +178,9 @@ main()
 
     for (std::size_t n : core_counts) {
         ModeMatrix m = buildMatrix(lib, dvfs, n);
-        // Budget: 75% of the all-Turbo chip power, via the SoA
-        // column view (one contiguous pass over mode 0).
-        ModeColumns cols = ModeColumns::fromMatrix(m);
-        Watts budget = budget_frac * cols.uniformPowerW(modes::Turbo);
+        // Budget: 75% of the all-Turbo chip power.
+        Watts budget = budget_frac *
+            m.totalPowerW(std::vector<PowerMode>(n, modes::Turbo));
 
         // Quality reference: the exact search where affordable,
         // the MCKP LP upper bound beyond that.

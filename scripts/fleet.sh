@@ -78,6 +78,6 @@ done
 echo "fleet: $N daemons; shared cache dir $CACHE_DIR"
 echo "fleet: --host $HOSTS"
 echo "fleet: try: $BUILD/src/service/gpmctl --host $HOSTS submit" \
-    "--combo mcf,crafty --policy MaxBIPS --budget 0.8"
+    "--json '{\"combo\":[\"mcf\",\"crafty\"],\"policy\":\"MaxBIPS\",\"budget\":0.8}'"
 echo "fleet: Ctrl-C to drain and stop"
 wait "${PIDS[@]}"

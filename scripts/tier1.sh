@@ -28,10 +28,12 @@ TSAN_FILTER+=":ReactorServerTest.*:GpmctlShardTest.*:DiskBreakerTest.*"
 TSAN_FILTER+=":DiskCacheTest.*"
 TSAN_FILTER+=":ClusterTest.*"
 
+# Every build and ctest call takes the core count: a bare `-j`
+# starts unbounded make jobs, and CMake 3.25 runs a bare `ctest -j`
+# one case at a time.
 echo "== tier-1: standard build + ctest =="
 cmake -B "$BUILD" -S . -DGPM_WERROR=ON
-cmake --build "$BUILD" -j
-# CMake 3.25 runs a bare `ctest -j` one case at a time.
+cmake --build "$BUILD" -j "$(nproc)"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
 if [ "${GPM_SKIP_TSAN:-0}" = "1" ]; then
@@ -41,7 +43,7 @@ fi
 
 echo "== tier-1: ThreadSanitizer build =="
 cmake -B "$BUILD-tsan" -S . -DGPM_SANITIZE=thread -DGPM_WERROR=ON
-cmake --build "$BUILD-tsan" -j --target gpm_tests gpmd gpmctl
+cmake --build "$BUILD-tsan" -j "$(nproc)" --target gpm_tests gpmd gpmctl
 
 echo "== tier-1: concurrency gtests under TSan =="
 "$BUILD-tsan/tests/gpm_tests" --gtest_filter="$TSAN_FILTER"

@@ -208,44 +208,4 @@ assignmentFromPositions(const FrontierSet &f,
     return out;
 }
 
-ModeColumns
-ModeColumns::fromMatrix(const ModeMatrix &m)
-{
-    ModeColumns cols;
-    cols.cores = m.numCores();
-    cols.modes = m.numModes();
-    cols.powerW.resize(cols.cores * cols.modes);
-    cols.bips.resize(cols.cores * cols.modes);
-    for (std::size_t mi = 0; mi < cols.modes; mi++) {
-        auto mode = static_cast<PowerMode>(mi);
-        double *pw = cols.powerW.data() + mi * cols.cores;
-        double *bp = cols.bips.data() + mi * cols.cores;
-        for (std::size_t c = 0; c < cols.cores; c++) {
-            pw[c] = m.powerW(c, mode);
-            bp[c] = m.bips(c, mode);
-        }
-    }
-    return cols;
-}
-
-double
-ModeColumns::uniformPowerW(PowerMode m) const
-{
-    const double *pw = powerOfMode(m);
-    double total = 0.0;
-    for (std::size_t c = 0; c < cores; c++)
-        total += pw[c];
-    return total;
-}
-
-double
-ModeColumns::uniformBips(PowerMode m) const
-{
-    const double *bp = bipsOfMode(m);
-    double total = 0.0;
-    for (std::size_t c = 0; c < cores; c++)
-        total += bp[c];
-    return total;
-}
-
 } // namespace gpm

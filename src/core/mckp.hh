@@ -22,10 +22,7 @@
  *  - mckpUpperBound(): the fractional (LP-relaxation) optimum, a
  *    valid upper bound on any integer assignment's BIPS — the bound
  *    the exact search evaluates over each node's free cores, and
- *    the gap reference for the many-core benches;
- *  - ModeColumns: a per-mode column (SoA) snapshot of a ModeMatrix
- *    for vectorizable column passes (uniform-mode totals, grid cost
- *    quantization).
+ *    the gap reference for the many-core benches.
  */
 
 #ifndef GPM_CORE_MCKP_HH
@@ -140,41 +137,6 @@ double mckpUpperBound(const FrontierSet &f, Watts budget_w);
 std::vector<PowerMode>
 assignmentFromPositions(const FrontierSet &f,
                         const std::vector<std::uint8_t> &pos);
-
-/**
- * Per-mode column (SoA) snapshot of a ModeMatrix: power and BIPS of
- * mode m across all cores in one contiguous array each, so
- * column-wise passes (uniform-mode totals, per-mode cost
- * quantization) vectorize instead of striding through the row-major
- * matrix.
- */
-struct ModeColumns
-{
-    std::size_t cores = 0;
-    std::size_t modes = 0;
-    /** powerW[m * cores + c]; column-contiguous. */
-    std::vector<double> powerW;
-    /** bips[m * cores + c]; column-contiguous. */
-    std::vector<double> bips;
-
-    static ModeColumns fromMatrix(const ModeMatrix &m);
-
-    const double *powerOfMode(PowerMode m) const
-    {
-        return powerW.data() + static_cast<std::size_t>(m) * cores;
-    }
-
-    const double *bipsOfMode(PowerMode m) const
-    {
-        return bips.data() + static_cast<std::size_t>(m) * cores;
-    }
-
-    /** Total chip power with every core at mode @p m [W]. */
-    double uniformPowerW(PowerMode m) const;
-
-    /** Total chip BIPS with every core at mode @p m. */
-    double uniformBips(PowerMode m) const;
-};
 
 } // namespace gpm
 

@@ -7,6 +7,14 @@
 namespace gpm
 {
 
+namespace
+{
+
+/** EWMA smoothing factor for the per-policy service times. */
+constexpr double ewmaAlpha = 0.3;
+
+} // namespace
+
 AdmissionController::AdmissionController(AdmissionOptions opts_,
                                          std::size_t queueCapacity,
                                          std::size_t workers_)
@@ -15,7 +23,6 @@ AdmissionController::AdmissionController(AdmissionOptions opts_,
 {
     opts.fairShare = std::clamp(opts.fairShare, 0.0, 1.0);
     opts.degradeDepth = std::clamp(opts.degradeDepth, 0.0, 1.0);
-    opts.ewmaAlpha = std::clamp(opts.ewmaAlpha, 0.01, 1.0);
     clientShare = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                opts.fairShare * static_cast<double>(capacity)));
@@ -151,12 +158,10 @@ AdmissionController::recordService(const std::string &serviceKey,
         return;
     std::lock_guard<std::mutex> lock(mtx);
     double &e = ewmaMs[serviceKey];
-    e = e == 0.0 ? ms
-                 : opts.ewmaAlpha * ms +
-            (1.0 - opts.ewmaAlpha) * e;
+    e = e == 0.0 ? ms : ewmaAlpha * ms + (1.0 - ewmaAlpha) * e;
     anyEwmaMs = anyEwmaMs == 0.0
         ? ms
-        : opts.ewmaAlpha * ms + (1.0 - opts.ewmaAlpha) * anyEwmaMs;
+        : ewmaAlpha * ms + (1.0 - ewmaAlpha) * anyEwmaMs;
 }
 
 double

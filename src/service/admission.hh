@@ -62,8 +62,6 @@ struct AdmissionOptions
      *  work) the service is in the overload state: admitted
      *  ladder-eligible requests degrade and retry hints grow. */
     double degradeDepth = 0.75;
-    /** EWMA smoothing factor for per-policy service times. */
-    double ewmaAlpha = 0.3;
 };
 
 class AdmissionController
@@ -120,9 +118,6 @@ class AdmissionController
     /** Requests rejected `rejected_overload` (fairness + doomed
      *  deadlines). */
     std::uint64_t shedCount() const;
-
-    /** Load at/over which admissions are flagged overloaded. */
-    std::size_t overloadThreshold() const { return degradeAt; }
 
     const AdmissionOptions &options() const { return opts; }
 

@@ -6,23 +6,14 @@
  *   gpmctl [--host H] [--port P] [retry options] stats
  *   gpmctl [--host H] [--port P] [retry options] shutdown
  *   gpmctl [--host H] [--port P] [retry options] submit \
- *       --combo mcf,crafty [or --combo-key 2way1] \
- *       --policy MaxBIPS \
- *       --budget 0.8 [or --budgets 0.7,0.85,1.0] \
- *       [--static-fit peak|average] [--explore-us X] \
- *       [--delta-us X] [--contention] [--sensor-noise X] \
- *       [--deadline-ms X]
- *   gpmctl submit --cluster-chip COMBO:POLICY[:COUNT] \
- *       [--cluster-chip ...] --policy MaxBIPS-DP --budget 0.75 \
- *       [--epochs N] [--epoch-us X] [--levels K]
- *   gpmctl submit --json '<scenario object>'
- *   gpmctl submit-batch @FILE.ndjson
+ *       --json '<scenario object>'
+ *   gpmctl [--host H] [--port P] [retry options] submit-batch \
+ *       @FILE.ndjson
  *
- * Cluster submits describe a rack: each --cluster-chip adds COUNT
- * chips (default 1) running COMBO (a combination key like "2way1",
- * a single benchmark, or a comma list) under the inner policy
- * POLICY; --policy then names the facility-level arbitration
- * kernel. See docs/SERVICE.md for the scenario schema.
+ * submit sends the scenario object it is given as is: flat and
+ * cluster scenarios, sim knobs and the scenario's own "deadlineMs"
+ * are all fields of that object, whose schema parseScenario defines
+ * (docs/SERVICE.md), so gpmctl sends every scenario gpmd accepts.
  *
  * --host takes a comma-separated HOST[:PORT] list, and gpmctl
  * shards over it itself: a submit goes to the endpoint that owns the
@@ -65,8 +56,8 @@
  *
  * Prints the server's one-line JSON response on stdout. Exit codes:
  * 0 = ok:true, 2 = server returned an error, 1 = usage (including
- * a malformed numeric flag) or transport failure (including
- * deadline exhaustion).
+ * a malformed numeric flag, an unknown option and a submit without
+ * --json) or transport failure (including deadline exhaustion).
  */
 
 #include <algorithm>
@@ -86,7 +77,6 @@
 #include "service/net.hh"
 #include "service/ring.hh"
 #include "service/scenario.hh"
-#include "trace/workload.hh"
 #include "util/backoff.hh"
 #include "util/flags.hh"
 
@@ -101,9 +91,9 @@ usage()
     std::fprintf(
         stderr,
         "usage: gpmctl [--host H[,H2[:P2],...]] [--port P] "
-        "[retry options] "
-        "<ping|stats|shutdown|submit|submit-batch> "
-        "[submit options | @FILE.ndjson]\n"
+        "[retry options]\n"
+        "  <ping | stats | shutdown | submit --json SCENARIO | "
+        "submit-batch @FILE.ndjson>\n"
         "  --host takes a comma-separated HOST[:PORT] list; a "
         "submit goes to the\n"
         "  endpoint owning its scenario and retries move down "
@@ -111,19 +101,12 @@ usage()
         "  ranking; other verbs start at the first endpoint "
         "(entries without\n"
         "  :PORT use --port)\n"
+        "  SCENARIO is one scenario object (docs/SERVICE.md), e.g.\n"
+        "  '{\"combo\":[\"mcf\",\"crafty\"],\"policy\":"
+        "\"MaxBIPS\",\"budget\":0.8}'\n"
         "retry options: [--retries N] [--retry-base-ms B] "
         "[--deadline MS]\n"
-        "  [--timeout-ms T] [--seed S] [--max-inflight N]\n"
-        "submit options: --combo a,b | --combo-key KEY; "
-        "--policy NAME\n"
-        "  --budget F | --budgets F1,F2,...\n"
-        "  [--static-fit peak|average] [--explore-us X] "
-        "[--delta-us X]\n"
-        "  [--contention] [--sensor-noise X] [--deadline-ms X] "
-        "| --json SCENARIO\n"
-        "cluster submit: --cluster-chip COMBO:POLICY[:COUNT] "
-        "(repeatable)\n"
-        "  [--epochs N] [--epoch-us X] [--levels K]\n");
+        "  [--timeout-ms T] [--seed S] [--max-inflight N]\n");
 }
 
 std::vector<std::string>
@@ -150,52 +133,6 @@ die(const std::string &msg)
     std::exit(1);
 }
 
-/** A --cluster-chip COMBO's JSON form: a comma list becomes an
- *  explicit array, a known combination key passes through as a
- *  string for the server to resolve, and a bare benchmark name
- *  becomes a one-element array. */
-Value
-chipComboJson(const std::string &combo)
-{
-    std::vector<std::string> names = splitCommas(combo);
-    if (names.size() == 1 && gpm::findCombination(names[0]))
-        return Value(names[0]);
-    Value arr = Value::array();
-    for (const auto &n : names)
-        arr.push(n);
-    return arr;
-}
-
-/** Parse one --cluster-chip COMBO:POLICY[:COUNT] into a chip
- *  object. */
-Value
-parseChipArg(const std::string &arg)
-{
-    std::size_t p1 = arg.find(':');
-    if (p1 == std::string::npos || p1 == 0)
-        die("--cluster-chip needs COMBO:POLICY[:COUNT], got '" +
-            arg + "'");
-    std::size_t p2 = arg.find(':', p1 + 1);
-    std::string combo = arg.substr(0, p1);
-    std::string chip_policy = arg.substr(
-        p1 + 1, p2 == std::string::npos ? std::string::npos
-                                        : p2 - p1 - 1);
-    if (chip_policy.empty())
-        die("--cluster-chip needs COMBO:POLICY[:COUNT], got '" +
-            arg + "'");
-    Value chip = Value::object();
-    chip.set("combo", chipComboJson(combo));
-    chip.set("policy", chip_policy);
-    if (p2 != std::string::npos) {
-        auto count = gpm::parseNumber<long>(arg.c_str() + p2 + 1);
-        if (!count || *count < 1)
-            die("--cluster-chip COUNT must be an integer >= 1 in '" +
-                arg + "'");
-        chip.set("count", static_cast<double>(*count));
-    }
-    return chip;
-}
-
 } // namespace
 
 int
@@ -212,16 +149,9 @@ main(int argc, char **argv)
     };
     std::vector<Endpoint> endpoints;
 
-    // Scenario pieces for `submit`.
-    std::string combo_arg, combo_key, policy, budget_arg,
-        budgets_arg;
-    std::string static_fit, json_arg, batch_file;
-    double explore_us = -1.0, delta_us = -1.0, sensor_noise = -1.0;
-    double request_deadline_ms = -1.0;
-    bool contention = false;
-    std::vector<std::string> cluster_chips;
-    long cluster_epochs = -1, cluster_levels = -1;
-    double cluster_epoch_us = -1.0;
+    // The scenario object for `submit`, the file for
+    // `submit-batch`.
+    std::string json_arg, batch_file;
 
     // Retry policy.
     long retries = 0;
@@ -247,36 +177,6 @@ main(int argc, char **argv)
             host = need(i), i++;
         else if (a == "--port")
             num(port);
-        else if (a == "--combo")
-            combo_arg = need(i), i++;
-        else if (a == "--combo-key")
-            combo_key = need(i), i++;
-        else if (a == "--policy")
-            policy = need(i), i++;
-        else if (a == "--budget")
-            budget_arg = need(i), i++;
-        else if (a == "--budgets")
-            budgets_arg = need(i), i++;
-        else if (a == "--static-fit")
-            static_fit = need(i), i++;
-        else if (a == "--explore-us")
-            num(explore_us);
-        else if (a == "--delta-us")
-            num(delta_us);
-        else if (a == "--sensor-noise")
-            num(sensor_noise);
-        else if (a == "--deadline-ms")
-            num(request_deadline_ms);
-        else if (a == "--contention")
-            contention = true;
-        else if (a == "--cluster-chip")
-            cluster_chips.push_back(need(i)), i++;
-        else if (a == "--epochs")
-            num(cluster_epochs);
-        else if (a == "--epoch-us")
-            num(cluster_epoch_us);
-        else if (a == "--levels")
-            num(cluster_levels);
         else if (a == "--json")
             json_arg = need(i), i++;
         else if (a == "--retries")
@@ -308,6 +208,11 @@ main(int argc, char **argv)
     if (command != "ping" && command != "stats" &&
         command != "shutdown" && command != "submit" &&
         command != "submit-batch") {
+        usage();
+        return 1;
+    }
+    if (command == "submit" && json_arg.empty()) {
+        std::fprintf(stderr, "gpmctl: submit needs --json SCENARIO\n");
         usage();
         return 1;
     }
@@ -360,79 +265,11 @@ main(int argc, char **argv)
     request.set("verb", command);
 
     if (command == "submit") {
-        Value scenario = Value::object();
-        if (!json_arg.empty()) {
-            auto parsed = gpm::json::parse(json_arg);
-            if (!parsed.ok())
-                die("--json: " + parsed.error().message +
-                    " at offset " +
-                    std::to_string(parsed.error().offset));
-            scenario = parsed.value();
-        } else {
-            if ((combo_arg.empty() && combo_key.empty() &&
-                 cluster_chips.empty()) ||
-                policy.empty() ||
-                (budget_arg.empty() && budgets_arg.empty()))
-                die("submit needs --combo/--combo-key/"
-                    "--cluster-chip, --policy and "
-                    "--budget/--budgets (or --json)");
-            if (!cluster_chips.empty()) {
-                if (!combo_arg.empty() || !combo_key.empty())
-                    die("--cluster-chip excludes --combo/"
-                        "--combo-key");
-                Value chips = Value::array();
-                for (const auto &arg : cluster_chips)
-                    chips.push(parseChipArg(arg));
-                Value cluster = Value::object();
-                cluster.set("chips", std::move(chips));
-                if (cluster_epochs > 0)
-                    cluster.set("epochs",
-                                static_cast<double>(cluster_epochs));
-                if (cluster_epoch_us > 0.0)
-                    cluster.set("epochUs", cluster_epoch_us);
-                if (cluster_levels > 0)
-                    cluster.set("levels",
-                                static_cast<double>(cluster_levels));
-                scenario.set("cluster", std::move(cluster));
-            } else if (!combo_key.empty()) {
-                // Table 2 keys like "2way1" pass through as a
-                // string for the server to resolve.
-                scenario.set("combo", combo_key);
-            } else {
-                Value combo = Value::array();
-                for (const auto &name : splitCommas(combo_arg))
-                    combo.push(name);
-                scenario.set("combo", std::move(combo));
-            }
-            scenario.set("policy", policy);
-            if (!budget_arg.empty())
-                scenario.set("budget", gpm::numericFlag<double>(
-                                           "--budget",
-                                           budget_arg.c_str()));
-            if (!budgets_arg.empty()) {
-                Value budgets = Value::array();
-                for (const auto &b : splitCommas(budgets_arg))
-                    budgets.push(gpm::numericFlag<double>(
-                        "--budgets", b.c_str()));
-                scenario.set("budgets", std::move(budgets));
-            }
-            if (!static_fit.empty())
-                scenario.set("staticFit", static_fit);
-            if (request_deadline_ms >= 0.0)
-                scenario.set("deadlineMs", request_deadline_ms);
-            Value sim = Value::object();
-            if (explore_us > 0.0)
-                sim.set("exploreUs", explore_us);
-            if (delta_us > 0.0)
-                sim.set("deltaSimUs", delta_us);
-            if (sensor_noise >= 0.0)
-                sim.set("sensorNoise", sensor_noise);
-            if (contention)
-                sim.set("contention", true);
-            if (!sim.asObject().empty())
-                scenario.set("sim", std::move(sim));
-        }
-        request.set("scenario", std::move(scenario));
+        auto parsed = gpm::json::parse(json_arg);
+        if (!parsed.ok())
+            die("--json: " + parsed.error().message + " at offset " +
+                std::to_string(parsed.error().offset));
+        request.set("scenario", std::move(parsed.value()));
     }
 
     // The requests to send, in output order: ping, stats, shutdown

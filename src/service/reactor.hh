@@ -115,10 +115,6 @@ class ReactorConn
     void addPending();
     /** One dispatched response was enqueued (or abandoned). */
     void decPending();
-    std::size_t pendingCount() const
-    {
-        return pending.load(std::memory_order_acquire);
-    }
 
     /** A write failed; the reactor stops serving this connection. */
     bool isBroken() const

@@ -29,6 +29,8 @@ struct ScenarioService::Job
     std::uint64_t clientId = 0;
     /** Load was at/over the degrade threshold when admitted. */
     bool overloadAtAdmit = false;
+    /** Nothing was queued or in flight when admitted. */
+    bool idleAtAdmit = false;
     /** When the job was admitted — the deadline's epoch, used to
      *  compute remaining time at execution (CancelToken keeps its
      *  deadline private). */
@@ -227,6 +229,7 @@ ScenarioService::submitAsync(const ScenarioSpec &spec,
             rejected = std::move(job->done);
         } else {
             job->overloadAtAdmit = d.overloaded;
+            job->idleAtAdmit = load == 0;
             admission->onEnqueue(clientId);
             cacheMisses++;
             queue.push_back(std::move(job));
@@ -259,8 +262,10 @@ ScenarioService::degradeDecision(const Job &job,
     // Doomed deadline: keep descending while the EWMA of the
     // current candidate predictably blows the remaining time. Only
     // ever fires from observed completions — unknown solvers run
-    // exact.
-    if (job.hasDeadline) {
+    // exact — and never for a request that found the service idle:
+    // running the named policy is what corrects its estimate, as
+    // the load-0 rule at admission.
+    if (job.hasDeadline && !job.idleAtAdmit) {
         double elapsedMs =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - job.admitTime)

@@ -47,11 +47,13 @@
  *    whole queue.
  *  - Degradation ladder (degrade.hh): a request admitted while the
  *    service is overloaded, or whose remaining deadline the current
- *    solver's EWMA cannot meet, is served by the next-cheaper
- *    solver on the ladder. Degraded payloads are computed and
- *    cached under the DEGRADED spec's hash — never under the
- *    original hash, which must stay bitwise-reserved for the exact
- *    answer — and the response carries {from, to, reason}.
+ *    solver's EWMA cannot meet (unless it found the service idle:
+ *    then its run is what corrects that EWMA), is served by the
+ *    next-cheaper solver on the ladder. Degraded payloads are
+ *    computed and cached under the DEGRADED spec's hash — never
+ *    under the original hash, which must stay bitwise-reserved for
+ *    the exact answer — and the response carries {from, to,
+ *    reason}.
  *  - Circuit breakers (breaker.hh): the disk result cache wraps its
  *    read path in a breaker, so persistent I/O faults collapse to
  *    memory-only serving instead of a per-request disk penalty.

@@ -74,6 +74,13 @@ ctl() {
     "$GPMCTL" --port "$port" "$@"
 }
 
+# The scenario object running MaxBIPS over the benchmarks of the
+# comma list $1 at budget $2.
+maxbips() {
+    printf '{"combo":["%s"],"policy":"MaxBIPS","budget":%s}' \
+        "${1//,/\",\"}" "$2"
+}
+
 # Poll stats ($1 = port) until the background prewarm has every
 # suite profile Ready: the build counters are settled only then.
 await_profiles() {
@@ -117,8 +124,8 @@ gpmd_failover() {
     submit() { # $1 = budget, then extra gpmctl flags
         local budget=$1
         shift
-        "$GPMCTL" --host "$hosts" "$@" submit --combo mcf,crafty \
-            --policy MaxBIPS --budget "$budget"
+        "$GPMCTL" --host "$hosts" "$@" submit \
+            --json "$(maxbips mcf,crafty "$budget")"
     }
 
     for b in $budgets; do
@@ -159,8 +166,7 @@ gpmd_failover() {
 gpmd_restart() {
     GPMD=$1 GPMCTL=$2
     local store=$WORK/store port mport body stats out1 out2
-    local submit=(submit --combo mcf,crafty --policy MaxBIPS
-        --budget 0.8)
+    local submit=(submit --json "$(maxbips mcf,crafty 0.8)")
     mkdir -p cache
 
     # Cold start over an empty store builds and populates it; the
@@ -205,8 +211,7 @@ gpmd_restart() {
     port=$(await_port "$PID" gpmd.log "listening on")
     ctl "$port" "${submit[@]}" | grep -q '"cached":true' ||
         fail "disk tier did not serve the scenario"
-    ctl "$port" submit --combo mcf --policy MaxBIPS --budget 0.65 \
-        >/dev/null
+    ctl "$port" submit --json "$(maxbips mcf 0.65)" >/dev/null
     stats=$(ctl "$port" stats)
     echo "$stats" | grep -q '"diskHits":1' ||
         fail "no disk hit counted: $stats"
@@ -247,7 +252,7 @@ gpmd_faults() {
     for budget in 0.8 0.7 0.75; do
         ctl "$port" --retries 30 --retry-base-ms 20 \
             --timeout-ms "$submit_ms" --deadline 60000 --seed 7 \
-            submit --combo mcf --policy MaxBIPS --budget "$budget" |
+            submit --json "$(maxbips mcf "$budget")" |
             grep -q '"ok":true' ||
             fail "retrying submit did not converge"
     done

@@ -5,6 +5,7 @@
  *  and prints their lines in input order, finishes a file larger
  *  than one client's queue share by retrying only what was refused,
  *  leaves invalid scenarios to the first endpoint's validation,
+ *  takes a scenario only as a --json object,
  *  exits 2 on a server-side error such as an expired deadline,
  *  pretty-prints stats key-sorted on stderr, and gives up with exit
  *  1 when no endpoint answers. */
@@ -115,19 +116,28 @@ class GpmctlShardTest : public ::testing::Test
         return buf;
     }
 
+    /** The fixture's scenario at @p budget, with @p extra fields
+     *  (", \"key\": value" pairs) appended. */
     static std::string
-    scenarioJson(const std::string &budget)
+    scenarioJson(const std::string &budget,
+                 const std::string &extra = "")
     {
         return R"({"combo": ["mcf", "crafty"], "policy": "MaxBIPS", )"
                R"("budget": )" +
-            budget + "}";
+            budget + extra + "}";
+    }
+
+    /** gpmctl's arguments submitting the scenario object @p json. */
+    static std::string
+    submitJson(const std::string &json)
+    {
+        return "submit --json '" + json + "'";
     }
 
     static std::string
     submitArgs(const std::string &budget)
     {
-        return "submit --combo mcf,crafty --policy MaxBIPS --budget " +
-            budget;
+        return submitJson(scenarioJson(budget));
     }
 
     /** A batch file holding @p text. */
@@ -305,17 +315,14 @@ TEST_F(GpmctlShardTest, PingAndClusterSubmitReachTheOwner)
     EXPECT_NE(ping.out.find("\"pong\":true"), std::string::npos)
         << ping.out;
 
-    const std::string args =
-        "submit --cluster-chip mcf,crafty:MaxBIPS "
-        "--cluster-chip gcc,mesa:WaterFill --policy GreedyTurbo "
-        "--epochs 2 --epoch-us 1000 --levels 8 --budget 0.8";
-    auto spec = parseScenario(
-        json::parse(R"({"cluster": {"chips": [)"
-                    R"({"combo": ["mcf", "crafty"], "policy": "MaxBIPS"},)"
-                    R"({"combo": ["gcc", "mesa"], "policy": "WaterFill"}],)"
-                    R"( "epochs": 2, "epochUs": 1000, "levels": 8},)"
-                    R"( "policy": "GreedyTurbo", "budget": 0.8})")
-            .value());
+    const std::string cluster =
+        R"({"cluster": {"chips": [)"
+        R"({"combo": ["mcf", "crafty"], "policy": "MaxBIPS"},)"
+        R"({"combo": ["gcc", "mesa"], "policy": "WaterFill"}],)"
+        R"( "epochs": 2, "epochUs": 1000, "levels": 8},)"
+        R"( "policy": "GreedyTurbo", "budget": 0.8})";
+    const std::string args = submitJson(cluster);
+    auto spec = parseScenario(json::parse(cluster).value());
     ASSERT_TRUE(spec.ok()) << spec.error();
     std::size_t owner = RendezvousRing(names).owner(spec.value().hash());
 
@@ -344,8 +351,9 @@ TEST_F(GpmctlShardTest, ExpiredDeadlineExitsTwoAndCancelsMidSweep)
     // The stall outlives the 100 ms deadline, so the owner's sweep
     // cancels at its first budget-point check.
     ASSERT_FALSE(fault::arm("worker-stall:1:400"));
-    CtlRun r =
-        runGpmctl(hosts + " " + submitArgs("0.800") + " --deadline-ms 100");
+    CtlRun r = runGpmctl(hosts + " " +
+                         submitJson(scenarioJson(
+                             "0.800", R"(, "deadlineMs": 100)")));
     EXPECT_EQ(r.status, 2) << r.out;
     EXPECT_NE(r.out.find("deadline_exceeded"), std::string::npos)
         << r.out;
@@ -379,7 +387,7 @@ TEST_F(GpmctlShardTest, StatsPrintsKeySortedCountersOnStderr)
 TEST_F(GpmctlShardTest, InvalidScenarioIsAnsweredByTheFirstEndpoint)
 {
     const std::string invalid =
-        "submit --combo mcf --policy Nope --budget 0.8";
+        submitJson(R"({"combo":["mcf"],"policy":"Nope","budget":0.8})");
     CtlRun r = runGpmctl(hosts + " " + invalid);
     EXPECT_EQ(r.status, 2) << r.out;
     EXPECT_NE(r.out.find("\"code\":\"invalid\""), std::string::npos)
@@ -392,6 +400,34 @@ TEST_F(GpmctlShardTest, InvalidScenarioIsAnsweredByTheFirstEndpoint)
     CtlRun dead = runGpmctl("--host " + names[0] + "," + names[1] +
                             " " + invalid);
     EXPECT_EQ(dead.status, 1) << dead.out;
+}
+
+TEST_F(GpmctlShardTest, ScenarioFlagsAreGoneAndSubmitNeedsJson)
+{
+    // The scenario is the --json object's business alone: each of
+    // the old scenario flags is an unknown option, and a submit
+    // without --json is a usage error. Neither reaches a daemon.
+    for (const char *flag :
+         {"--combo", "--combo-key", "--policy", "--budget", "--budgets",
+          "--static-fit", "--explore-us", "--delta-us", "--contention",
+          "--sensor-noise", "--deadline-ms", "--cluster-chip",
+          "--epochs", "--epoch-us", "--levels"}) {
+        CtlRun r = runGpmctl(hosts + " submit " + flag + " 1", "2>&1");
+        EXPECT_EQ(r.status, 1) << flag << ": " << r.out;
+        EXPECT_NE(r.out.find("unknown option '" + std::string(flag) +
+                             "'"),
+                  std::string::npos)
+            << r.out;
+    }
+    CtlRun bare = runGpmctl(hosts + " submit", "2>&1");
+    EXPECT_EQ(bare.status, 1) << bare.out;
+    EXPECT_NE(bare.out.find("submit needs --json SCENARIO"),
+              std::string::npos)
+        << bare.out;
+    EXPECT_NE(bare.out.find("usage: gpmctl"), std::string::npos)
+        << bare.out;
+    for (test::Gpmd &b : backends)
+        EXPECT_EQ(b.svc->stats().cacheMisses, 0u);
 }
 
 TEST_F(GpmctlShardTest, WholeFleetDownExitsOneAfterRetries)

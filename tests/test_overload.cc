@@ -289,6 +289,26 @@ class OverloadServiceTest : public ::testing::Test
     {
         fault::disarm();
     }
+
+    /** Start a deadline-less gcc,mesa request on a stalled worker
+     *  and return its response: while it is in flight, the service
+     *  is not idle, so a deadline request may step down the ladder
+     *  at execution (one that finds it idle runs as named). */
+    static std::future<ScenarioService::Response>
+    holdAWorker(ScenarioService &svc)
+    {
+        EXPECT_FALSE(fault::arm("worker-stall:1:200"));
+        ScenarioSpec held = scenario();
+        held.combo = {"gcc", "mesa"};
+        auto p = std::make_shared<
+            std::promise<ScenarioService::Response>>();
+        auto f = p->get_future();
+        svc.submitAsync(held,
+                        [p](const ScenarioService::Response &r) {
+                            p->set_value(r);
+                        });
+        return f;
+    }
 };
 
 TEST_F(OverloadServiceTest,
@@ -306,9 +326,12 @@ TEST_F(OverloadServiceTest,
     test::profiles().get("mcf");
     test::profiles().get("crafty");
 
+    auto held = holdAWorker(svc);
     ScenarioSpec spec = scenario();
     spec.deadlineMs = 5000.0;
     auto r = svc.submit(spec);
+    ASSERT_TRUE(held.get().ok);
+    fault::disarm();
     ASSERT_TRUE(r.ok) << r.errorCode << ": " << r.errorMessage;
     EXPECT_EQ(r.hash, spec.hash()); // echoes the SUBMITTED hash
     EXPECT_FALSE(r.cacheHit);
@@ -411,7 +434,10 @@ TEST_F(OverloadServiceTest, ClusterFacilityKernelDegrades)
     spec.budgets = {0.8};
     spec.deadlineMs = 5000.0;
 
+    auto held = holdAWorker(svc);
     auto r = svc.submit(spec);
+    ASSERT_TRUE(held.get().ok);
+    fault::disarm();
     ASSERT_TRUE(r.ok) << r.errorCode << ": " << r.errorMessage;
     EXPECT_EQ(r.degradedFrom, "GreedyTurbo");
     EXPECT_EQ(r.degradedTo, "WaterFill");
@@ -430,30 +456,37 @@ TEST_F(OverloadServiceTest, ClusterFacilityKernelDegrades)
 
 TEST_F(OverloadServiceTest, IdleRequestsCorrectAStaleEstimate)
 {
-    ServiceOptions opts;
-    opts.workers = 1;
-    ScenarioService svc(test::profiles(), test::dvfs(), opts);
-    // An estimate 1 s stale, far above what a 2-core Priority
-    // request costs. Priority is off the degradation ladder, so
-    // every request runs it and feeds its estimate.
-    AdmissionController &ac = svc.admissionController();
-    ac.recordService("Priority", 1000.0);
-    test::profiles().get("mcf");
-    test::profiles().get("crafty");
+    // Priority is off the degradation ladder; MaxBIPS is its top
+    // rung, which a stale estimate would step down at execution.
+    for (const char *policy : {"Priority", "MaxBIPS"}) {
+        SCOPED_TRACE(policy);
+        ServiceOptions opts;
+        opts.workers = 1;
+        ScenarioService svc(test::profiles(), test::dvfs(), opts);
+        // An estimate 1 s stale, far above what a 2-core request
+        // costs.
+        AdmissionController &ac = svc.admissionController();
+        ac.recordService(policy, 1000.0);
+        test::profiles().get("mcf");
+        test::profiles().get("crafty");
 
-    // Each submit finds the service idle, so none is shed on the
-    // estimate, and each completion pulls it down.
-    for (int i = 0; i < 20; i++) {
-        ScenarioSpec s = scenario();
-        s.policy = "Priority";
-        s.budgets = {0.6 + 0.01 * i};
-        s.deadlineMs = 100.0;
-        auto r = svc.submit(s);
-        ASSERT_TRUE(r.ok) << i << ": " << r.errorCode << ": "
-                          << r.errorMessage;
+        // Each submit finds the service idle, so none is shed or
+        // degraded on the estimate: each runs the named policy, and
+        // each completion pulls its estimate down.
+        for (int i = 0; i < 20; i++) {
+            ScenarioSpec s = scenario();
+            s.policy = policy;
+            s.budgets = {0.6 + 0.01 * i};
+            s.deadlineMs = 100.0;
+            auto r = svc.submit(s);
+            ASSERT_TRUE(r.ok) << i << ": " << r.errorCode << ": "
+                              << r.errorMessage;
+            EXPECT_TRUE(r.degradedTo.empty()) << i << ": "
+                                              << r.degradedTo;
+        }
+        EXPECT_EQ(svc.stats().shedOverload, 0u);
+        EXPECT_LT(ac.serviceTimeMs(policy), 100.0);
     }
-    EXPECT_EQ(svc.stats().shedOverload, 0u);
-    EXPECT_LT(ac.serviceTimeMs("Priority"), 100.0);
 }
 
 TEST_F(OverloadServiceTest, BusyRejectionCarriesRetryHint)

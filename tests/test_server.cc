@@ -118,8 +118,22 @@ TEST_F(ServerTest, ShedAndDegradedSubmitsCarryTheirWireFields)
 
     // 5 s passes admission (the floor could meet it), but exact
     // MaxBIPS predictably blows it: served one rung down, marked.
-    std::string line = roundTrip(c, submit("0.8", "5000"));
-    json::Value degraded = parseOk(line);
+    // It too goes out behind a held request: one that finds the
+    // service idle runs its named policy.
+    ASSERT_FALSE(fault::arm("worker-stall:1:200"));
+    ASSERT_TRUE(c.writeAll(submit("0.6", "0") + "\n" +
+                           submit("0.8", "5000") + "\n"));
+    ASSERT_EQ(c.readLine(lines[0]), TcpStream::ReadStatus::Line);
+    ASSERT_EQ(c.readLine(lines[1]), TcpStream::ReadStatus::Line);
+    fault::disarm();
+    json::Value third = parseOk(lines[0]);
+    json::Value fourth = parseOk(lines[1]);
+    bool thirdDegraded = third.find("degraded") != nullptr;
+    const json::Value &degraded = thirdDegraded ? third : fourth;
+    const json::Value &held = thirdDegraded ? fourth : third;
+    EXPECT_TRUE(held.find("ok")->asBool()) << lines[0] << lines[1];
+    EXPECT_FALSE(held.find("degraded")) << lines[0] << lines[1];
+    const std::string line = lines[0] + lines[1];
     ASSERT_TRUE(degraded.find("ok")->asBool()) << line;
     const json::Value *deg = degraded.find("degraded");
     ASSERT_TRUE(deg) << line;
