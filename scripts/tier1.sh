@@ -2,7 +2,8 @@
 # Tier-1 verification: the standard build with GPM_WERROR=ON (so
 # library warnings fail the stage) and the whole ctest suite, which
 # includes the real-process cases of tests/smoke.sh (labels
-# `process` and `bench`); then a ThreadSanitizer build running the
+# `process` and `bench`); a build of the benchmark's programs under
+# perfbench/; then a ThreadSanitizer build running the
 # concurrency-sensitive gtests and the `process` cases. The TSan
 # stage can be skipped with GPM_SKIP_TSAN=1 (e.g. on toolchains
 # without libtsan).
@@ -35,6 +36,16 @@ echo "== tier-1: standard build + ctest =="
 cmake -B "$BUILD" -S . -DGPM_WERROR=ON
 cmake --build "$BUILD" -j "$(nproc)"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
+
+# The benchmark's replay and load generator compile against gpm's
+# libraries (ScenarioService, DiskCache, ProfileLibrary, the
+# experiment runner, CmpSim, GlobalManager): building them here
+# turns a signature change in src/ into a failed stage instead of a
+# failed benchmark run.
+echo "== tier-1: benchmark build =="
+cmake -B "$BUILD-perfbench" -S perfbench -DGPM_WERROR=ON
+cmake --build "$BUILD-perfbench" -j "$(nproc)" \
+    --target gpm_replay gpm_loadgen
 
 if [ "${GPM_SKIP_TSAN:-0}" = "1" ]; then
     echo "== tier-1: TSan stage skipped (GPM_SKIP_TSAN=1) =="

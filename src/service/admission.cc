@@ -13,6 +13,11 @@ namespace
 /** EWMA smoothing factor for the per-policy service times. */
 constexpr double ewmaAlpha = 0.3;
 
+/** Largest fraction of the queue one client (connection) may
+ *  occupy; beyond it that client is rejected `rejected_overload`
+ *  while others still get in. */
+constexpr double kFairShare = 0.5;
+
 } // namespace
 
 AdmissionController::AdmissionController(AdmissionOptions opts_,
@@ -21,11 +26,10 @@ AdmissionController::AdmissionController(AdmissionOptions opts_,
     : opts(opts_), capacity(queueCapacity),
       workers(std::max<std::size_t>(1, workers_))
 {
-    opts.fairShare = std::clamp(opts.fairShare, 0.0, 1.0);
     opts.degradeDepth = std::clamp(opts.degradeDepth, 0.0, 1.0);
     clientShare = std::max<std::size_t>(
         1, static_cast<std::size_t>(
-               opts.fairShare * static_cast<double>(capacity)));
+               kFairShare * static_cast<double>(capacity)));
     degradeAt = static_cast<std::size_t>(
         std::ceil(opts.degradeDepth *
                   static_cast<double>(capacity)));
@@ -109,7 +113,7 @@ AdmissionController::preAdmit(std::uint64_t clientId,
                 (static_cast<double>(load) /
                  static_cast<double>(workers));
             double predictedMs = waitMs + per;
-            if (predictedMs * opts.headroom > deadlineMs) {
+            if (predictedMs > deadlineMs) {
                 shed++;
                 d.admit = false;
                 d.errorCode = "rejected_overload";

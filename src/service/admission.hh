@@ -18,7 +18,7 @@
  *    estimate gets corrected.
  *
  *  - Per-client fairness: one pipelined connection may hold at most
- *    `fairShare` of the queue; entries beyond that are rejected
+ *    half of the queue; entries beyond that are rejected
  *    `rejected_overload` so a flooding client throttles itself
  *    while others keep being admitted. Client 0 (in-process
  *    callers: tests, benches, embedding code) is exempt.
@@ -50,14 +50,6 @@ struct AdmissionOptions
 {
     /** Master switch; off = binary high-water admission only. */
     bool enabled = true;
-    /** Largest fraction of queueCapacity one client (connection)
-     *  may occupy; beyond it that client is rejected
-     *  `rejected_overload` while others still get in. */
-    double fairShare = 0.5;
-    /** Safety factor on predicted completion when shedding doomed
-     *  deadlines: shed when predictedMs * headroom > deadlineMs.
-     *  >1 sheds earlier (leaves margin), <1 gambles. */
-    double headroom = 1.0;
     /** Fraction of queueCapacity at/over which (counting in-flight
      *  work) the service is in the overload state: admitted
      *  ladder-eligible requests degrade and retry hints grow. */
@@ -119,8 +111,6 @@ class AdmissionController
      *  deadlines). */
     std::uint64_t shedCount() const;
 
-    const AdmissionOptions &options() const { return opts; }
-
     /** The EWMA key for a request: its policy name, prefixed for
      *  cluster scenarios — facility arbitration and flat sweeps
      *  have very different service times under the same kernel. */
@@ -134,7 +124,7 @@ class AdmissionController
     AdmissionOptions opts;
     std::size_t capacity;
     std::size_t workers;
-    /** max(1, floor(fairShare * capacity)): one client's cap. */
+    /** max(1, floor(kFairShare * capacity)): one client's cap. */
     std::size_t clientShare;
     /** ceil(degradeDepth * capacity): the overload threshold. */
     std::size_t degradeAt;

@@ -28,14 +28,19 @@
 namespace
 {
 
+// Transport settings: listen(2) backlog (clamped by the kernel's
+// net.core.somaxconn), and the idle-reap and write-progress timeouts
+// (docs/ROBUSTNESS.md).
+constexpr int kListenBacklog = 1024;
+constexpr int kIdleTimeoutMs = 60000;
+constexpr int kWriteTimeoutMs = 30000;
+
 /** Listener fd for the async-signal-safe shutdown handler. */
-volatile std::sig_atomic_t g_stop = 0;
 int g_listen_fd = -1;
 
 void
 onSignal(int)
 {
-    g_stop = 1;
     if (g_listen_fd >= 0)
         ::shutdown(g_listen_fd, SHUT_RDWR);
 }
@@ -48,16 +53,14 @@ struct DaemonConfig
      *  (same reactor; 0 = no observability listener). */
     std::uint16_t metricsPort = 0;
     bool metricsPortSet = false;
-    int listenBacklog = 1024;
     gpm::ServiceOptions service;
-    gpm::ServerOptions server;
     double scale = 1.0;
     /** Non-empty: per-workload content-addressed profile store
      *  directory; the suite is prewarmed into/from it in the
      *  background while the daemon serves. Empty: build profiles
      *  lazily per combo. */
     std::string profileCacheDir;
-    /** Fault-injection spec (--fault / GPMD_FAULT); empty = off. */
+    /** Fault-injection spec (GPMD_FAULT); empty = off. */
     std::string faultSpec;
 };
 
@@ -74,16 +77,7 @@ usage(const char *argv0)
         "                     and /healthz on this port; 0 = "
         "ephemeral\n"
         "                     (default: no metrics listener)\n"
-        "  --reactor-threads N  epoll event loops serving the\n"
-        "                     sockets (default 1)\n"
-        "  --listen-backlog N listen(2) backlog (default 1024,\n"
-        "                     clamped by net.core.somaxconn)\n"
         "  --workers N        queue worker threads (default 2)\n"
-        "  --queue N          queue high-water mark (default 64)\n"
-        "  --cache N          LRU result-cache entries (default "
-        "128)\n"
-        "  --sweep-threads N  threads one request's sweep uses from\n"
-        "                     the shared pool; 0 = hardware threads\n"
         "  --cache-dir DIR    persistent result-cache directory\n"
         "                     (unset = memory-only caching)\n"
         "  --cache-disk-bytes N  disk-cache LRU byte budget\n"
@@ -95,33 +89,8 @@ usage(const char *argv0)
         "                     GPM_PROFILE_CACHE_DIR); the suite is\n"
         "                     prewarmed in the background (unset =\n"
         "                     build lazily per request)\n"
-        "  --idle-timeout-ms N  reap connections idle this long;\n"
-        "                     0 = never (default 60000)\n"
-        "  --write-timeout-ms N  per-write progress timeout;\n"
-        "                     0 = none (default 30000)\n"
-        "  --max-line-bytes N cap on a request line (default 1 MiB;"
-        "\n                     longer gets 'line_too_long')\n"
-        "  --fault SPEC       arm fault injection (also GPMD_FAULT;"
-        "\n                     e.g. worker-throw:0.5,seed:42 — see\n"
-        "                     docs/ROBUSTNESS.md)\n"
-        "  --overload-off     disable adaptive admission control\n"
-        "                     (binary busy/accept only)\n"
-        "  --overload-fair-share F  fraction of the queue one\n"
-        "                     connection may hold (default 0.5)\n"
-        "  --overload-headroom F  safety factor on predicted\n"
-        "                     completion vs deadline (default 1.0)\n"
-        "  --overload-degrade-depth F  queue-load fraction at/over\n"
-        "                     which admissions are flagged\n"
-        "                     overloaded (default 0.75)\n"
-        "  --degrade-ladder B 1/0: substitute cheaper ladder\n"
-        "                     solvers under overload or doomed\n"
-        "                     deadlines (default 1)\n"
-        "  --breaker-window N failure window of the disk/profile\n"
-        "                     circuit breakers (default 16)\n"
-        "  --breaker-threshold F  failure rate opening a breaker\n"
-        "                     (default 0.5)\n"
-        "  --breaker-cooldown-ms N  breaker open->half-open\n"
-        "                     cooldown (default 250)\n",
+        "GPMD_FAULT=SPEC arms fault injection (e.g.\n"
+        "worker-throw:0.5,seed:42 — see docs/ROBUSTNESS.md).\n",
         argv0);
 }
 
@@ -129,8 +98,6 @@ DaemonConfig
 parseArgs(int argc, char **argv)
 {
     DaemonConfig cfg;
-    cfg.server.idleTimeoutMs = 60000;
-    cfg.server.writeTimeoutMs = 30000;
     if (const char *s = std::getenv("GPM_SCALE"); s && *s)
         cfg.scale = gpm::scaleFlag("GPM_SCALE", s);
     if (const char *s = std::getenv("GPM_PROFILE_CACHE_DIR");
@@ -158,24 +125,8 @@ parseArgs(int argc, char **argv)
         else if (a == "--metrics-port") {
             num(cfg.metricsPort);
             cfg.metricsPortSet = true;
-        } else if (a == "--reactor-threads") {
-            long v = 0;
-            num(v);
-            cfg.server.reactorThreads =
-                v > 0 ? static_cast<std::size_t>(v) : 1;
-        } else if (a == "--listen-backlog") {
-            int v = 0;
-            num(v);
-            cfg.listenBacklog = v > 0 ? v : 1024;
-        }
-        else if (a == "--workers")
+        } else if (a == "--workers")
             num(cfg.service.workers);
-        else if (a == "--queue")
-            num(cfg.service.queueCapacity);
-        else if (a == "--cache")
-            num(cfg.service.cacheCapacity);
-        else if (a == "--sweep-threads")
-            num(cfg.service.sweepConcurrency);
         else if (a == "--cache-dir")
             cfg.service.cacheDir = need(i), i++;
         else if (a == "--cache-disk-bytes")
@@ -184,32 +135,6 @@ parseArgs(int argc, char **argv)
             cfg.scale = gpm::scaleFlag(argv[i], need(i)), i++;
         else if (a == "--profile-cache-dir")
             cfg.profileCacheDir = need(i), i++;
-        else if (a == "--idle-timeout-ms")
-            num(cfg.server.idleTimeoutMs);
-        else if (a == "--write-timeout-ms")
-            num(cfg.server.writeTimeoutMs);
-        else if (a == "--max-line-bytes")
-            num(cfg.server.maxLineBytes);
-        else if (a == "--fault")
-            cfg.faultSpec = need(i), i++;
-        else if (a == "--overload-off")
-            cfg.service.admission.enabled = false;
-        else if (a == "--overload-fair-share")
-            num(cfg.service.admission.fairShare);
-        else if (a == "--overload-headroom")
-            num(cfg.service.admission.headroom);
-        else if (a == "--overload-degrade-depth")
-            num(cfg.service.admission.degradeDepth);
-        else if (a == "--degrade-ladder") {
-            int v = 0;
-            num(v);
-            cfg.service.degradeLadder = v != 0;
-        } else if (a == "--breaker-window")
-            num(cfg.service.resultBreaker.window);
-        else if (a == "--breaker-threshold")
-            num(cfg.service.resultBreaker.failureThreshold);
-        else if (a == "--breaker-cooldown-ms")
-            num(cfg.service.resultBreaker.cooldownMs);
         else if (a == "--help" || a == "-h") {
             usage(argv[0]);
             std::exit(0);
@@ -229,7 +154,7 @@ main(int argc, char **argv)
 
     if (!cfg.faultSpec.empty()) {
         if (auto err = gpm::fault::arm(cfg.faultSpec))
-            gpm::fatal("gpmd: --fault: %s", err->c_str());
+            gpm::fatal("gpmd: GPMD_FAULT: %s", err->c_str());
         gpm::warn("gpmd: FAULT INJECTION ARMED (%s)",
                   cfg.faultSpec.c_str());
     }
@@ -242,8 +167,8 @@ main(int argc, char **argv)
     std::thread prewarm;
     if (!cfg.profileCacheDir.empty()) {
         // The profile store shares the result cache's breaker
-        // tuning: one --breaker-* knob set governs both failure
-        // domains (they open and close independently).
+        // tuning: one knob set governs both failure domains (they
+        // open and close independently).
         lib.attachStore(cfg.profileCacheDir,
                         cfg.service.resultBreaker);
         gpm::inform("gpmd: prewarming profiles (store %s)",
@@ -267,13 +192,14 @@ main(int argc, char **argv)
     }
 
     gpm::ScenarioService svc(lib, dvfs, cfg.service);
-    auto listener = gpm::TcpListener::listenOn(
-        cfg.host, cfg.port, cfg.listenBacklog);
+    auto listener =
+        gpm::TcpListener::listenOn(cfg.host, cfg.port, kListenBacklog);
     if (!listener.ok())
         gpm::fatal("gpmd: %s", listener.error().c_str());
 
     gpm::GpmServer server(svc, std::move(listener.value()),
-                          cfg.server);
+                          {.idleTimeoutMs = kIdleTimeoutMs,
+                           .writeTimeoutMs = kWriteTimeoutMs});
     if (cfg.metricsPortSet) {
         auto mlistener = gpm::TcpListener::listenOn(
             cfg.host, cfg.metricsPort, 64);

@@ -79,7 +79,7 @@ breakerState(std::string &out, const char *breaker,
 
 std::string
 renderPrometheus(const ServiceStats &s, const ReactorStats &r,
-                 const ServerCounters &c)
+                 std::uint64_t requests)
 {
     std::string out;
     out.reserve(8192);
@@ -186,16 +186,16 @@ renderPrometheus(const ServiceStats &s, const ReactorStats &r,
 
     // ---- server / reactor transport ----
     promCounter(out,"gpm_connections_total",
-            "NDJSON connections accepted", c.connections);
+            "NDJSON connections accepted", r.accepted);
     promCounter(out,"gpm_requests_total",
-            "Request lines handled", c.requests);
+            "Request lines handled", requests);
     promCounter(out,"gpm_idle_reaped_total",
             "Connections reaped for idling", r.idleReaped);
     promCounter(out,"gpm_line_too_long_total",
             "Over-long lines answered with line_too_long",
             r.lineTooLong);
     promCounter(out,"gpm_epoll_wakeups_total",
-            "epoll_wait returns across all reactors",
+            "epoll_wait returns",
             r.epollWakeups);
     promCounter(out,"gpm_bytes_in_total",
             "Bytes received on data sockets", r.bytesIn);
@@ -206,13 +206,11 @@ renderPrometheus(const ServiceStats &s, const ReactorStats &r,
             "fd",
             r.emfileSheds);
     promGauge(out,"gpm_open_connections",
-          "Sockets currently open across all reactors",
+          "Sockets currently open",
           static_cast<double>(r.openConnections));
     promGauge(out,"gpm_ring_buffer_high_water",
           "Largest per-connection scan-buffer fill seen",
           static_cast<double>(r.ringHighWater));
-    promGauge(out,"gpm_reactor_threads", "Reactor event loops",
-          static_cast<double>(c.reactorThreads));
     return out;
 }
 

@@ -24,19 +24,11 @@
 namespace gpm
 {
 
-/** Protocol-layer counters GpmServer owns (the reactor owns the
- *  rest — see ReactorStats). */
-struct ServerCounters
-{
-    std::uint64_t connections = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t reactorThreads = 1;
-};
-
-/** Render the full /metrics body (no HTTP framing). */
+/** Render the full /metrics body (no HTTP framing); @p requests
+ *  is GpmServer's count of request lines handled. */
 std::string renderPrometheus(const ServiceStats &svc,
                              const ReactorStats &reactor,
-                             const ServerCounters &server);
+                             std::uint64_t requests);
 
 } // namespace gpm
 

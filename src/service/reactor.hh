@@ -3,12 +3,10 @@
  * Epoll reactor transport for gpmd — the 10k-connection accept/read
  * path underneath GpmServer.
  *
- * A ReactorPool runs N single-threaded event loops (default 1; see
- * ServerOptions::reactorThreads). Reactor 0 owns the listening
- * sockets and hands accepted connections round-robin to the pool;
- * every data socket is non-blocking and registered edge-triggered
- * (EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP). Each connection is a
- * small state machine:
+ * One event loop on one thread owns the listening sockets and every
+ * connection; every data socket is non-blocking and registered
+ * edge-triggered (EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP). Each
+ * connection is a small state machine:
  *
  *  - reads land straight in a LineScanner (line_scanner.hh), which
  *    frames NDJSON request lines in place and hands the protocol
@@ -16,35 +14,32 @@
  *  - responses are appended (from any thread — worker completions
  *    included) to a per-connection output queue under one small
  *    mutex, preserving per-connection write sequencing, and flushed
- *    by the owning reactor with writev/sendmsg. A partial flush
+ *    by the loop with scatter-gather sendmsg. A partial flush
  *    leaves the rest for the next EPOLLOUT edge — backpressure
  *    never blocks a thread;
  *  - idle reaping and write-progress deadlines are timer sweeps on
- *    the owning reactor (a connection owed responses is working,
- *    not idle — same contract as the old thread-per-connection
- *    reader).
+ *    the loop (a connection owed responses is working, not idle).
  *
- * Cross-thread signalling is one eventfd per reactor: worker
- * threads completing a scenario enqueue the response and push the
- * connection onto the owner's wake queue; completions that fire
- * synchronously on a reactor thread (cache hits) short-circuit into
- * a local dirty list instead.
+ * Cross-thread signalling is one eventfd: worker threads completing
+ * a scenario enqueue the response and push the connection onto the
+ * wake queue; completions that fire synchronously on the loop
+ * thread (cache hits) short-circuit into a local dirty list
+ * instead.
  *
- * Accept hardening: a transient EMFILE/ENFILE no longer kills the
- * accept loop — each accepting reactor holds a reserved spare fd
- * that is dropped to accept-and-shed the pending connection, then
- * reopened (the shed client sees a clean close and retries).
+ * Accept hardening: a transient EMFILE/ENFILE does not kill the
+ * accept loop — the reactor holds a reserved spare fd that is
+ * dropped to accept-and-shed the pending connection, then reopened
+ * (the shed client sees a clean close and retries).
  *
- * The same pool can serve a second, HTTP-flavored listener for the
+ * The same loop can serve a second, HTTP-flavored listener for the
  * observability surface (/metrics, /healthz): those connections
  * parse a minimal request (request line + headers to the blank
  * line), get one handler-rendered response, and close after the
  * flush.
  *
- * Fault points (util/fault.hh) preserved from the threaded server:
- * accept-delay before adopting an accepted fd, read-drop and
- * conn-stall per framed request line, response-delay on every
- * enqueued response.
+ * Fault points (util/fault.hh): accept-delay before adopting an
+ * accepted fd, read-drop and conn-stall per framed request line,
+ * response-delay on every enqueued response.
  */
 
 #ifndef GPM_SERVICE_REACTOR_HH
@@ -68,24 +63,24 @@ namespace gpm
 {
 
 class Reactor;
-class ReactorPool;
 
-/** Reactor tuning; GpmServer maps ServerOptions onto this. */
-struct ReactorOptions
+/** Transport hardening knobs; GpmServer hands them to its
+ *  Reactor. */
+struct ServerOptions
 {
-    std::size_t threads = 1;
-    /** Reap a connection with no received bytes and no pending or
-     *  queued responses for this long; 0 = never. */
+    /** Reap a connection with no received bytes *and* no pending
+     *  responses for this long; 0 = never. */
     int idleTimeoutMs = 0;
     /** Close a connection whose queued responses make no write
      *  progress for this long; 0 = wait forever. */
     int writeTimeoutMs = 0;
-    /** Longest accepted NDJSON request line. */
+    /** Longest accepted request line; longer ones are answered
+     *  with "line_too_long" and the connection is closed. */
     std::size_t maxLineBytes = 1 << 20;
 };
 
 /**
- * One connection's transport state. The owning reactor is the only
+ * One connection's transport state. The reactor thread is the only
  * reader and the only thread that touches the socket; any thread
  * may send() a response line (sequenced by the out-queue mutex).
  */
@@ -105,7 +100,7 @@ class ReactorConn
 
     /**
      * Queue one complete response line (terminating '\n' included)
-     * and wake the owning reactor to flush it. Callable from any
+     * and wake the reactor to flush it. Callable from any
      * thread; a line sent to a closed connection is dropped.
      */
     void send(std::string line);
@@ -124,9 +119,8 @@ class ReactorConn
 
   private:
     friend class Reactor;
-    friend class ReactorPool;
 
-    /** Schedule a flush/close re-evaluation on the owner. */
+    /** Schedule a flush/close re-evaluation on the reactor. */
     void wake();
 
     int fd = -1;
@@ -134,7 +128,7 @@ class ReactorConn
     std::uint64_t clientId_ = 0;
     Reactor *owner = nullptr;
 
-    // ---- read side (owning reactor thread only) ----
+    // ---- read side (reactor thread only) ----
     LineScanner in;
     bool readEof = false;
     bool stopReading = false;
@@ -149,7 +143,7 @@ class ReactorConn
     std::deque<std::string> out;
     std::size_t outHead = 0;   ///< bytes of out.front() sent
     bool closedForSend = false;
-    bool flushQueued = false;  ///< already on the owner's dirty list
+    bool flushQueued = false;  ///< already on a dirty/wake list
 
     std::atomic<std::size_t> pending{0};
     std::atomic<bool> broken{false};
@@ -163,8 +157,8 @@ class ReactorHandler
 
     /**
      * One framed NDJSON request line — a zero-copy view into the
-     * connection's scan buffer, valid only for this call. Runs on a
-     * reactor thread; dispatch long work and return.
+     * connection's scan buffer, valid only for this call. Runs on
+     * the reactor thread; dispatch long work and return.
      */
     virtual void onLine(const std::shared_ptr<ReactorConn> &conn,
                         std::string_view line) = 0;
@@ -184,7 +178,7 @@ class ReactorHandler
     virtual void onAcceptDone() = 0;
 };
 
-/** Aggregated transport counters (monotonic unless noted). */
+/** Transport counters (monotonic unless noted). */
 struct ReactorStats
 {
     std::uint64_t accepted = 0;      ///< connections ever accepted
@@ -198,28 +192,32 @@ struct ReactorStats
     std::uint64_t emfileSheds = 0;   ///< conns shed via the spare fd
 };
 
-class ReactorPool
+/**
+ * The event loop: an epoll instance, an eventfd for cross-thread
+ * wake-ups, the listening sockets, the connections, and a spare fd
+ * reserved for shedding connections under EMFILE/ENFILE.
+ */
+class Reactor
 {
   public:
-    ReactorPool(ReactorHandler &handler, ReactorOptions opts);
+    Reactor(ReactorHandler &handler, ServerOptions opts);
     /** shutdownAndJoin() if the owner did not. */
-    ~ReactorPool();
+    ~Reactor();
 
-    ReactorPool(const ReactorPool &) = delete;
-    ReactorPool &operator=(const ReactorPool &) = delete;
+    Reactor(const Reactor &) = delete;
+    Reactor &operator=(const Reactor &) = delete;
 
-    /** Register the NDJSON listening socket (not owned; made
-     *  non-blocking). Call before start(). */
-    void serveListener(int fd);
-    /** Register the HTTP observability listener (not owned). */
-    void serveHttpListener(int fd);
+    /** Serve @p kind connections accepted on the listening socket
+     *  @p fd (not owned; made non-blocking). Call before start();
+     *  one listener per kind. */
+    void serveListener(int fd, ReactorConn::Kind kind);
 
-    /** Start the reactor threads. Idempotent. */
+    /** Start the loop thread. Idempotent. */
     void start();
 
     /**
      * Graceful teardown: stop reading new requests, flush every
-     * queued response, close all connections, join the threads.
+     * queued response, close all connections, join the thread.
      * Idempotent. Callers drain the scenario service first so no
      * response is still being computed.
      */
@@ -228,23 +226,62 @@ class ReactorPool
     ReactorStats stats() const;
 
   private:
-    friend class Reactor;
     friend class ReactorConn;
 
-    /** Round-robin home for a freshly accepted connection. */
-    Reactor &reactorFor(std::uint64_t ordinal);
+    /** Queue a flush/close re-evaluation for @p c (any thread). */
+    void scheduleFlush(std::shared_ptr<ReactorConn> c);
+    void signalWake();
+    int epollTimeoutMs() const;
+    void loop();
+    void drainWakeFd();
+    void acceptReady(ReactorConn::Kind kind);
+    void shedOverLimit(int lfd);
+    void adopt(std::shared_ptr<ReactorConn> c);
+    void readConn(std::shared_ptr<ReactorConn> c);
+    bool scanNdjson(const std::shared_ptr<ReactorConn> &c);
+    bool scanHttp(const std::shared_ptr<ReactorConn> &c);
+    void respondHttp(const std::shared_ptr<ReactorConn> &c);
+    void flushConn(std::shared_ptr<ReactorConn> c);
+    void maybeCloseQuiescent(const std::shared_ptr<ReactorConn> &c);
+    void closeConn(std::shared_ptr<ReactorConn> c);
+    void sweepTimers();
+    void handleDrain();
 
-    /** Fire handler.onAcceptDone() exactly once. */
-    void notifyAcceptDone();
+    /** The reactor whose loop runs on this thread, if any. */
+    static thread_local Reactor *t_current;
 
     ReactorHandler &handler;
-    ReactorOptions opts;
-    std::vector<std::unique_ptr<Reactor>> reactors;
-    std::atomic<std::uint64_t> acceptCounter{0};
-    std::atomic<bool> acceptDoneFlag{false};
+    ServerOptions opts;
+    int epfd = -1;
+    int wakeFd = -1;
+    int spareFd = -1;
+    int ndjsonListenFd = -1;
+    int httpListenFd = -1;
+    bool draining = false;
+    std::atomic<bool> drainRequested{false};
+    std::unordered_map<int, std::shared_ptr<ReactorConn>> conns;
+    /** Conns with responses enqueued during the current event
+     *  batch (loop thread only). */
+    std::vector<std::shared_ptr<ReactorConn>> dirty;
+    std::mutex wakeMtx;
+    std::vector<std::shared_ptr<ReactorConn>> wakeQueue;
+
+    // Written by the loop thread, read by stats() from anywhere.
+    std::atomic<std::uint64_t> accepted{0};
+    std::atomic<std::uint64_t> openConns{0};
+    std::atomic<std::uint64_t> wakeups{0};
+    std::atomic<std::uint64_t> bytesIn{0};
+    std::atomic<std::uint64_t> bytesOut{0};
+    std::atomic<std::uint64_t> ringHighWater{0};
+    std::atomic<std::uint64_t> idleReaped{0};
+    std::atomic<std::uint64_t> lineTooLong{0};
+    std::atomic<std::uint64_t> emfileSheds{0};
+
+    std::mutex lifecycleMtx;
     bool started = false;
     bool joined = false;
-    std::mutex lifecycleMtx;
+    /** The loop; declared last, after everything it uses. */
+    std::thread thr;
 };
 
 } // namespace gpm

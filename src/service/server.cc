@@ -11,18 +11,10 @@ using json::Value;
 
 GpmServer::GpmServer(ScenarioService &svc_, TcpListener listener_,
                      ServerOptions opts_)
-    : svc(svc_), listener(std::move(listener_)), opts(opts_)
+    : svc(svc_), listener(std::move(listener_)), opts(opts_),
+      reactor(*this, opts_)
 {
-    ReactorOptions ropts;
-    ropts.threads = opts.reactorThreads;
-    ropts.idleTimeoutMs = opts.idleTimeoutMs;
-    ropts.writeTimeoutMs = opts.writeTimeoutMs;
-    ropts.maxLineBytes = opts.maxLineBytes;
-    // Convert to the private base here, in member context, where
-    // the conversion is accessible.
-    ReactorHandler &handler = *this;
-    pool = std::make_unique<ReactorPool>(handler, ropts);
-    pool->serveListener(listener.fd());
+    reactor.serveListener(listener.fd(), ReactorConn::Kind::Ndjson);
 }
 
 GpmServer::~GpmServer() { stopAndDrain(); }
@@ -31,13 +23,14 @@ void
 GpmServer::attachMetricsListener(TcpListener l)
 {
     metricsListener = std::move(l);
-    pool->serveHttpListener(metricsListener.fd());
+    reactor.serveListener(metricsListener.fd(),
+                          ReactorConn::Kind::Http);
 }
 
 void
 GpmServer::run()
 {
-    pool->start();
+    reactor.start();
     std::unique_lock<std::mutex> lock(stopMtx);
     stopCv.wait(lock, [&] { return acceptClosed; });
 }
@@ -71,8 +64,8 @@ GpmServer::stopAndDrain()
     // completion callbacks) before any socket goes away.
     svc.drain();
     // Then flush what is queued, close every connection and join
-    // the reactor threads.
-    pool->shutdownAndJoin();
+    // the loop thread.
+    reactor.shutdownAndJoin();
     listener.close();
     metricsListener.close();
 }
@@ -211,14 +204,12 @@ GpmServer::onHttpRequest(std::string_view method,
         return httpResponse(200, "OK",
                             "text/plain; charset=utf-8", "ok\n");
     if (path == "/metrics") {
-        ServerCounters c;
-        c.connections = pool->stats().accepted;
-        c.requests = requests.load(std::memory_order_relaxed);
-        c.reactorThreads = opts.reactorThreads;
         return httpResponse(
             200, "OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            renderPrometheus(svc.stats(), pool->stats(), c));
+            renderPrometheus(
+                svc.stats(), reactor.stats(),
+                requests.load(std::memory_order_relaxed)));
     }
     return httpResponse(404, "Not Found",
                         "text/plain; charset=utf-8",
@@ -282,7 +273,7 @@ GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
 
     if (v == "stats") {
         ServiceStats s = svc.stats();
-        ReactorStats r = pool->stats();
+        ReactorStats r = reactor.stats();
         Value result = Value::object();
         result.set("uptimeSec", s.uptimeSec);
         result.set("served", s.served);

@@ -27,15 +27,15 @@
  * clients match them by "id". Each response line is enqueued
  * atomically on the connection's ordered output queue.
  *
- * Connection model: an epoll reactor pool (reactor.hh; default one
- * event loop, ServerOptions::reactorThreads for more). Request
- * lines are framed zero-copy in per-connection scan buffers and
- * handled on the reactor thread; responses flush via writev with
- * EPOLLOUT-driven backpressure. run() blocks until requestStop()
- * (callable from a signal handler via the listener's
- * async-signal-safe shutdown); stopAndDrain() then finishes queued
- * scenario work, flushes and closes the remaining connections and
- * joins the reactors — the clean SIGINT/SIGTERM draining path.
+ * Connection model: one epoll event loop on one thread
+ * (reactor.hh). Request lines are framed zero-copy in
+ * per-connection scan buffers and handled on the loop thread;
+ * responses flush via sendmsg with EPOLLOUT-driven backpressure.
+ * run() blocks until requestStop() (callable from a signal handler
+ * via the listener's async-signal-safe shutdown); stopAndDrain()
+ * then finishes queued scenario work, flushes and closes the
+ * remaining connections and joins the loop — the clean
+ * SIGINT/SIGTERM draining path.
  *
  * Observability: attachMetricsListener() adds an HTTP listener on
  * the same reactor serving GET /metrics (Prometheus text; see
@@ -69,22 +69,6 @@
 
 namespace gpm
 {
-
-/** GpmServer hardening knobs. */
-struct ServerOptions
-{
-    /** Reap a connection with no received bytes *and* no pending
-     *  responses for this long; 0 = never. */
-    int idleTimeoutMs = 0;
-    /** Close a connection whose queued responses make no write
-     *  progress for this long; 0 = wait forever. */
-    int writeTimeoutMs = 0;
-    /** Longest accepted request line; longer ones are answered
-     *  with "line_too_long" and the connection is closed. */
-    std::size_t maxLineBytes = 1 << 20;
-    /** Reactor event loops serving the sockets. */
-    std::size_t reactorThreads = 1;
-};
 
 class GpmServer : private ReactorHandler
 {
@@ -121,26 +105,26 @@ class GpmServer : private ReactorHandler
     /**
      * Graceful teardown: drain the service (dispatched submits
      * complete and their responses are written), flush and close
-     * the remaining connections, join the reactors. Idempotent.
+     * the remaining connections, join the loop. Idempotent.
      */
     void stopAndDrain();
 
     /** Connections accepted since start. */
     std::uint64_t connectionCount() const
     {
-        return pool->stats().accepted;
+        return reactor.stats().accepted;
     }
     /** Requests (lines) handled since start. */
     std::uint64_t requestCount() const { return requests; }
     /** Connections reaped for idling past idleTimeoutMs. */
     std::uint64_t idleReapedCount() const
     {
-        return pool->stats().idleReaped;
+        return reactor.stats().idleReaped;
     }
     /** Over-long lines answered with "line_too_long". */
     std::uint64_t lineTooLongCount() const
     {
-        return pool->stats().lineTooLong;
+        return reactor.stats().lineTooLong;
     }
 
   private:
@@ -163,7 +147,7 @@ class GpmServer : private ReactorHandler
     TcpListener listener;
     TcpListener metricsListener;
     ServerOptions opts;
-    std::unique_ptr<ReactorPool> pool;
+    Reactor reactor;
 
     std::mutex stopMtx;
     std::condition_variable stopCv;

@@ -275,8 +275,7 @@ ScenarioService::degradeDecision(const Job &job,
             double per = admission->serviceTimeMs(
                 AdmissionController::serviceKeyFor(
                     target, job.spec.cluster.has_value()));
-            if (per <= 0.0 ||
-                per * admission->options().headroom <= remainingMs)
+            if (per <= 0.0 || per <= remainingMs)
                 break;
             auto next = degrade::nextRung(target);
             if (!next)

@@ -7,6 +7,15 @@
 namespace gpm
 {
 
+namespace
+{
+
+/** Failure fraction of the window at/over which the breaker
+ *  opens. */
+constexpr double kFailureThreshold = 0.5;
+
+} // namespace
+
 CircuitBreaker::CircuitBreaker(BreakerOptions opts_)
     : opts(opts_), rng(opts_.seed)
 {
@@ -112,8 +121,7 @@ CircuitBreaker::recordFailure()
     pushOutcomeLocked(true);
     if (samples >= opts.minSamples &&
         static_cast<double>(failures) >=
-            opts.failureThreshold *
-                static_cast<double>(samples))
+            kFailureThreshold * static_cast<double>(samples))
         openLocked(nowMs());
 }
 

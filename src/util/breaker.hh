@@ -12,8 +12,8 @@
  *
  * Closed: every call is allowed; outcomes feed a sliding window of
  * the last `window` samples. Once at least `minSamples` outcomes
- * are in the window and the failure fraction reaches
- * `failureThreshold`, the breaker opens.
+ * are in the window and at least half of them are failures, the
+ * breaker opens.
  *
  * Open: every call is refused (the caller degrades — e.g. a cache
  * treats the refusal as a miss) until `cooldownMs`, multiplied by a
@@ -53,8 +53,6 @@ struct BreakerOptions
     /** Outcomes required in the window before the failure rate can
      *  trip the breaker (a single early failure must not). */
     std::size_t minSamples = 8;
-    /** Failure fraction at/over which the breaker opens. */
-    double failureThreshold = 0.5;
     /** Base open -> half-open cooldown [ms]; the actual cooldown is
      *  this times a seeded jitter factor in [1, 1.5). */
     double cooldownMs = 250.0;

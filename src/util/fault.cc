@@ -2,10 +2,10 @@
 
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
+#include "util/flags.hh"
 #include "util/rng.hh"
 
 namespace gpm::fault
@@ -121,10 +121,10 @@ arm(const std::string &spec)
         if (fields[0] == "seed") {
             if (nfields != 2 || fields[1].empty())
                 return "seed needs exactly one value";
-            char *end = nullptr;
-            seed = std::strtoull(fields[1].c_str(), &end, 10);
-            if (end == nullptr || *end != '\0')
+            auto v = parseNumber<std::uint64_t>(fields[1].c_str());
+            if (!v)
                 return "bad seed '" + fields[1] + "'";
+            seed = *v;
             continue;
         }
 
@@ -134,21 +134,18 @@ arm(const std::string &spec)
         PointConfig cfg;
         cfg.on = true;
         if (nfields >= 2 && !fields[1].empty()) {
-            char *end = nullptr;
-            cfg.probability = std::strtod(fields[1].c_str(), &end);
-            if (end == nullptr || *end != '\0' ||
-                cfg.probability < 0.0 || cfg.probability > 1.0)
+            auto p = parseNumber<double>(fields[1].c_str());
+            if (!p || *p < 0.0 || *p > 1.0)
                 return "bad probability '" + fields[1] + "' in '" +
                     item + "'";
+            cfg.probability = *p;
         }
         if (nfields >= 3 && !fields[2].empty()) {
-            char *end = nullptr;
-            long ms = std::strtol(fields[2].c_str(), &end, 10);
-            if (end == nullptr || *end != '\0' || ms < 0 ||
-                ms > 600000)
+            auto ms = parseNumber<int>(fields[2].c_str());
+            if (!ms || *ms < 0 || *ms > 600000)
                 return "bad delay-ms '" + fields[2] + "' in '" +
                     item + "'";
-            cfg.delayMs = static_cast<int>(ms);
+            cfg.delayMs = *ms;
         }
         parsed[static_cast<std::size_t>(*point)] = cfg;
         any = true;

@@ -4,8 +4,8 @@
  * — the chaos-testing backbone. A small set of *named fault points*
  * is compiled into the serving path permanently; each point is
  * disarmed by default and costs exactly one relaxed atomic load at
- * its call site until a test (or an operator, via `gpmd --fault` /
- * the GPMD_FAULT environment variable) arms it.
+ * its call site until a test (or an operator, via gpmd's
+ * GPMD_FAULT environment variable) arms it.
  *
  * (Lives in util/ so every layer can host a fault point: the profile
  * store in trace/ sits below the service library in the link order.)

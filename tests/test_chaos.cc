@@ -107,9 +107,11 @@ TEST_F(FaultSpec, ArmRejectsMalformedSpecs)
     expectRejected("frobnicate:1", "unknown fault point");
     expectRejected("worker-throw:1.5", "bad probability");
     expectRejected("worker-throw:-0.1", "bad probability");
+    expectRejected("worker-throw:nan", "bad probability");
     expectRejected("conn-stall:1:999999999", "bad delay-ms");
     expectRejected("conn-stall:1:-5", "bad delay-ms");
     expectRejected("seed:abc", "bad seed");
+    expectRejected("seed:-1", "bad seed");
     expectRejected("seed", "seed needs exactly one value");
     expectRejected("conn-stall:1:2:3", "too many");
 }

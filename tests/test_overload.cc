@@ -93,7 +93,6 @@ fastBreaker()
     BreakerOptions o;
     o.window = 8;
     o.minSamples = 4;
-    o.failureThreshold = 0.5;
     o.cooldownMs = 20.0;
     o.seed = 3;
     return o;
@@ -180,15 +179,13 @@ AdmissionOptions
 admissionOpts()
 {
     AdmissionOptions o;
-    o.fairShare = 0.5;
-    o.headroom = 1.0;
     o.degradeDepth = 0.75;
     return o;
 }
 
 TEST(Admission, FairnessCapsOnePipelinedClient)
 {
-    // capacity 8, fairShare 0.5 -> one client may hold 4 slots.
+    // capacity 8, fair share 0.5 -> one client may hold 4 slots.
     AdmissionController ac(admissionOpts(), 8, 2);
     const std::string key = "MaxBIPS";
 
