@@ -121,9 +121,11 @@ main(int argc, char **argv)
     SweepSpec spec;
     spec.add(combo, policy, budget);
     spec.add(combo, "Oracle", budget);
-    auto evals = runner.sweep(spec);
-    PolicyEval ev = evals[0];
-    PolicyEval oracle = evals[1];
+    auto evals = runner.trySweep(spec);
+    if (!evals.ok())
+        fatal("%s", evals.error().message.c_str());
+    PolicyEval ev = evals.value()[0];
+    PolicyEval oracle = evals.value()[1];
 
     std::printf("policy %s on %zu cores @ budget %.1f%%\n\n",
                 policy.c_str(), combo.size(), budget * 100.0);

@@ -65,7 +65,6 @@ ClusterManager::chipConfig(const ChipSpec &chip) const
     SimConfig cfg = base;
     cfg.phaseShiftStride = chip.phaseShiftStride;
     cfg.phaseShiftBase = chip.phaseOffset;
-    cfg.recordTimeline = false;
     return cfg;
 }
 
@@ -244,7 +243,7 @@ ClusterManager::run(double budget_frac, std::size_t concurrency,
                               makePolicy(spec_.chips[i].policy),
                               base.exploreUs);
             BudgetSchedule sched(steps[i]);
-            results[i] = sims[i]->run(mgr, sched, refW[i], false);
+            results[i] = sims[i]->run(mgr, sched, refW[i]);
             done[i] = 1;
         } catch (const std::exception &e) {
             errs[i] = e.what();

@@ -89,36 +89,21 @@ ExperimentRunner::cacheFor(const std::vector<std::string> &combo)
     std::call_once(cc->init, [&] {
         cc->sim =
             std::make_unique<CmpSim>(profilesFor(combo), dvfs, cfg);
-        std::vector<PowerMode> all_turbo(combo.size(), modes::Turbo);
-        cc->turboRef = cc->sim->runStatic(all_turbo, false);
-        cc->refW = cc->turboRef.avgCorePowerW();
     });
     return *cc;
-}
-
-const HeldModeMemo *
-ExperimentRunner::memoFor(ComboCache &cc)
-{
-    // The load keeps a warm combination's runs from all writing the
-    // flag's cache line.
-    if (!cc.ran.load() && !cc.ran.exchange(true))
-        return nullptr;
-    std::call_once(cc.memoInit,
-                   [&] { cc.memo = cc.sim->heldModeMemo(); });
-    return &cc.memo;
 }
 
 const SimResult &
 ExperimentRunner::reference(const std::vector<std::string> &combo)
 {
-    return cacheFor(combo).turboRef;
+    return cacheFor(combo).sim->reference();
 }
 
 Watts
 ExperimentRunner::referencePowerW(
     const std::vector<std::string> &combo)
 {
-    return cacheFor(combo).refW;
+    return cacheFor(combo).sim->referencePowerW();
 }
 
 PolicyEval
@@ -126,18 +111,18 @@ ExperimentRunner::evaluate(const std::vector<std::string> &combo,
                            const std::string &policy,
                            double budget_frac)
 {
-    ComboCache &cc = cacheFor(combo);
+    CmpSim &sim = *cacheFor(combo).sim;
+    const SimResult &ref = sim.reference();
+    const Watts ref_w = ref.avgCorePowerW();
     GlobalManager mgr(dvfs, makePolicy(policy), cfg.exploreUs,
                       idlePowerW);
     BudgetSchedule budget(budget_frac);
-    SimResult run =
-        cc.sim->run(mgr, budget, cc.refW, false, memoFor(cc));
+    SimResult run = sim.run(mgr, budget, ref_w);
 
     PolicyEval ev;
     ev.policy = policy;
     ev.budgetFrac = budget_frac;
-    ev.metrics =
-        computeMetrics(run, cc.turboRef, budget_frac * cc.refW);
+    ev.metrics = computeMetrics(run, ref, budget_frac * ref_w);
     ev.predPowerError = run.predPowerError;
     ev.predBipsError = run.predBipsError;
     ev.managerStats = run.managerStats;
@@ -167,33 +152,17 @@ ExperimentRunner::evaluateStatic(
         }
     });
 
-    Watts core_budget = budget_frac * cc.refW;
+    const SimResult &ref = cc.sim->reference();
+    Watts core_budget = budget_frac * ref.avgCorePowerW();
     std::vector<PowerMode> assign =
         planStaticAssignment(cc.staticStats, core_budget, fit);
 
-    SimResult run = cc.sim->runStatic(assign, false, memoFor(cc));
+    SimResult run = cc.sim->runStatic(assign);
     PolicyEval ev;
     ev.policy = "Static";
     ev.budgetFrac = budget_frac;
-    ev.metrics =
-        computeMetrics(run, cc.turboRef, budget_frac * cc.refW);
+    ev.metrics = computeMetrics(run, ref, core_budget);
     return ev;
-}
-
-std::vector<PolicyEval>
-ExperimentRunner::curve(const std::vector<std::string> &combo,
-                        const std::string &policy,
-                        const std::vector<double> &budget_fracs)
-{
-    std::vector<PolicyEval> evs;
-    evs.reserve(budget_fracs.size());
-    for (double b : budget_fracs) {
-        if (policy == "Static")
-            evs.push_back(evaluateStatic(combo, b));
-        else
-            evs.push_back(evaluate(combo, policy, b));
-    }
-    return evs;
 }
 
 std::optional<SweepError>
@@ -222,35 +191,17 @@ ExperimentRunner::trySweep(const SweepSpec &spec,
                            std::size_t concurrency,
                            const CancelToken *cancel)
 {
+    using Result = Expected<std::vector<PolicyEval>, SweepError>;
     if (auto err = validate(spec))
-        return Expected<std::vector<PolicyEval>,
-                        SweepError>::failure(std::move(*err));
-    auto out = sweep(spec, concurrency, cancel);
-    if (out.size() < spec.points.size()) {
-        SweepError err;
-        err.pointIndex = out.size();
-        err.message = "sweep cancelled after " +
-            std::to_string(out.size()) + " of " +
-            std::to_string(spec.points.size()) + " points";
-        err.cancelled = true;
-        return Expected<std::vector<PolicyEval>,
-                        SweepError>::failure(std::move(err));
-    }
-    return out;
-}
-
-std::vector<PolicyEval>
-ExperimentRunner::sweep(const SweepSpec &spec,
-                        std::size_t concurrency,
-                        const CancelToken *cancel)
-{
+        return Result::failure(std::move(*err));
     std::vector<PolicyEval> out(spec.points.size());
     if (spec.points.empty())
         return out;
 
-    // Warm the per-combo caches first, in parallel over *unique*
-    // combos: otherwise every thread whose point shares the first
-    // combo would pile up on one call_once while other combos wait.
+    // Warm the per-combo simulators and references first, in
+    // parallel over *unique* combos: otherwise every thread whose
+    // point shares the first combo would pile up on one call_once
+    // while other combos wait.
     std::vector<const SweepPoint *> unique_combos;
     {
         std::vector<std::string> seen;
@@ -266,17 +217,17 @@ ExperimentRunner::sweep(const SweepSpec &spec,
     parallelFor(concurrency, unique_combos.size(), [&](std::size_t i) {
         if (cancel && cancel->cancelled())
             return;
-        cacheFor(unique_combos[i]->combo);
+        cacheFor(unique_combos[i]->combo).sim->reference();
     });
 
     // The cancellation checkpoint sits between points: a token that
     // fires mid-sweep stops further points from starting but never
     // interrupts one in flight, so every computed point is still
     // bitwise-identical to its serial evaluation.
-    std::atomic<bool> skipped{false};
+    std::atomic<std::size_t> skipped{0};
     parallelFor(concurrency, spec.points.size(), [&](std::size_t i) {
         if (cancel && cancel->cancelled()) {
-            skipped.store(true, std::memory_order_relaxed);
+            skipped.fetch_add(1, std::memory_order_relaxed);
             return;
         }
         const SweepPoint &p = spec.points[i];
@@ -284,15 +235,14 @@ ExperimentRunner::sweep(const SweepSpec &spec,
             ? evaluateStatic(p.combo, p.budgetFrac, p.staticFit)
             : evaluate(p.combo, p.policy, p.budgetFrac);
     });
-    if (skipped.load(std::memory_order_relaxed)) {
-        // Count the completed prefix so trySweep can report how far
-        // the sweep got, then truncate: a cancelled sweep returns
-        // fewer results than points, never silent default entries.
-        std::size_t done = 0;
-        for (const auto &ev : out)
-            if (!ev.policy.empty())
-                done++;
-        out.resize(std::min(done, out.size()));
+    if (std::size_t n = skipped.load(std::memory_order_relaxed)) {
+        SweepError err;
+        err.pointIndex = spec.points.size() - n;
+        err.message = "sweep cancelled after " +
+            std::to_string(spec.points.size() - n) + " of " +
+            std::to_string(spec.points.size()) + " points";
+        err.cancelled = true;
+        return Result::failure(std::move(err));
     }
     return out;
 }
@@ -302,10 +252,11 @@ ExperimentRunner::timeline(const std::vector<std::string> &combo,
                            const std::string &policy,
                            const BudgetSchedule &budget)
 {
-    ComboCache &cc = cacheFor(combo);
+    CmpSim &sim = *cacheFor(combo).sim;
+    const Watts ref_w = sim.referencePowerW();
     GlobalManager mgr(dvfs, makePolicy(policy), cfg.exploreUs,
                       idlePowerW);
-    return cc.sim->run(mgr, budget, cc.refW, true, memoFor(cc));
+    return sim.run(mgr, budget, ref_w, true);
 }
 
 } // namespace gpm

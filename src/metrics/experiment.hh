@@ -1,17 +1,15 @@
 /**
  * @file
  * ExperimentRunner: the harness the per-figure benchmarks drive.
- * Binds a ProfileLibrary + DvfsTable + SimConfig, caches the
- * all-Turbo reference run per benchmark combination, and evaluates
- * dynamic policies, optimistic-static assignments and budget sweeps
- * — serially point-by-point, or fanned across a thread pool with
- * sweep().
+ * Binds a ProfileLibrary + DvfsTable + SimConfig, keeps one bound
+ * simulator per benchmark combination, and evaluates dynamic
+ * policies, optimistic-static assignments and budget sweeps —
+ * point-by-point, or fanned across a thread pool with trySweep().
  */
 
 #ifndef GPM_METRICS_EXPERIMENT_HH
 #define GPM_METRICS_EXPERIMENT_HH
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -73,8 +71,8 @@ struct SweepPoint
  * An ordered list of sweep points. Results come back in exactly
  * this order regardless of how many threads evaluate them, so a
  * spec is also the deterministic serial-equivalence contract:
- * sweep(spec, k) is bitwise-identical to evaluating the points one
- * by one in spec order.
+ * trySweep(spec, k) is bitwise-identical to evaluating the points
+ * one by one in spec order.
  */
 struct SweepSpec
 {
@@ -100,25 +98,19 @@ struct SweepSpec
 /**
  * Drives CmpSim for whole experiments.
  *
- * Per combination the runner keeps, for its lifetime, what every
- * request of that combination would otherwise recompute: the bound
- * CmpSim, the all-Turbo reference run, (from its second run on) the
- * simulator's HeldModeMemo, and (from the first Static point on)
- * every core's whole-run mode statistics. A combination's first
- * evaluate/evaluateStatic/timeline run replays every step, so a
- * combination that is run once builds and holds no memo; the second
- * run builds it, and every later run passes it back into CmpSim.
- * Either way a run's results are the bits a memo-less run computes.
+ * Per combination the runner keeps, for its lifetime, the bound
+ * CmpSim (which owns the combination's all-Turbo reference run and
+ * held-mode memo, see sim/cmp_sim.hh) and, from the first Static
+ * point on, every core's whole-run mode statistics.
  *
  * Thread-safety contract: all evaluation entry points (evaluate,
- * evaluateStatic, curve, timeline, reference, referencePowerW,
- * sweep) may be called concurrently on one runner. The per-combo
- * cache is a map of once-initialized entries behind a shared_mutex;
- * each entry's CmpSim is built and its all-Turbo reference run
- * executed exactly once under std::call_once, the memo under a
- * second once_flag and the Static statistics under a third, after
- * which each is read-only; CmpSim itself is reentrant (see
- * sim/cmp_sim.hh). The ProfileLibrary performs its own locking.
+ * evaluateStatic, timeline, reference, referencePowerW, trySweep)
+ * may be called concurrently on one runner. The per-combo cache is
+ * a map of once-initialized entries behind a shared_mutex; each
+ * entry's CmpSim is built exactly once under std::call_once and the
+ * Static statistics under a second once_flag, after which each is
+ * read-only; CmpSim itself is reentrant (see sim/cmp_sim.hh). The
+ * ProfileLibrary performs its own locking.
  */
 class ExperimentRunner
 {
@@ -161,12 +153,6 @@ class ExperimentRunner
                               double budget_frac,
                               StaticFit fit = StaticFit::Peak);
 
-    /** Policy curve: one PolicyEval per budget fraction (serial). */
-    std::vector<PolicyEval>
-    curve(const std::vector<std::string> &combo,
-          const std::string &policy,
-          const std::vector<double> &budget_fracs);
-
     /**
      * Evaluate every point of @p spec, fanning independent points
      * across the process-wide thread pool (a one-point spec runs on
@@ -177,44 +163,24 @@ class ExperimentRunner
      * simulation; threads only decide *when* a point runs, never
      * what it computes).
      *
-     * Cooperative cancellation: when @p cancel is non-null it is
-     * checked before every point; once it reports cancelled the
-     * remaining points are skipped and the returned vector is
-     * truncated to the number of points that completed — shorter
-     * than spec.size() signals cancellation, and the partial
-     * contents are not meaningful (use trySweep for a structured
-     * outcome). Completed points are unaffected — cancellation
-     * decides *whether* a point runs, never what it computes.
+     * The spec is checked up front: a point that names an unknown
+     * policy or workload, has an empty combo, or a non-positive or
+     * non-finite budget fraction is returned as a SweepError before
+     * anything runs. Cooperative cancellation: @p cancel, when
+     * non-null, is checked before every point; if it fires mid-sweep
+     * (at least one point was skipped) the partial result is
+     * discarded and a SweepError with cancelled = true is returned.
+     * Cancellation decides *whether* a point runs, never what it
+     * computes.
      *
      * @param concurrency threads this sweep uses from the pool,
      *        the calling thread included; 0 = GPM_THREADS env or
      *        hardware concurrency
      * @param cancel optional cooperative cancellation token
      */
-    std::vector<PolicyEval> sweep(const SweepSpec &spec,
-                                  std::size_t concurrency = 0,
-                                  const CancelToken *cancel = nullptr);
-
-    /**
-     * sweep() with a structured error channel: validate() the spec
-     * up front and return a SweepError instead of fatal()ing when a
-     * point names an unknown policy or workload, has an empty combo,
-     * or a non-positive/non-finite budget fraction. If @p cancel
-     * fires mid-sweep (at least one point was skipped) the partial
-     * result is discarded and a SweepError with cancelled = true is
-     * returned instead. On success the result is exactly what
-     * sweep() returns.
-     */
     Expected<std::vector<PolicyEval>, SweepError>
     trySweep(const SweepSpec &spec, std::size_t concurrency = 0,
              const CancelToken *cancel = nullptr);
-
-    /**
-     * Check every point of @p spec against the known policy and
-     * workload names without running anything. Empty specs are
-     * valid (they sweep to an empty result).
-     */
-    static std::optional<SweepError> validate(const SweepSpec &spec);
 
     /**
      * Full timeline run of a policy under an arbitrary budget
@@ -224,29 +190,20 @@ class ExperimentRunner
                        const std::string &policy,
                        const BudgetSchedule &budget);
 
-    /** The simulator configuration in force. */
-    const SimConfig &config() const { return cfg; }
-
   private:
     struct ComboCache
     {
         std::once_flag init;
         std::unique_ptr<CmpSim> sim;
-        SimResult turboRef;
-        Watts refW = 0.0;
-        /** Set by the combination's first run, which replays every
-         *  step; the run after it builds the memo. */
-        std::atomic<bool> ran{false};
-        std::once_flag memoInit;
-        HeldModeMemo memo;
         std::once_flag staticInit;
         /** Whole-run stats of each core at each mode, for Static. */
         std::vector<std::vector<StaticModeStats>> staticStats;
     };
 
+    /** The first point of @p spec that cannot run, if any. */
+    static std::optional<SweepError> validate(const SweepSpec &spec);
+
     ComboCache &cacheFor(const std::vector<std::string> &combo);
-    /** The memo @p cc's next run reads: none for its first run. */
-    static const HeldModeMemo *memoFor(ComboCache &cc);
     static std::string keyOf(const std::vector<std::string> &combo);
 
     ProfileLibrary &lib;

@@ -206,7 +206,7 @@ renderPrometheus(const ServiceStats &s, const ReactorStats &r,
             "fd",
             r.emfileSheds);
     promGauge(out,"gpm_open_connections",
-          "Sockets currently open",
+          "NDJSON connections currently open",
           static_cast<double>(r.openConnections));
     promGauge(out,"gpm_ring_buffer_high_water",
           "Largest per-connection scan-buffer fill seen",

@@ -333,7 +333,10 @@ Reactor::adopt(std::shared_ptr<ReactorConn> c)
     }
     int fd = c->fd;
     conns.emplace(fd, c);
-    openConns.fetch_add(1, std::memory_order_relaxed);
+    // Scrapes are not protocol clients: the connection series count
+    // NDJSON connections only, so scraping does not perturb them.
+    if (c->kind == ReactorConn::Kind::Ndjson)
+        openConns.fetch_add(1, std::memory_order_relaxed);
     // Bytes may already be queued; consume them now rather than
     // waiting for the initial edge.
     readConn(c);
@@ -569,7 +572,8 @@ Reactor::closeConn(std::shared_ptr<ReactorConn> c)
     ::close(c->fd);
     conns.erase(c->fd);
     c->fd = -1;
-    openConns.fetch_sub(1, std::memory_order_relaxed);
+    if (c->kind == ReactorConn::Kind::Ndjson)
+        openConns.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void

@@ -181,8 +181,8 @@ class ReactorHandler
 /** Transport counters (monotonic unless noted). */
 struct ReactorStats
 {
-    std::uint64_t accepted = 0;      ///< connections ever accepted
-    std::uint64_t openConnections = 0; ///< gauge: open right now
+    std::uint64_t accepted = 0;      ///< NDJSON connections accepted
+    std::uint64_t openConnections = 0; ///< gauge: NDJSON, open now
     std::uint64_t epollWakeups = 0;  ///< epoll_wait returns
     std::uint64_t bytesIn = 0;
     std::uint64_t bytesOut = 0;

@@ -428,6 +428,9 @@ ScenarioService::workerLoop()
             // never dips while a job moves from queue to worker.
             inFlight++;
         }
+        // What the request costs this worker, from the pop to the
+        // completion callback's return, feeds admission's estimate.
+        const auto popped = std::chrono::steady_clock::now();
         // Frees the client's fairness slot whether the job runs,
         // sheds, or crashes.
         admission->onDequeue(job->clientId);
@@ -449,7 +452,6 @@ ScenarioService::workerLoop()
 
         Response r;
         bool crashed = false;
-        auto execStart = std::chrono::steady_clock::now();
         try {
             r = execute(*job);
         } catch (const std::exception &e) {
@@ -475,23 +477,23 @@ ScenarioService::workerLoop()
             workerCrashes++;
             warn("scenario worker crashed (contained): %s",
                  r.errorMessage.c_str());
-        } else if (r.ok && !r.cacheHit) {
-            // Feed the admission EWMAs from actual computations
-            // only (a degraded-cache hit says nothing about the
-            // solver's cost), keyed by the policy that served.
-            double wallMs = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() -
-                                execStart)
-                                .count();
-            const std::string &ran = r.degradedTo.empty()
-                ? job->spec.policy
-                : r.degradedTo;
-            admission->recordService(
-                AdmissionController::serviceKeyFor(
-                    ran, job->spec.cluster.has_value()),
-                wallMs);
         }
+        // Feed the admission EWMAs from actual computations only (a
+        // degraded-cache hit says nothing about the solver's cost),
+        // keyed by the policy that served; the key is taken before
+        // the response moves into the callback.
+        std::string serviceKey;
+        if (r.ok && !r.cacheHit)
+            serviceKey = AdmissionController::serviceKeyFor(
+                r.degradedTo.empty() ? job->spec.policy : r.degradedTo,
+                job->spec.cluster.has_value());
         job->done(std::move(r));
+        if (!serviceKey.empty())
+            admission->recordService(
+                serviceKey,
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - popped)
+                    .count());
     }
 }
 

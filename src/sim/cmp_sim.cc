@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "power/thermal.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -55,6 +56,14 @@ SimResult::coreBips() const
 
 namespace
 {
+
+/** Safety cap on a run's length [us]: every run ends when its first
+ *  benchmark completes, long before. */
+constexpr MicroSec kMaxTimeUs = 10'000'000.0;
+/** Bus service time per off-chip access [ns] (contention model). */
+constexpr double kBusServiceNs = 4.0;
+/** Seed of the sensor-noise stream. */
+constexpr std::uint64_t kSensorNoiseSeed = 0x5eed;
 
 /** @p profiles, once they and @p cfg are fit to simulate. */
 std::vector<const WorkloadProfile *>
@@ -109,7 +118,8 @@ bipsOf(double insts, MicroSec us)
 }
 
 /** The first decision's samples: the trace-based tool knows the
- *  first interval's behaviour, so it bootstraps from the profiles. */
+ *  first interval's behaviour, so it bootstraps from the profiles.
+ *  Every core starts at Turbo. */
 std::vector<CoreSample>
 bootstrapSamples(const std::vector<ProfileCursor> &cursors,
                  const SimConfig &cfg, const std::vector<Watts> &stallW)
@@ -117,15 +127,15 @@ bootstrapSamples(const std::vector<ProfileCursor> &cursors,
     std::vector<CoreSample> samples(cursors.size());
     for (std::size_t c = 0; c < cursors.size(); c++) {
         CoreSample &s = samples[c];
-        s.mode = cfg.startMode;
-        auto d = cursors[c].peek(cfg.exploreUs, cfg.startMode);
+        s.mode = modes::Turbo;
+        auto d = cursors[c].peek(cfg.exploreUs, modes::Turbo);
         if (d.usedUs > 0.0) {
             s.powerW = d.energyJ / (d.usedUs * 1e-6);
             s.bips = bipsOf(d.instructions, d.usedUs);
             s.memIntensity = d.l2Misses / d.usedUs;
         } else {
             s.active = false;
-            s.powerW = stallW[cfg.startMode];
+            s.powerW = stallW[modes::Turbo];
         }
     }
     return samples;
@@ -144,28 +154,45 @@ CmpSim::CmpSim(std::vector<const WorkloadProfile *> profiles,
 
 SimResult
 CmpSim::run(GlobalManager &mgr, const BudgetSchedule &budget,
-            Watts reference_power_w,
-            std::optional<bool> record_timeline,
-            const HeldModeMemo *memo)
+            Watts reference_power_w, bool record_timeline)
 {
     return runInternal(&mgr, &budget, reference_power_w, {},
-                       record_timeline.value_or(cfg.recordTimeline),
-                       memo);
+                       record_timeline, nextRunMemo());
 }
 
 SimResult
 CmpSim::runStatic(const std::vector<PowerMode> &modes,
-                  std::optional<bool> record_timeline,
-                  const HeldModeMemo *memo)
+                  bool record_timeline)
 {
     GPM_ASSERT(modes.size() == profs.size());
-    return runInternal(nullptr, nullptr, 0.0, modes,
-                       record_timeline.value_or(cfg.recordTimeline),
-                       memo);
+    return runInternal(nullptr, nullptr, 0.0, modes, record_timeline,
+                       nextRunMemo());
+}
+
+const SimResult &
+CmpSim::reference()
+{
+    std::call_once(refOnce, [this] {
+        std::vector<PowerMode> all_turbo(profs.size(), modes::Turbo);
+        ref = runInternal(nullptr, nullptr, 0.0, all_turbo, false,
+                          nullptr);
+    });
+    return ref;
+}
+
+const HeldModeMemo *
+CmpSim::nextRunMemo()
+{
+    // The load keeps a warm simulator's runs from all writing the
+    // flag's cache line.
+    if (!ran.load() && !ran.exchange(true))
+        return nullptr;
+    std::call_once(memoOnce, [this] { memo = buildMemo(); });
+    return &memo;
 }
 
 HeldModeMemo
-CmpSim::heldModeMemo() const
+CmpSim::buildMemo() const
 {
     HeldModeMemo memo;
     if (cfg.contention)
@@ -173,7 +200,6 @@ CmpSim::heldModeMemo() const
     const std::size_t n = profs.size();
     const std::size_t n_modes = dvfs.numModes();
     const std::size_t len = HeldModeMemo::maxSteps;
-    memo.owner = this;
     memo.deltas.resize(len * n * n_modes);
     memo.marks.resize(len * n * n_modes);
     for (std::size_t c = 0; c < n; c++) {
@@ -194,18 +220,6 @@ CmpSim::heldModeMemo() const
     return memo;
 }
 
-Watts
-CmpSim::referencePowerW()
-{
-    // call_once makes the lazy init safe under concurrent sweeps
-    // (the old "if (cachedRefW < 0) cachedRefW = ..." was a race).
-    std::call_once(refOnce, [this] {
-        std::vector<PowerMode> all_turbo(profs.size(), modes::Turbo);
-        cachedRefW = runStatic(all_turbo, false).avgCorePowerW();
-    });
-    return cachedRefW;
-}
-
 SimResult
 CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                     Watts reference_power_w,
@@ -215,7 +229,6 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
     const std::size_t n = profs.size();
     const std::size_t n_modes = dvfs.numModes();
     const std::size_t memo_steps = memo ? memo->steps() : 0;
-    GPM_ASSERT(memo_steps == 0 || memo->owner == this);
 
     // Every container this run touches is sized here, once. The
     // delta-step loop below performs no heap allocation in steady
@@ -226,7 +239,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
     std::vector<ProfileCursor> cursors = startCursors;
 
     std::vector<PowerMode> mode_v =
-        mgr ? std::vector<PowerMode>(n, cfg.startMode) : static_modes;
+        mgr ? std::vector<PowerMode>(n, modes::Turbo) : static_modes;
 
     // Cores that still hold the mode they ran at step 0 read their
     // steps from the memo; their cursors are brought up to date only
@@ -263,12 +276,12 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         res.timeline.reserve(256);
     }
 
-    ChipThermalModel thermal(n, cfg.thermal);
+    ChipThermalModel thermal(n);
 
     MicroSec t = 0.0;
     MicroSec next_explore = 0.0;
     bool first_decision = true;
-    Rng sensor_rng(cfg.sensorNoiseSeed);
+    Rng sensor_rng(kSensorNoiseSeed);
     auto noisy = [&](double v) {
         if (cfg.sensorNoise <= 0.0)
             return v;
@@ -304,7 +317,9 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
     };
 
     std::size_t step = 0;
-    while (t < cfg.maxTimeUs) {
+    // The run ends at the step in which a core finishes, so every
+    // core starts every step unfinished.
+    while (t < kMaxTimeUs) {
         const bool decide = mgr && t + 1e-6 >= next_explore;
 
         // Cores on the memo take the cursor a replay holds after
@@ -327,7 +342,6 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                     CoreSample &s = samples[c];
                     s = CoreSample{};
                     s.mode = mode_v[c];
-                    s.active = !res.finished[c];
                     const Acc &a = explore_acc[c];
                     s.powerW = noisy(
                         explore_elapsed > 0.0
@@ -401,10 +415,9 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         if (cfg.contention) {
             double rho = 0.0;
             for (double r : last_miss_rate)
-                rho += r * cfg.busServiceNs / 1000.0;
+                rho += r * kBusServiceNs / 1000.0;
             rho = std::min(rho, 0.95);
-            double wait_ns =
-                cfg.busServiceNs * rho / (1.0 - rho);
+            double wait_ns = kBusServiceNs * rho / (1.0 - rho);
             for (std::size_t c = 0; c < n; c++)
                 dilation[c] =
                     1.0 + last_miss_rate[c] * wait_ns / 1000.0;
@@ -420,38 +433,28 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
             ? &memo->deltas[step * n * n_modes]
             : nullptr;
         for (std::size_t c = 0; c < n; c++) {
-            double step_energy = 0.0;
-            double step_insts = 0.0;
-            if (!res.finished[c]) {
-                const ProfileCursor::Delta d = memo_step && on_memo[c]
-                    ? memo_step[c * n_modes + mode_v[c]]
-                    : cursors[c].advance(dt, mode_v[c], dilation[c]);
-                step_energy = d.energyJ;
-                step_insts = d.instructions;
-                explore_acc[c].insts += d.instructions;
-                explore_acc[c].misses += d.l2Misses;
-                step_misses += d.l2Misses;
-                step_accesses += d.l2Accesses;
-                if (cfg.contention)
-                    last_miss_rate[c] = d.l2Misses / dt;
-                if (d.finished) {
-                    res.finished[c] = true;
-                    finished_now = true;
-                    double idle_us = dt - d.usedUs;
-                    step_energy +=
-                        stallW[mode_v[c]] * idle_us * 1e-6;
-                }
-            } else {
-                step_energy = stallW[mode_v[c]] * dt * 1e-6;
-                if (cfg.contention)
-                    last_miss_rate[c] = 0.0;
+            const ProfileCursor::Delta d = memo_step && on_memo[c]
+                ? memo_step[c * n_modes + mode_v[c]]
+                : cursors[c].advance(dt, mode_v[c], dilation[c]);
+            double step_energy = d.energyJ;
+            explore_acc[c].insts += d.instructions;
+            explore_acc[c].misses += d.l2Misses;
+            step_misses += d.l2Misses;
+            step_accesses += d.l2Accesses;
+            if (cfg.contention)
+                last_miss_rate[c] = d.l2Misses / dt;
+            if (d.finished) {
+                res.finished[c] = true;
+                finished_now = true;
+                double idle_us = dt - d.usedUs;
+                step_energy += stallW[mode_v[c]] * idle_us * 1e-6;
             }
             res.coreEnergyJ[c] += step_energy;
-            res.coreInstructions[c] += step_insts;
+            res.coreInstructions[c] += d.instructions;
             explore_acc[c].energyJ += step_energy;
             last_step_power[c] = step_energy / (dt * 1e-6);
             if (record_timeline)
-                step_bips[c] = bipsOf(step_insts, dt);
+                step_bips[c] = bipsOf(d.instructions, dt);
         }
 
         double unc_e = uncore.energy(
@@ -479,16 +482,8 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         explore_elapsed += dt;
         step++;
 
-        if (cfg.termination == SimConfig::Termination::FirstDone &&
-            finished_now)
+        if (finished_now)
             break;
-        if (cfg.termination == SimConfig::Termination::AllDone) {
-            bool all = true;
-            for (bool f : res.finished)
-                all = all && f;
-            if (all)
-                break;
-        }
     }
 
     res.endUs = t;

@@ -13,8 +13,7 @@
  *
  * Termination follows the paper: the run ends when the first
  * benchmark completes, so all cores are utilized for the whole
- * experimented region. (All-done and fixed-time terminations are
- * also available.)
+ * experimented region.
  *
  * An optional analytic contention model approximates shared-L2/bus
  * queueing by dilating per-core progress in proportion to the chip's
@@ -25,15 +24,14 @@
 #ifndef GPM_SIM_CMP_SIM_HH
 #define GPM_SIM_CMP_SIM_HH
 
+#include <atomic>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/global_manager.hh"
 #include "power/dvfs.hh"
 #include "power/power_model.hh"
-#include "power/thermal.hh"
 #include "sim/timeline.hh"
 #include "trace/phase_profile.hh"
 #include "util/units.hh"
@@ -41,7 +39,12 @@
 namespace gpm
 {
 
-/** Tunable parameters of the trace-based CMP simulator. */
+/**
+ * Tunable parameters of the trace-based CMP simulator. Every run ends
+ * when the first benchmark completes (paper Section 3.1), starts all
+ * cores at Turbo, and stops at a 10 s safety cap no benchmark
+ * reaches; those are not knobs.
+ */
 struct SimConfig
 {
     /** Statistics update period [us]. */
@@ -49,28 +52,12 @@ struct SimConfig
     /** Global-manager invocation period [us]. */
     MicroSec exploreUs = 500.0;
 
-    /** Run-termination conditions. */
-    enum class Termination
-    {
-        FirstDone, ///< stop when the first benchmark completes
-        AllDone,   ///< run until every benchmark completes
-        FixedTime, ///< run exactly maxTimeUs
-    };
-    Termination termination = Termination::FirstDone;
-
-    /** Hard wall-clock cap [us]. */
-    MicroSec maxTimeUs = 10'000'000.0;
-
-    /** Initial mode of every core. */
-    PowerMode startMode = modes::Turbo;
-
     /** Stall all cores for the longest transition on mode changes. */
     bool stallDuringTransitions = true;
 
-    /** Enable the analytic shared-L2/bus contention model. */
+    /** Enable the analytic shared-L2/bus contention model (4 ns of
+     *  bus service per off-chip access). */
     bool contention = false;
-    /** Bus service time per off-chip access [ns] (contention). */
-    double busServiceNs = 4.0;
 
     /**
      * Phase-shift stride for many-core scenarios: core c starts its
@@ -90,23 +77,18 @@ struct SimConfig
      */
     double phaseShiftBase = 0.0;
 
-    /** Record a per-delta-step timeline (needed for the figures). */
-    bool recordTimeline = true;
-
     /**
      * Relative 1-sigma noise applied to the power/BIPS samples the
      * local monitors report (Foxton-style current sensors are not
      * ideal). 0 disables. Noise is applied to measurements only;
-     * the true energy/instruction accounting is unaffected.
+     * the true energy/instruction accounting is unaffected. Every
+     * run draws it from the same seed.
      */
     double sensorNoise = 0.0;
-    /** Seed for the sensor-noise stream. */
-    std::uint64_t sensorNoiseSeed = 0x5eed;
 
-    /** Track per-core junction temperatures (RC thermal model). */
+    /** Track per-core junction temperatures (RC thermal model with
+     *  the default ThermalParams). */
     bool trackThermal = false;
-    /** Thermal-node parameters when tracking is enabled. */
-    ThermalParams thermal;
 };
 
 /** Outcome of one CmpSim run. */
@@ -149,8 +131,6 @@ struct SimResult
     std::vector<double> coreBips() const;
 };
 
-class CmpSim;
-
 /**
  * Every core's first maxSteps delta steps at every mode, each mode
  * held from step 0, replayed once. For each (core, mode) it holds
@@ -159,22 +139,22 @@ class CmpSim;
  * it. Without contention every step runs at dilation 1, so a core's
  * steps depend on its own modes only: while a core keeps the mode it
  * ran at step 0, its steps are these, whatever the decisions give the
- * other cores. So one memo, built by CmpSim::heldModeMemo(), serves
- * every run of its simulator. run() and runStatic() read a core's
- * step j from it while the core holds its step-0 mode. At every later
- * decision each such core's cursor is set from the memo, so the
- * Oracle peeks, and a core whose mode changes resumes live, from the
- * cursor a replay holds there; at step maxSteps every core still on
- * the memo takes its cursor and advances live. The values are the
- * same advance() calls on the same inputs, so results are
- * bit-identical with and without a memo.
+ * other cores. So one memo serves every run of the simulator that
+ * built it; a CmpSim builds its own on its second run. run() and
+ * runStatic() read a core's step j from it while the core holds its
+ * step-0 mode. At every later decision each such core's cursor is
+ * set from the memo, so the Oracle peeks, and a core whose mode
+ * changes resumes live, from the cursor a replay holds there; at
+ * step maxSteps every core still on the memo takes its cursor and
+ * advances live. The values are the same advance() calls on the
+ * same inputs, so results are bit-identical with and without a memo.
  *
  * Bounded whatever the sim knobs ask for: maxSteps steps per
  * (core, mode), no further Deltas past a core's finish. A step costs
  * a 48 B Delta and a 32 B Mark, so at 3 modes a core costs
  * 3 x 32 x 80 B = 7.5 KB and a 256-core chip ~1.9 MB. Empty with
  * contention on: dilation then follows the chip's traffic. Immutable
- * once built, so concurrent runs may share one.
+ * once built, so concurrent runs share it.
  */
 class HeldModeMemo
 {
@@ -191,8 +171,6 @@ class HeldModeMemo
   private:
     friend class CmpSim;
 
-    /** The simulator whose start cursors and config built it. */
-    const CmpSim *owner = nullptr;
     /** Step j of core c at mode m, at [(j * cores + c) * modes + m]:
      *  a step's reads are adjacent. Entries after a core's finishing
      *  step stay zero; no run reads them. */
@@ -206,20 +184,21 @@ class HeldModeMemo
  * The trace-based CMP simulator. Bind profiles once; each run*()
  * call replays from the beginning (cursors are rewound).
  *
- * What no decision can change is computed once: each core's
- * (phase-shifted) start cursor and the first decision's bootstrap
- * samples when the simulator is built, and, on request, the
- * HeldModeMemo a caller that runs many times keeps and passes back
- * in.
+ * What no decision can change is computed once and kept here: each
+ * core's (phase-shifted) start cursor and the first decision's
+ * bootstrap samples when the simulator is built, the all-Turbo
+ * reference run on first request, and the HeldModeMemo on the
+ * second run()/runStatic(). The first run replays every step, so a
+ * simulator that runs once builds no memo; reference() is not a run.
  *
- * Thread-safety contract: run(), runStatic(), referencePowerW() and
- * heldModeMemo() are safe to call concurrently on one instance.
+ * Thread-safety contract: run(), runStatic(), reference() and
+ * referencePowerW() are safe to call concurrently on one instance.
  * Every piece of per-run state (cursors, accumulators, scratch
  * buffers) lives on the calling thread's stack; the members are
  * either immutable after construction (profiles, dvfs, cfg, per-mode
  * stall powers, start cursors, bootstrap samples, uncore model) or
- * synchronized (the cached reference power, initialized under
- * std::once_flag).
+ * written once under a std::once_flag (the reference run, the memo)
+ * and read-only after it.
  */
 class CmpSim
 {
@@ -241,41 +220,47 @@ class CmpSim
      * schedule is expressed as fractions of @p reference_power_w
      * (total chip, cores + uncore).
      *
-     * @param record_timeline overrides cfg.recordTimeline for this
-     *        run (sweeps evaluate thousands of points whose
-     *        timelines nobody reads)
-     * @param memo this simulator's heldModeMemo(), or null to
-     *        replay every step; the result is the same bits
+     * @param record_timeline record a per-delta-step timeline (the
+     *        figures read it; sweeps evaluate thousands of points
+     *        whose timelines nobody reads)
      */
     SimResult run(GlobalManager &mgr, const BudgetSchedule &budget,
-                  Watts reference_power_w,
-                  std::optional<bool> record_timeline = std::nullopt,
-                  const HeldModeMemo *memo = nullptr);
+                  Watts reference_power_w, bool record_timeline = false);
 
-    /** Fixed-mode run (static assignments, references, bounds). */
-    SimResult
-    runStatic(const std::vector<PowerMode> &modes,
-              std::optional<bool> record_timeline = std::nullopt,
-              const HeldModeMemo *memo = nullptr);
+    /** Fixed-mode run (static assignments, bounds). */
+    SimResult runStatic(const std::vector<PowerMode> &modes,
+                        bool record_timeline = false);
 
     /**
-     * Replay every core's first HeldModeMemo::maxSteps steps at every
-     * mode once (see HeldModeMemo): modes x maxSteps advance() calls
-     * per core. Worth it only for a caller that keeps the memo across
-     * many runs; empty with contention on.
+     * The all-Turbo run, computed once (without a timeline). It does
+     * not count as a run: the memo still builds on the second
+     * run()/runStatic().
      */
-    HeldModeMemo heldModeMemo() const;
+    const SimResult &reference();
 
     /**
-     * Average core power of the all-Turbo run — the reference
-     * "maximum chip power" that budget fractions scale (cached).
-     * Budgets are defined over core power, the quantity per-core
-     * DVFS can control; uncore power is simulated and reported but
-     * lies outside the budget (see DESIGN.md).
+     * Average core power of reference() — the "maximum chip power"
+     * that budget fractions scale. Budgets are defined over core
+     * power, the quantity per-core DVFS can control; uncore power is
+     * simulated and reported but lies outside the budget (see
+     * DESIGN.md).
      */
-    Watts referencePowerW();
+    Watts referencePowerW() { return reference().avgCorePowerW(); }
+
+    /** The memo this simulator built on its second run: empty before
+     *  it, and always with contention on. Read it while no run is in
+     *  flight. */
+    const HeldModeMemo &heldModeMemo() const { return memo; }
 
   private:
+    /** The memo the next run reads: none for the first run, which
+     *  sets `ran`; the second builds it under memoOnce. */
+    const HeldModeMemo *nextRunMemo();
+
+    /** Replay every core's first HeldModeMemo::maxSteps steps at every
+     *  mode once: modes x maxSteps advance() calls per core. */
+    HeldModeMemo buildMemo() const;
+
     /** Shared inner loop; mgr may be null (static run). */
     SimResult runInternal(GlobalManager *mgr,
                           const BudgetSchedule *budget,
@@ -294,13 +279,16 @@ class CmpSim
      *  workload, or the phase shift cfg asks for. */
     const std::vector<ProfileCursor> startCursors;
     /** The first decision's samples: each core's peek of one explore
-     *  interval at cfg.startMode from its start cursor. */
+     *  interval at Turbo from its start cursor. */
     const std::vector<CoreSample> bootstrap;
     UncorePowerModel uncore;
-    /** Lazily computed all-Turbo core power; guarded by refOnce so
-     *  concurrent referencePowerW() calls are race-free. */
+    /** reference(), written once under refOnce. */
     std::once_flag refOnce;
-    Watts cachedRefW = 0.0;
+    SimResult ref;
+    /** Set by the first run(), runStatic() included. */
+    std::atomic<bool> ran{false};
+    std::once_flag memoOnce;
+    HeldModeMemo memo;
 };
 
 } // namespace gpm

@@ -204,7 +204,8 @@ TEST_F(BatchTest, DiskTierServesRestartBitIdentically)
     ExperimentRunner direct(test::profiles(), test::dvfs(),
                             spec.simConfig());
     EXPECT_EQ(r.payload,
-              serializeResults(spec, direct.sweep(spec.sweepSpec())));
+              serializeResults(
+                  spec, direct.trySweep(spec.sweepSpec()).value()));
 
     ServiceStats s = revived.stats();
     EXPECT_EQ(s.diskHits, 1u);
@@ -346,7 +347,8 @@ TEST_F(BatchServerTest, BatchStreamsPerScenarioLinesAndPipelines)
         ExperimentRunner direct(test::profiles(), test::dvfs(),
                                 spec.simConfig());
         std::string payload =
-            serializeResults(spec, direct.sweep(spec.sweepSpec()));
+            serializeResults(
+                spec, direct.trySweep(spec.sweepSpec()).value());
         ASSERT_TRUE(r.find("result"));
         EXPECT_EQ(r.find("result")->canonical(),
                   parseOk(payload).canonical());

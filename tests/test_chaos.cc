@@ -165,7 +165,8 @@ class ChaosServiceTest : public ::testing::Test
     {
         ExperimentRunner direct(test::profiles(), test::dvfs(),
                                 spec.simConfig());
-        return serializeResults(spec, direct.sweep(spec.sweepSpec()));
+        return serializeResults(
+            spec, direct.trySweep(spec.sweepSpec()).value());
     }
 
     /** Poll until stats() satisfies @p done (or ~5 s pass). */

@@ -1,12 +1,17 @@
 /** @file Integration tests for the trace-based CMP simulator on
- *  hand-built profiles (exact expectations). */
+ *  hand-built profiles (exact expectations), and its held-mode memo
+ *  against replay, on those and on a many64 chip of suite profiles. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
+#include "harness.hh"
 #include "helpers.hh"
 #include "sim/cmp_sim.hh"
+#include "trace/workload.hh"
 #include "util/rng.hh"
 
 namespace gpm
@@ -67,18 +72,20 @@ expectSameResult(const SimResult &a, const SimResult &b)
     }
 }
 
+/** Runs @p sim twice, so that it has built its held-mode memo and
+ *  every later run reads it. */
+void
+runTwice(CmpSim &sim)
+{
+    const std::vector<PowerMode> turbo(sim.numCores(), modes::Turbo);
+    sim.runStatic(turbo);
+    sim.runStatic(turbo);
+}
+
 class CmpSimTest : public ::testing::Test
 {
   protected:
     CmpSimTest() : dvfs(DvfsTable::classic3()) {}
-
-    SimConfig
-    quietConfig()
-    {
-        SimConfig cfg;
-        cfg.recordTimeline = true;
-        return cfg;
-    }
 
     GlobalManager
     manager(const std::string &policy)
@@ -94,7 +101,7 @@ TEST_F(CmpSimTest, StaticTurboRunMatchesProfileMath)
     // 200 chunks x 10 us = 2000 us at Turbo; first-done at the next
     // 50 us boundary.
     auto p = classicSyntheticProfile(200, 10.0, 1e-4);
-    CmpSim sim({&p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p}, dvfs);
     auto r = sim.runStatic({modes::Turbo, modes::Turbo});
     EXPECT_NEAR(r.endUs, 2000.0, 50.1);
     EXPECT_NEAR(r.coreInstructions[0], 2'000'000, 10);
@@ -106,7 +113,7 @@ TEST_F(CmpSimTest, StaticTurboRunMatchesProfileMath)
 TEST_F(CmpSimTest, StaticEff2RunsSlower)
 {
     auto p = classicSyntheticProfile(200, 10.0, 1e-4);
-    CmpSim sim({&p}, dvfs, quietConfig());
+    CmpSim sim({&p}, dvfs);
     auto turbo = sim.runStatic({modes::Turbo});
     auto eff2 = sim.runStatic({modes::Eff2});
     EXPECT_NEAR(eff2.endUs / turbo.endUs, 1.0 / 0.85, 0.03);
@@ -117,40 +124,17 @@ TEST_F(CmpSimTest, FirstDoneStopsAtShortestWorkload)
 {
     auto p_long = classicSyntheticProfile(400, 10.0, 1e-4);
     auto p_short = classicSyntheticProfile(100, 10.0, 1e-4);
-    CmpSim sim({&p_long, &p_short}, dvfs, quietConfig());
+    CmpSim sim({&p_long, &p_short}, dvfs);
     auto r = sim.runStatic({modes::Turbo, modes::Turbo});
     EXPECT_NEAR(r.endUs, 1000.0, 50.1);
     EXPECT_FALSE(r.finished[0]);
     EXPECT_TRUE(r.finished[1]);
 }
 
-TEST_F(CmpSimTest, AllDoneRunsToLongestWorkload)
-{
-    auto p_long = classicSyntheticProfile(400, 10.0, 1e-4);
-    auto p_short = classicSyntheticProfile(100, 10.0, 1e-4);
-    SimConfig cfg = quietConfig();
-    cfg.termination = SimConfig::Termination::AllDone;
-    CmpSim sim({&p_long, &p_short}, dvfs, cfg);
-    auto r = sim.runStatic({modes::Turbo, modes::Turbo});
-    EXPECT_NEAR(r.endUs, 4000.0, 50.1);
-    EXPECT_TRUE(r.finished[0]);
-}
-
-TEST_F(CmpSimTest, FixedTimeTermination)
-{
-    auto p = classicSyntheticProfile(1000, 10.0, 1e-4);
-    SimConfig cfg = quietConfig();
-    cfg.termination = SimConfig::Termination::FixedTime;
-    cfg.maxTimeUs = 1234.0;
-    CmpSim sim({&p}, dvfs, cfg);
-    auto r = sim.runStatic({modes::Turbo});
-    EXPECT_NEAR(r.endUs, 1250.0, 50.1); // rounded up to delta grid
-}
-
 TEST_F(CmpSimTest, ReferencePowerIsAllTurboCorePower)
 {
     auto p = classicSyntheticProfile(200, 10.0, 1e-4);
-    CmpSim sim({&p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p}, dvfs);
     // Each core: 1e-4 J / 10 us = 10 W; two cores = 20 W.
     EXPECT_NEAR(sim.referencePowerW(), 20.0, 0.2);
 }
@@ -158,7 +142,7 @@ TEST_F(CmpSimTest, ReferencePowerIsAllTurboCorePower)
 TEST_F(CmpSimTest, MaxBipsMeetsBudget)
 {
     auto p = classicSyntheticProfile(400, 10.0, 1e-4);
-    CmpSim sim({&p, &p, &p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p, &p, &p}, dvfs);
     Watts ref = sim.referencePowerW();
     auto mgr = manager("MaxBIPS");
     BudgetSchedule budget(0.8);
@@ -172,11 +156,11 @@ TEST_F(CmpSimTest, MaxBipsMeetsBudget)
 TEST_F(CmpSimTest, TimelineRecordsBudgetAndModes)
 {
     auto p = classicSyntheticProfile(400, 10.0, 1e-4);
-    CmpSim sim({&p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p}, dvfs);
     Watts ref = sim.referencePowerW();
     auto mgr = manager("MaxBIPS");
     BudgetSchedule budget(0.75);
-    auto r = sim.run(mgr, budget, ref);
+    auto r = sim.run(mgr, budget, ref, true);
     ASSERT_FALSE(r.timeline.empty());
     for (const auto &tp : r.timeline) {
         EXPECT_EQ(tp.corePowerW.size(), 2u);
@@ -188,9 +172,9 @@ TEST_F(CmpSimTest, TimelineRecordsBudgetAndModes)
 TEST_F(CmpSimTest, TimelineEnergyConsistentWithTotals)
 {
     auto p = classicSyntheticProfile(200, 10.0, 1e-4);
-    SimConfig cfg = quietConfig();
+    SimConfig cfg;
     CmpSim sim({&p, &p}, dvfs, cfg);
-    auto r = sim.runStatic({modes::Turbo, modes::Eff2});
+    auto r = sim.runStatic({modes::Turbo, modes::Eff2}, true);
     double timeline_j = 0.0;
     for (const auto &tp : r.timeline)
         for (double w : tp.corePowerW)
@@ -202,11 +186,11 @@ TEST_F(CmpSimTest, TimelineEnergyConsistentWithTotals)
 TEST_F(CmpSimTest, BudgetDropIsFollowed)
 {
     auto p = classicSyntheticProfile(600, 10.0, 1e-4);
-    CmpSim sim({&p, &p, &p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p, &p, &p}, dvfs);
     Watts ref = sim.referencePowerW();
     auto mgr = manager("MaxBIPS");
     BudgetSchedule budget({{0.0, 0.95}, {2000.0, 0.70}});
-    auto r = sim.run(mgr, budget, ref);
+    auto r = sim.run(mgr, budget, ref, true);
     // Compare average power in the two regions.
     double e1 = 0.0, t1 = 0.0, e2 = 0.0, t2 = 0.0;
     for (const auto &tp : r.timeline) {
@@ -230,8 +214,8 @@ TEST_F(CmpSimTest, BudgetDropIsFollowed)
 TEST_F(CmpSimTest, TransitionStallsExtendRuntime)
 {
     auto p = classicSyntheticProfile(400, 10.0, 1e-4);
-    SimConfig with = quietConfig();
-    SimConfig without = quietConfig();
+    SimConfig with;
+    SimConfig without;
     without.stallDuringTransitions = false;
     // Oscillating budget forces mode switches at every explore.
     std::vector<std::pair<MicroSec, double>> steps;
@@ -254,8 +238,8 @@ TEST_F(CmpSimTest, ContentionSlowsMemoryHeavyCores)
     auto p = syntheticProfile(300, 10'000, 10.0, 1e-4,
                               {1.0, 1.0 / 0.95, 1.0 / 0.85},
                               {1.0, 0.857, 0.614}, 2'000);
-    SimConfig base = quietConfig();
-    SimConfig cont = quietConfig();
+    SimConfig base;
+    SimConfig cont;
     cont.contention = true;
     CmpSim sim_a({&p, &p, &p, &p}, dvfs, base);
     CmpSim sim_b({&p, &p, &p, &p}, dvfs, cont);
@@ -274,7 +258,7 @@ TEST_F(CmpSimTest, TimelineRecordingChangesNoResult)
                                   {1.0, 1.0 / 0.95, 1.0 / 0.85},
                                   {1.0, 0.857, 0.614}, 2'000);
     auto light = classicSyntheticProfile(250, 8.0, 1.2e-4);
-    SimConfig cfg = quietConfig();
+    SimConfig cfg;
     cfg.contention = true;
     CmpSim sim({&heavy, &light, &heavy, &light}, dvfs, cfg);
     Watts ref = sim.referencePowerW();
@@ -321,68 +305,127 @@ TEST_F(CmpSimTest, HeldModeMemoMatchesReplay)
 
     // The memo's step count, then MaxBIPS and Oracle (which peeks
     // from the cursors the memo hands over) under a budget that
-    // drops mid-run, and a mixed-mode static run: each with and
-    // without the memo on one simulator.
+    // drops mid-run, and a mixed-mode static run: each run first by
+    // a fresh simulator, whose first run replays every step, then by
+    // one that has run twice and so reads its memo.
     auto check = [&](const std::string &name, SimConfig cfg,
                      const std::vector<const WorkloadProfile *> &profs,
                      std::size_t steps) {
         SCOPED_TRACE(name);
-        cfg.recordTimeline = true;
         cfg.phaseShiftStride = 0.3;
         CmpSim sim(profs, dvfs, cfg);
-        const HeldModeMemo memo = sim.heldModeMemo();
-        EXPECT_EQ(memo.steps(), steps);
+        runTwice(sim);
+        EXPECT_EQ(sim.heldModeMemo().steps(), steps);
         Watts ref = sim.referencePowerW();
         BudgetSchedule budget({{0.0, 0.85}, {1200.0, 0.7}});
         for (const char *policy : {"MaxBIPS", "Oracle"}) {
             SCOPED_TRACE(policy);
             auto mgr_a = manager(policy);
             auto mgr_b = manager(policy);
-            auto replayed = sim.run(mgr_a, budget, ref);
-            auto memoized = sim.run(mgr_b, budget, ref, {}, &memo);
+            CmpSim fresh(profs, dvfs, cfg);
+            auto replayed = fresh.run(mgr_a, budget, ref, true);
+            auto memoized = sim.run(mgr_b, budget, ref, true);
             expectSameResult(replayed, memoized);
             EXPECT_GT(replayed.managerStats.modeSwitches, 0u);
         }
         std::vector<PowerMode> mixed(profs.size());
         for (std::size_t c = 0; c < mixed.size(); c++)
             mixed[c] = static_cast<PowerMode>(c % dvfs.numModes());
-        expectSameResult(sim.runStatic(mixed),
-                         sim.runStatic(mixed, {}, &memo));
+        CmpSim fresh(profs, dvfs, cfg);
+        expectSameResult(fresh.runStatic(mixed, true),
+                         sim.runStatic(mixed, true));
     };
 
-    using Termination = SimConfig::Termination;
     constexpr std::size_t cap = HeldModeMemo::maxSteps;
-    SimConfig cfg = quietConfig();
-    check("FirstDone", cfg, four, cap);
-    check("FirstDone, a core finishing inside the memo", cfg,
-          with_brief, cap);
-    cfg.termination = Termination::AllDone;
-    check("AllDone, a core finishing inside the memo", cfg, with_brief,
-          cap);
-    cfg.termination = Termination::FixedTime;
-    cfg.maxTimeUs = 3000.0;
-    check("FixedTime", cfg, four, cap);
-    cfg.maxTimeUs = 320.0;
-    check("maxTimeUs shorter than one interval", cfg, four, cap);
+    SimConfig cfg;
+    check("defaults", cfg, four, cap);
+    check("a core finishing inside the memo", cfg, with_brief, cap);
 
-    cfg = quietConfig();
+    cfg = SimConfig{};
     cfg.deltaSimUs = 30.0;
     cfg.exploreUs = 500.0;
     // Decisions at steps 17 and 34: the memo ends mid-interval.
     check("deltaSimUs 30, exploreUs 500", cfg, four, cap);
 
-    cfg = quietConfig();
+    cfg = SimConfig{};
     cfg.sensorNoise = 0.05;
     check("sensorNoise", cfg, four, cap);
 
-    cfg = quietConfig();
+    cfg = SimConfig{};
     cfg.trackThermal = true;
     check("trackThermal", cfg, four, cap);
 
     // Dilation follows the chip's traffic: no step can be memoized.
-    cfg = quietConfig();
+    cfg = SimConfig{};
     cfg.contention = true;
     check("contention", cfg, four, 0);
+}
+
+TEST_F(CmpSimTest, BuildsItsMemoOnItsSecondRun)
+{
+    auto p = classicSyntheticProfile(400, 10.0, 1e-4);
+    CmpSim sim({&p, &p}, dvfs);
+    EXPECT_EQ(sim.heldModeMemo().steps(), 0u);
+    // The reference is not a run.
+    const Watts ref = sim.referencePowerW();
+    EXPECT_EQ(sim.heldModeMemo().steps(), 0u);
+    auto mgr = manager("MaxBIPS");
+    sim.run(mgr, BudgetSchedule(0.8), ref);
+    EXPECT_EQ(sim.heldModeMemo().steps(), 0u);
+    sim.runStatic({modes::Turbo, modes::Eff2});
+    EXPECT_EQ(sim.heldModeMemo().steps(), HeldModeMemo::maxSteps);
+}
+
+TEST_F(CmpSimTest, ConcurrentFirstRunsMatchReplay)
+{
+    // Eight threads make a fresh phase-shifted many64 simulator's
+    // first runs at once: they race to be its first run, which
+    // replays every step, and to build the memo the others read.
+    // Each result must equal a fresh simulator's replay of the same
+    // point.
+    SimConfig cfg;
+    cfg.phaseShiftStride = 0.1;
+    std::vector<const WorkloadProfile *> profs;
+    for (const auto &name : manyCoreCombo(64))
+        profs.push_back(&test::profiles().get(name));
+    struct Point
+    {
+        const char *policy;
+        double budget;
+    };
+    const std::vector<Point> points = {
+        {"WaterFill", 0.6},   {"WaterFill", 0.7},
+        {"WaterFill", 0.8},   {"WaterFill", 0.9},
+        {"GreedyTurbo", 0.6}, {"GreedyTurbo", 0.7},
+        {"GreedyTurbo", 0.8}, {"GreedyTurbo", 0.9}};
+    CmpSim shared(profs, test::dvfs(), cfg);
+    const Watts ref = shared.referencePowerW();
+    auto runOn = [&](CmpSim &sim, const Point &p) {
+        GlobalManager mgr(test::dvfs(), makePolicy(p.policy),
+                          cfg.exploreUs, 2.0);
+        return sim.run(mgr, BudgetSchedule(p.budget), ref, true);
+    };
+
+    std::vector<SimResult> raced(points.size());
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < points.size(); i++)
+        threads.emplace_back([&, i] {
+            while (!go.load())
+                std::this_thread::yield();
+            raced[i] = runOn(shared, points[i]);
+        });
+    go.store(true);
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(shared.heldModeMemo().steps(), HeldModeMemo::maxSteps);
+
+    for (std::size_t i = 0; i < points.size(); i++) {
+        SCOPED_TRACE(std::string(points[i].policy) + " at " +
+                     std::to_string(points[i].budget));
+        CmpSim fresh(profs, test::dvfs(), cfg);
+        expectSameResult(runOn(fresh, points[i]), raced[i]);
+    }
 }
 
 /** Plays a script: decision k returns script[k], and the last entry
@@ -435,17 +478,6 @@ firstSwitch(const Timeline &tl, std::size_t c)
     return tl.size();
 }
 
-/** The step at which core @p c retired its last instruction. */
-std::size_t
-finishStep(const Timeline &tl, std::size_t c)
-{
-    std::size_t last = 0;
-    for (std::size_t i = 0; i < tl.size(); i++)
-        if (tl[i].coreBips[c] > 0.0)
-            last = i;
-    return last;
-}
-
 TEST_F(CmpSimTest, HeldModeMemoHandsOverEachCoreBitForBit)
 {
     // Each case forces a way a core leaves the memo, asserts on the
@@ -459,22 +491,22 @@ TEST_F(CmpSimTest, HeldModeMemoHandsOverEachCoreBitForBit)
         11);
     auto light = jittered(classicSyntheticProfile(250, 8.0, 1.2e-4), 12);
     auto mid = jittered(classicSyntheticProfile(320, 9.0, 1e-4), 13);
-    auto brief = jittered(classicSyntheticProfile(30, 10.0, 1e-4), 14);
     constexpr std::size_t cap = HeldModeMemo::maxSteps;
     constexpr PowerMode T = modes::Turbo, E1 = 1, E2 = 2;
 
-    SimConfig cfg = quietConfig();
+    SimConfig cfg;
     cfg.phaseShiftStride = 0.3;
-    CmpSim sim({&heavy, &light, &mid, &heavy}, dvfs, cfg);
-    const HeldModeMemo memo = sim.heldModeMemo();
-    ASSERT_EQ(memo.steps(), cap);
+    const std::vector<const WorkloadProfile *> profs = {&heavy, &light,
+                                                        &mid, &heavy};
+    CmpSim sim(profs, dvfs, cfg);
+    runTwice(sim);
+    ASSERT_EQ(sim.heldModeMemo().steps(), cap);
     const Watts ref = sim.referencePowerW();
 
-    // One scripted policy run with and without the memo.
-    auto scripted = [&](CmpSim &s, const HeldModeMemo &m,
-                        const std::vector<std::vector<PowerMode>> &script,
-                        bool oracle, const BudgetSchedule &budget,
-                        Watts w) {
+    // One scripted policy run by a fresh simulator and by the one
+    // that reads its memo.
+    auto scripted = [&](const std::vector<std::vector<PowerMode>> &script,
+                        bool oracle, const BudgetSchedule &budget) {
         std::vector<double> seen_a, seen_b;
         GlobalManager mgr_a(dvfs,
                             std::make_unique<ScriptedPolicy>(
@@ -484,8 +516,9 @@ TEST_F(CmpSimTest, HeldModeMemoHandsOverEachCoreBitForBit)
                             std::make_unique<ScriptedPolicy>(
                                 script, oracle, seen_b),
                             500.0, 2.0);
-        SimResult replayed = s.run(mgr_a, budget, w);
-        SimResult memoized = s.run(mgr_b, budget, w, {}, &m);
+        CmpSim fresh(profs, dvfs, cfg);
+        SimResult replayed = fresh.run(mgr_a, budget, ref, true);
+        SimResult memoized = sim.run(mgr_b, budget, ref, true);
         expectSameResult(replayed, memoized);
         EXPECT_EQ(seen_a, seen_b);
         EXPECT_FALSE(seen_a.empty());
@@ -496,8 +529,8 @@ TEST_F(CmpSimTest, HeldModeMemoHandsOverEachCoreBitForBit)
         SCOPED_TRACE("one core switches at the second decision, "
                      "another at the third, Oracle peeks at each");
         SimResult r = scripted(
-            sim, memo, {{T, E1, E2, T}, {T, E2, E2, T}, {T, E2, E2, E1}},
-            true, BudgetSchedule(1.0), ref);
+            {{T, E1, E2, T}, {T, E2, E2, T}, {T, E2, E2, E1}}, true,
+            BudgetSchedule(1.0));
         const Timeline &tl = r.timeline;
         EXPECT_EQ(firstSwitch(tl, 1), 10u);
         EXPECT_EQ(firstSwitch(tl, 3), 20u);
@@ -512,8 +545,9 @@ TEST_F(CmpSimTest, HeldModeMemoHandsOverEachCoreBitForBit)
         BudgetSchedule drop({{0.0, 1.05}, {400.0, 0.75}});
         auto mgr_a = manager("ChipWideDVFS");
         auto mgr_b = manager("ChipWideDVFS");
-        SimResult replayed = sim.run(mgr_a, drop, ref);
-        SimResult memoized = sim.run(mgr_b, drop, ref, {}, &memo);
+        CmpSim fresh(profs, dvfs, cfg);
+        SimResult replayed = fresh.run(mgr_a, drop, ref, true);
+        SimResult memoized = sim.run(mgr_b, drop, ref, true);
         expectSameResult(replayed, memoized);
         for (std::size_t c = 0; c < 4; c++)
             EXPECT_EQ(firstSwitch(replayed.timeline, c), 10u)
@@ -521,28 +555,11 @@ TEST_F(CmpSimTest, HeldModeMemoHandsOverEachCoreBitForBit)
         EXPECT_GT(replayed.timeline.size(), cap);
     }
     {
-        SCOPED_TRACE("a core finishes on the memo, then switches");
-        SimConfig all_done = cfg;
-        all_done.termination = SimConfig::Termination::AllDone;
-        CmpSim with_brief({&heavy, &brief, &light}, dvfs, all_done);
-        const HeldModeMemo m = with_brief.heldModeMemo();
-        SimResult r = scripted(with_brief, m,
-                               {{T, T, E1}, {T, E2, E1}, {E1, E2, E1}},
-                               true, BudgetSchedule(1.0),
-                               with_brief.referencePowerW());
-        const Timeline &tl = r.timeline;
-        EXPECT_TRUE(r.finished[1]);
-        EXPECT_LT(finishStep(tl, 1), 10u);
-        EXPECT_EQ(firstSwitch(tl, 1), 10u);
-        EXPECT_EQ(firstSwitch(tl, 0), 20u);
-        EXPECT_EQ(firstSwitch(tl, 2), tl.size());
-        EXPECT_GT(tl.size(), cap);
-    }
-    {
         SCOPED_TRACE("a static run longer than the memo");
         const std::vector<PowerMode> mixed = {E2, T, E1, E2};
-        SimResult replayed = sim.runStatic(mixed);
-        expectSameResult(replayed, sim.runStatic(mixed, {}, &memo));
+        CmpSim fresh(profs, dvfs, cfg);
+        SimResult replayed = fresh.runStatic(mixed, true);
+        expectSameResult(replayed, sim.runStatic(mixed, true));
         EXPECT_GT(replayed.timeline.size(), cap);
     }
 }
@@ -554,7 +571,7 @@ TEST_F(CmpSimTest, PredictionsExactWhenModesSettle)
     // windows are stall-free, and the cubic/linear predictions are
     // exact.
     auto p = classicSyntheticProfile(400, 10.0, 1e-4);
-    CmpSim sim({&p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p}, dvfs);
     Watts ref = sim.referencePowerW();
     auto mgr = manager("MaxBIPS");
     auto r = sim.run(mgr, BudgetSchedule(1.05), ref);
@@ -572,7 +589,7 @@ TEST_F(CmpSimTest, PredictionErrorsBoundedUnderOscillation)
     // a few percent (transition/explore-scale), far below the
     // inter-mode power gaps the policies act on.
     auto p = classicSyntheticProfile(400, 10.0, 1e-4);
-    CmpSim sim({&p, &p, &p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p, &p, &p}, dvfs);
     Watts ref = sim.referencePowerW();
     auto mgr = manager("MaxBIPS");
     auto r = sim.run(mgr, BudgetSchedule(0.85), ref);
@@ -583,7 +600,7 @@ TEST_F(CmpSimTest, PredictionErrorsBoundedUnderOscillation)
 TEST_F(CmpSimTest, ChipBipsSumsCores)
 {
     auto p = classicSyntheticProfile(100, 10.0, 1e-4);
-    CmpSim sim({&p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p}, dvfs);
     auto r = sim.runStatic({modes::Turbo, modes::Turbo});
     auto per_core = r.coreBips();
     EXPECT_NEAR(r.chipBips(), per_core[0] + per_core[1], 1e-9);
@@ -592,8 +609,8 @@ TEST_F(CmpSimTest, ChipBipsSumsCores)
 TEST_F(CmpSimTest, SensorNoisePerturbsDecisions)
 {
     auto p = classicSyntheticProfile(400, 10.0, 1e-4);
-    SimConfig clean = quietConfig();
-    SimConfig noisy = quietConfig();
+    SimConfig clean;
+    SimConfig noisy;
     noisy.sensorNoise = 0.10;
     CmpSim sim_a({&p, &p, &p, &p}, dvfs, clean);
     CmpSim sim_b({&p, &p, &p, &p}, dvfs, noisy);
@@ -614,7 +631,7 @@ TEST_F(CmpSimTest, SensorNoisePerturbsDecisions)
 TEST_F(CmpSimTest, SensorNoiseDeterministicPerSeed)
 {
     auto p = classicSyntheticProfile(200, 10.0, 1e-4);
-    SimConfig cfg = quietConfig();
+    SimConfig cfg;
     cfg.sensorNoise = 0.05;
     CmpSim sim({&p, &p}, dvfs, cfg);
     Watts ref = sim.referencePowerW();
@@ -631,7 +648,7 @@ TEST_F(CmpSimTest, SensorNoiseDeterministicPerSeed)
 TEST_F(CmpSimTest, OraclePolicyRunsAndMeetsBudget)
 {
     auto p = classicSyntheticProfile(400, 10.0, 1e-4);
-    CmpSim sim({&p, &p, &p, &p}, dvfs, quietConfig());
+    CmpSim sim({&p, &p, &p, &p}, dvfs);
     Watts ref = sim.referencePowerW();
     auto mgr = manager("Oracle");
     auto r = sim.run(mgr, BudgetSchedule(0.8), ref);

@@ -175,7 +175,7 @@ TEST_P(ExactPayloads, MatchFrozenDigests)
         ExperimentRunner runner(test::profiles(0.05), test::dvfs(),
                                 spec.simConfig());
         std::string payload =
-            serializeResults(spec, runner.sweep(spec.sweepSpec(), 1));
+            serializeResults(spec, runner.trySweep(spec.sweepSpec(), 1).value());
         EXPECT_EQ(fnv1a(payload), f.digest)
             << "{\"" << key << "\", \"" << f.policy << "\", 0x"
             << std::hex << fnv1a(payload) << "ull, knob "

@@ -34,7 +34,9 @@ TEST(ExperimentTest, CurveCoversAllBudgets)
 {
     ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"mcf", "crafty"};
-    auto evs = r.curve(combo, "MaxBIPS", {0.7, 0.85, 1.0});
+    SweepSpec spec;
+    spec.addGrid({combo}, {"MaxBIPS"}, {0.7, 0.85, 1.0});
+    auto evs = r.trySweep(spec).value();
     ASSERT_EQ(evs.size(), 3u);
     EXPECT_DOUBLE_EQ(evs[0].budgetFrac, 0.7);
     EXPECT_DOUBLE_EQ(evs[2].budgetFrac, 1.0);
@@ -46,7 +48,9 @@ TEST(ExperimentTest, CurveDispatchesStatic)
 {
     ExperimentRunner r(test::profiles(), test::dvfs());
     std::vector<std::string> combo{"mcf", "crafty"};
-    auto evs = r.curve(combo, "Static", {0.85});
+    SweepSpec spec;
+    spec.add(combo, "Static", 0.85);
+    auto evs = r.trySweep(spec).value();
     ASSERT_EQ(evs.size(), 1u);
     EXPECT_EQ(evs[0].policy, "Static");
 }

@@ -438,21 +438,26 @@ TEST(ManycoreScenario, HeldModeMemoCappedUnderClientKnobs)
     std::vector<const WorkloadProfile *> profs;
     for (const auto &name : spec.combo)
         profs.push_back(&test::profiles().get(name));
+    // A simulator that has run twice reads its memo; a fresh one's
+    // first run replays every step.
     CmpSim sim(profs, test::dvfs(), spec.simConfig());
-    const HeldModeMemo memo = sim.heldModeMemo();
-    EXPECT_EQ(memo.steps(), HeldModeMemo::maxSteps);
+    const std::vector<PowerMode> turbo(profs.size(), modes::Turbo);
+    sim.runStatic(turbo);
+    sim.runStatic(turbo);
+    const std::size_t steps = sim.heldModeMemo().steps();
+    EXPECT_EQ(steps, HeldModeMemo::maxSteps);
 
     Watts ref = sim.referencePowerW();
     GlobalManager mgr_a(test::dvfs(), makePolicy(spec.policy),
                         spec.exploreUs);
     GlobalManager mgr_b(test::dvfs(), makePolicy(spec.policy),
                         spec.exploreUs);
-    SimResult replayed = sim.run(mgr_a, BudgetSchedule(0.8), ref);
-    SimResult memoized =
-        sim.run(mgr_b, BudgetSchedule(0.8), ref, {}, &memo);
+    CmpSim fresh(profs, test::dvfs(), spec.simConfig());
+    SimResult replayed = fresh.run(mgr_a, BudgetSchedule(0.8), ref);
+    SimResult memoized = sim.run(mgr_b, BudgetSchedule(0.8), ref);
     // The run outlives the memo, so the cursor hand-off is covered.
     EXPECT_GT(replayed.endUs,
-              static_cast<double>(memo.steps()) * spec.deltaSimUs);
+              static_cast<double>(steps) * spec.deltaSimUs);
     EXPECT_EQ(replayed.endUs, memoized.endUs);
     EXPECT_EQ(replayed.coreInstructions, memoized.coreInstructions);
     EXPECT_EQ(replayed.coreEnergyJ, memoized.coreEnergyJ);

@@ -486,6 +486,32 @@ TEST_F(OverloadServiceTest, IdleRequestsCorrectAStaleEstimate)
     }
 }
 
+TEST_F(OverloadServiceTest, EstimateCoversTheCompletionCallback)
+{
+    // A request costs its worker until the response is delivered: a
+    // completion callback that takes 20 ms must show in MaxBIPS's
+    // estimate, not only the simulation's own ~0.1 ms.
+    std::promise<bool> answered;
+    ServiceOptions opts;
+    opts.workers = 1;
+    ScenarioService svc(test::profiles(), test::dvfs(), opts);
+    AdmissionController &ac = svc.admissionController();
+    // Built beforehand, so a cold profile store cannot stretch the
+    // simulation itself past 20 ms.
+    test::profiles().get("mcf");
+    test::profiles().get("crafty");
+    svc.submitAsync(scenario(), [&](ScenarioService::Response &&r) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        answered.set_value(r.ok);
+    });
+    ASSERT_TRUE(answered.get_future().get());
+    // The worker records the estimate once the callback returns.
+    for (int i = 0; i < 10000 && ac.serviceTimeMs("MaxBIPS") == 0.0;
+         i++)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(ac.serviceTimeMs("MaxBIPS"), 20.0);
+}
+
 TEST_F(OverloadServiceTest, BusyRejectionCarriesRetryHint)
 {
     ServiceOptions opts;

@@ -318,6 +318,23 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
               std::string::npos);
 }
 
+TEST_F(ReactorServerTest, ScrapesAreNotCountedAsConnections)
+{
+    // With no NDJSON client, a scrape sees no connection, not even
+    // its own, and the one before it left none behind.
+    gpmd.start({}, {}, /*metrics=*/true);
+    for (int scrape = 0; scrape < 2; scrape++) {
+        SCOPED_TRACE("scrape " + std::to_string(scrape));
+        std::string resp = httpGet("/metrics");
+        EXPECT_NE(resp.find("\ngpm_connections_total 0\n"),
+                  std::string::npos)
+            << resp;
+        EXPECT_NE(resp.find("\ngpm_open_connections 0\n"),
+                  std::string::npos)
+            << resp;
+    }
+}
+
 TEST_F(ReactorServerTest, DiskWriteFailuresReachStatsAndMetrics)
 {
     test::TempDir cacheDir;

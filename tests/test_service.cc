@@ -54,7 +54,7 @@ TEST_F(ServiceTest, SubmitMatchesDirectSweep)
         // Ground truth: a direct sweep on an equivalent runner.
         ExperimentRunner direct(test::profiles(), test::dvfs(),
                                 spec.simConfig());
-        auto evals = direct.sweep(spec.sweepSpec());
+        auto evals = direct.trySweep(spec.sweepSpec()).value();
         EXPECT_EQ(r.payload, serializeResults(spec, evals));
 
         // And the payload's numbers parse back bit-exactly.
@@ -236,7 +236,8 @@ TEST_F(ServiceTest, DistinctSimKnobsGetDistinctRunnersAndResults)
                             coarse.simConfig());
     EXPECT_EQ(b.payload,
               serializeResults(coarse,
-                               direct.sweep(coarse.sweepSpec())));
+                               direct.trySweep(coarse.sweepSpec())
+                                   .value()));
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-/** @file Determinism contract of ExperimentRunner::sweep: results
+/** @file Determinism contract of ExperimentRunner::trySweep: results
  *  are bitwise-identical to a serial evaluate()/evaluateStatic()
  *  loop over the spec, at every concurrency. Uses a small shared
  *  profile scale like the other experiment tests. */
@@ -101,7 +101,7 @@ TEST_F(SweepTest, MatchesSerialLoopAtEveryConcurrency)
         // A fresh runner per concurrency so cache population order
         // is also exercised under contention.
         ExperimentRunner r(test::profiles(), test::dvfs());
-        expectIdentical(serial, r.sweep(s, threads));
+        expectIdentical(serial, r.trySweep(s, threads).value());
     }
 }
 
@@ -147,7 +147,7 @@ TEST_F(SweepTest, ManyCoreMemoFirstUseMatchesSerialLoop)
         expectIdentical(serial, race(ran_once, threads));
 
         ExperimentRunner swept(test::profiles(), test::dvfs(), cfg);
-        expectIdentical(serial, swept.sweep(s, threads));
+        expectIdentical(serial, swept.trySweep(s, threads).value());
     }
 }
 
@@ -155,15 +155,15 @@ TEST_F(SweepTest, RepeatedSweepOnOneRunnerIsStable)
 {
     SweepSpec s = spec();
     ExperimentRunner r(test::profiles(), test::dvfs());
-    auto first = r.sweep(s, 4);
-    auto second = r.sweep(s, 4);
+    auto first = r.trySweep(s, 4).value();
+    auto second = r.trySweep(s, 4).value();
     expectIdentical(first, second);
 }
 
 TEST_F(SweepTest, EmptySpecYieldsEmptyResult)
 {
     ExperimentRunner r(test::profiles(), test::dvfs());
-    EXPECT_TRUE(r.sweep(SweepSpec{}, 4).empty());
+    EXPECT_TRUE(r.trySweep(SweepSpec{}, 4).value().empty());
 }
 
 TEST_F(SweepTest, TrySweepRejectsBadSpecsWithPointIndex)
@@ -194,10 +194,6 @@ TEST_F(SweepTest, TrySweepRejectsBadSpecsWithPointIndex)
     SweepSpec bad_budget;
     bad_budget.add({"mcf"}, "MaxBIPS", 0.0);
     EXPECT_FALSE(r.trySweep(bad_budget, 2).ok());
-
-    // Pure validation agrees without a runner.
-    EXPECT_TRUE(ExperimentRunner::validate(bad_policy).has_value());
-    EXPECT_FALSE(ExperimentRunner::validate(SweepSpec{}).has_value());
 }
 
 TEST_F(SweepTest, TrySweepMatchesSweepOnValidSpecs)
@@ -208,7 +204,7 @@ TEST_F(SweepTest, TrySweepMatchesSweepOnValidSpecs)
     ExperimentRunner r(test::profiles(), test::dvfs());
     auto tried = r.trySweep(s, 2);
     ASSERT_TRUE(tried.ok());
-    expectIdentical(r.sweep(s, 2), tried.value());
+    expectIdentical(r.trySweep(s, 2).value(), tried.value());
 }
 
 TEST_F(SweepTest, CancelTokenStopsSweepBetweenPoints)
@@ -217,11 +213,9 @@ TEST_F(SweepTest, CancelTokenStopsSweepBetweenPoints)
     ExperimentRunner r(test::profiles(), test::dvfs());
 
     // A pre-cancelled token: the sweep abandons the spec at its
-    // first checkpoint and returns a truncated result.
+    // first checkpoint and reports the cancellation.
     CancelToken cancelled;
     cancelled.cancel();
-    EXPECT_LT(r.sweep(s, 2, &cancelled).size(), s.size());
-
     auto tried = r.trySweep(s, 2, &cancelled);
     ASSERT_FALSE(tried.ok());
     EXPECT_TRUE(tried.error().cancelled);
@@ -241,7 +235,7 @@ TEST_F(SweepTest, CancelTokenStopsSweepBetweenPoints)
     auto ok = r.trySweep(s, 2, &live);
     ASSERT_TRUE(ok.ok());
     EXPECT_FALSE(live.cancelled());
-    expectIdentical(r.sweep(s, 2), ok.value());
+    expectIdentical(r.trySweep(s, 2).value(), ok.value());
 }
 
 TEST_F(SweepTest, ConcurrentRunnersShareOneProfileLibrary)
@@ -255,7 +249,7 @@ TEST_F(SweepTest, ConcurrentRunnersShareOneProfileLibrary)
     std::vector<PolicyEval> ra, rb;
     ThreadPool pool(2);
     pool.parallelFor(2, [&](std::size_t i) {
-        (i == 0 ? ra : rb) = (i == 0 ? a : b).sweep(s, 2);
+        (i == 0 ? ra : rb) = (i == 0 ? a : b).trySweep(s, 2).value();
     });
     expectIdentical(ra, rb);
 }
