@@ -139,8 +139,8 @@ fnv1a(std::string_view bytes)
     return h;
 }
 
-static void
-writeEscaped(std::string &out, const std::string &s)
+void
+formatString(std::string &out, std::string_view s)
 {
     out += '"';
     // Each run of bytes that need no escape goes out in one append.
@@ -149,7 +149,7 @@ writeEscaped(std::string &out, const std::string &s)
         const auto c = static_cast<unsigned char>(s[i]);
         if (c >= 0x20 && c != '"' && c != '\\')
             continue;
-        out.append(s, run, i - run);
+        out.append(s.substr(run, i - run));
         run = i + 1;
         switch (c) {
           case '"':
@@ -180,7 +180,7 @@ writeEscaped(std::string &out, const std::string &s)
           }
         }
     }
-    out.append(s, run);
+    out.append(s.substr(run));
     out += '"';
 }
 
@@ -198,7 +198,7 @@ Value::write(std::string &out, bool sorted) const
         formatDouble(out, std::get<double>(v));
         break;
       case Type::String:
-        writeEscaped(out, std::get<std::string>(v));
+        formatString(out, std::get<std::string>(v));
         break;
       case Type::Array: {
         out += '[';
@@ -234,7 +234,7 @@ Value::write(std::string &out, bool sorted) const
             const Member &m = ms.empty() ? obj[i] : *ms[i];
             if (i)
                 out += ',';
-            writeEscaped(out, m.first);
+            formatString(out, m.first);
             out += ':';
             m.second.write(out, sorted);
         }
@@ -250,6 +250,12 @@ Value::dump() const
     std::string out;
     write(out, false);
     return out;
+}
+
+void
+Value::dump(std::string &out) const
+{
+    write(out, false);
 }
 
 std::string

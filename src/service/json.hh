@@ -15,10 +15,13 @@
  *  - canonical() compact, object keys byte-sorted at every level
  *    (an object built in byte order is written without sorting).
  * Both print numbers with formatDouble() — the shortest "%.Ng" form
- * that reads back as the identical double — so equal values always
- * serialize to equal bytes and every number survives a
- * serialize/parse round trip bit-exactly. fnv1a() over canonical()
- * is the scenario cache key.
+ * that reads back as the identical double — and strings with
+ * formatString(), so equal values always serialize to equal bytes
+ * and every number survives a serialize/parse round trip
+ * bit-exactly. The service's hot writers (scenario text, payloads,
+ * the submit response) call those two directly, with no tree in
+ * between. fnv1a() over a scenario's canonical text is its cache
+ * key.
  */
 
 #ifndef GPM_SERVICE_JSON_HH
@@ -118,6 +121,9 @@ class Value
     /** Compact serialization, insertion order. */
     std::string dump() const;
 
+    /** dump(), appended to @p out. */
+    void dump(std::string &out) const;
+
     /** Compact serialization with byte-sorted object keys. */
     std::string canonical() const;
 
@@ -164,6 +170,11 @@ Expected<Value, ParseError> parse(std::string_view text);
  * different double), and then N + 1 digits are needed.
  */
 void formatDouble(std::string &out, double d);
+
+/** Append @p s to @p out as a JSON string literal: quoted, with
+ *  the quote, the backslash and every control character escaped,
+ *  and every other byte as it stands. */
+void formatString(std::string &out, std::string_view s);
 
 /** FNV-1a 64-bit hash of @p bytes. */
 std::uint64_t fnv1a(std::string_view bytes);

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -167,6 +168,7 @@ void
 Reactor::loop()
 {
     t_current = this;
+    pthread_setname_np(pthread_self(), "gpm-reactor");
     epoll_event evs[kMaxEvents];
     for (;;) {
         if (drainRequested.load(std::memory_order_acquire) &&

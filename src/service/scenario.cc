@@ -39,78 +39,152 @@ ScenarioSpec::clusterSpec() const
     return s;
 }
 
-Value
-ScenarioSpec::simJson() const
+namespace
 {
-    // Members are set in byte order, so canonical() need not sort
-    // them (here and in every builder below).
-    Value sim = Value::object();
-    sim.set("contention", contention);
-    sim.set("deltaSimUs", deltaSimUs);
-    sim.set("exploreUs", exploreUs);
+
+// The writers below append canonical JSON straight to one string.
+// Members go out in byte order of their keys, at every level, so the
+// text is what json::Value::canonical() prints for the same tree;
+// tests/reference_json.hh keeps those trees, and test_json_writers
+// compares the two byte for byte.
+
+/** Append @p key, a literal carrying its own punctuation (such as
+ *  ",\"bips\":"), then @p d. */
+void
+putNumber(std::string &out, std::string_view key, double d)
+{
+    out += key;
+    json::formatDouble(out, d);
+}
+
+/** putNumber() for a count. It prints through the double, in the same
+ *  "%g" form as every other number. */
+void
+putCount(std::string &out, std::string_view key, std::uint64_t n)
+{
+    putNumber(out, key, static_cast<double>(n));
+}
+
+/** Append @p key, then @p s as a JSON string. */
+void
+putString(std::string &out, std::string_view key, std::string_view s)
+{
+    out += key;
+    json::formatString(out, s);
+}
+
+/** Append @p xs as a JSON array of numbers. */
+void
+putNumbers(std::string &out, const std::vector<double> &xs)
+{
+    out += '[';
+    for (std::size_t i = 0; i < xs.size(); i++) {
+        if (i)
+            out += ',';
+        json::formatDouble(out, xs[i]);
+    }
+    out += ']';
+}
+
+/** Append @p names as a JSON array of strings. */
+void
+putNames(std::string &out, const std::vector<std::string> &names)
+{
+    out += '[';
+    for (std::size_t i = 0; i < names.size(); i++) {
+        if (i)
+            out += ',';
+        json::formatString(out, names[i]);
+    }
+    out += ']';
+}
+
+void
+writeSim(std::string &out, const ScenarioSpec &spec)
+{
+    out += "{\"contention\":";
+    out += spec.contention ? "true" : "false";
+    putNumber(out, ",\"deltaSimUs\":", spec.deltaSimUs);
+    putNumber(out, ",\"exploreUs\":", spec.exploreUs);
     // Only when non-zero: the default must serialize exactly as it
     // did before the knob existed, or every cached scenario hash
     // would be invalidated (same pattern as staticFit).
-    if (phaseShiftStride != 0.0)
-        sim.set("phaseShiftStride", phaseShiftStride);
-    sim.set("sensorNoise", sensorNoise);
-    return sim;
+    if (spec.phaseShiftStride != 0.0)
+        putNumber(out, ",\"phaseShiftStride\":", spec.phaseShiftStride);
+    putNumber(out, ",\"sensorNoise\":", spec.sensorNoise);
+    out += '}';
+}
+
+void
+writeCluster(std::string &out, const ClusterSpec &cl)
+{
+    // Cluster scenarios have a distinct canonical shape: a "cluster"
+    // object and no "combo" key, every chip explicit (replication
+    // counts are expanded at parse), per-chip shifts only when
+    // non-zero, the cluster knobs always explicit (new keys cannot
+    // collide with old hashes).
+    out += "{\"chips\":[";
+    for (std::size_t k = 0; k < cl.chips.size(); k++) {
+        const ChipSpec &chip = cl.chips[k];
+        out += k ? ",{\"combo\":" : "{\"combo\":";
+        putNames(out, chip.combo);
+        if (chip.phaseOffset != 0.0)
+            putNumber(out, ",\"phaseOffset\":", chip.phaseOffset);
+        if (chip.phaseShiftStride != 0.0)
+            putNumber(out, ",\"phaseShiftStride\":", chip.phaseShiftStride);
+        putString(out, ",\"policy\":", chip.policy);
+        out += '}';
+    }
+    putNumber(out, "],\"epochUs\":", cl.epochUs);
+    putCount(out, ",\"epochs\":", cl.epochs);
+    putCount(out, ",\"levels\":", cl.levels);
+    out += '}';
+}
+
+} // namespace
+
+std::string
+ScenarioSpec::simText() const
+{
+    std::string out;
+    writeSim(out, *this);
+    return out;
 }
 
 Value
-ScenarioSpec::canonicalJson() const
+ScenarioSpec::simJson() const
 {
-    Value o = Value::object();
-    Value bs = Value::array();
-    for (double b : budgets)
-        bs.push(b);
-    o.set("budgets", std::move(bs));
-    if (cluster) {
-        // Cluster scenarios have a distinct canonical shape: a
-        // "cluster" object and no "combo" key, every chip explicit
-        // (replication counts are expanded at parse), per-chip
-        // shifts only when non-zero, the cluster knobs always
-        // explicit (new keys cannot collide with old hashes).
-        Value cl = Value::object();
-        Value chips = Value::array();
-        for (const auto &chip : cluster->chips) {
-            Value ch = Value::object();
-            Value cc = Value::array();
-            for (const auto &name : chip.combo)
-                cc.push(name);
-            ch.set("combo", std::move(cc));
-            if (chip.phaseOffset != 0.0)
-                ch.set("phaseOffset", chip.phaseOffset);
-            if (chip.phaseShiftStride != 0.0)
-                ch.set("phaseShiftStride", chip.phaseShiftStride);
-            ch.set("policy", chip.policy);
-            chips.push(std::move(ch));
-        }
-        cl.set("chips", std::move(chips));
-        cl.set("epochUs", cluster->epochUs);
-        cl.set("epochs", static_cast<double>(cluster->epochs));
-        cl.set("levels", static_cast<double>(cluster->levels));
-        o.set("cluster", std::move(cl));
-    } else {
-        Value c = Value::array();
-        for (const auto &name : combo)
-            c.push(name);
-        o.set("combo", std::move(c));
-    }
-    o.set("policy", policy);
-    o.set("sim", simJson());
-    // staticFit only participates when it can change the result;
-    // deadlineMs never does (QoS-only), so it is absent entirely.
-    if (policy == "Static")
-        o.set("staticFit",
-              staticFit == StaticFit::Peak ? "peak" : "average");
-    return o;
+    return json::parse(simText()).value();
 }
 
 std::string
 ScenarioSpec::canonicalText() const
 {
-    return canonicalJson().canonical();
+    std::size_t cores = combo.size();
+    if (cluster)
+        cores = cluster->totalCores();
+    std::string out;
+    out.reserve(192 + 12 * cores + 24 * budgets.size());
+    out += "{\"budgets\":";
+    putNumbers(out, budgets);
+    if (cluster) {
+        out += ",\"cluster\":";
+        writeCluster(out, *cluster);
+    } else {
+        out += ",\"combo\":";
+        putNames(out, combo);
+    }
+    putString(out, ",\"policy\":", policy);
+    out += ",\"sim\":";
+    writeSim(out, *this);
+    // staticFit only participates when it can change the result;
+    // deadlineMs never does (QoS-only), so it is absent entirely.
+    if (policy == "Static")
+        out += staticFit == StaticFit::Peak
+            ? ",\"staticFit\":\"peak\""
+            : ",\"staticFit\":\"average\"";
+    out += '}';
+    return out;
 }
 
 std::uint64_t
@@ -528,17 +602,23 @@ namespace
 {
 
 /**
- * The payload around an already-built results array: "results"
- * sorts before "scenario", so splicing the scenario's canonical text
- * in after the array keeps the payload canonical without rebuilding
- * the scenario's tree.
+ * Open a payload: "results" sorts before "scenario", so the results
+ * go first and closePayload() splices the scenario's canonical text
+ * in after them.
  */
 std::string
-payloadJson(const Value &results, std::string_view scenarioText)
+openPayload(std::size_t results, std::string_view scenarioText)
 {
-    std::string out = "{\"results\":";
-    results.canonical(out);
-    out += ",\"scenario\":";
+    std::string out;
+    out.reserve(32 + 512 * results + scenarioText.size());
+    out += "{\"results\":[";
+    return out;
+}
+
+std::string
+closePayload(std::string out, std::string_view scenarioText)
+{
+    out += "],\"scenario\":";
     out += scenarioText;
     out += '}';
     return out;
@@ -550,35 +630,31 @@ std::string
 serializeResults(std::string_view scenarioText,
                  const std::vector<PolicyEval> &evals)
 {
-    Value results = Value::array();
-    for (const auto &ev : evals) {
-        Value r = Value::object();
-        r.set("budget", ev.budgetFrac);
-
-        Value mgr = Value::object();
-        mgr.set("decisions", ev.managerStats.decisions);
-        mgr.set("modeSwitches", ev.managerStats.modeSwitches);
-        mgr.set("overshoots", ev.managerStats.overshoots);
-        r.set("manager", std::move(mgr));
-
-        Value m = Value::object();
-        m.set("avgChipPowerW", ev.metrics.avgChipPowerW);
-        m.set("chipBips", ev.metrics.chipBips);
-        m.set("perfDegradation", ev.metrics.perfDegradation);
-        m.set("powerOverBudget", ev.metrics.powerOverBudget);
-        m.set("powerSavings", ev.metrics.powerSavings);
-        m.set("weightedSlowdown", ev.metrics.weightedSlowdown);
-        m.set("weightedSpeedupLoss",
-              ev.metrics.weightedSpeedupLoss);
-        r.set("metrics", std::move(m));
-
-        r.set("policy", ev.policy);
-        r.set("predBipsError", ev.predBipsError);
-        r.set("predPowerError", ev.predPowerError);
-
-        results.push(std::move(r));
+    std::string out = openPayload(evals.size(), scenarioText);
+    for (std::size_t i = 0; i < evals.size(); i++) {
+        const PolicyEval &ev = evals[i];
+        putNumber(out, i ? ",{\"budget\":" : "{\"budget\":",
+                  ev.budgetFrac);
+        putCount(out, ",\"manager\":{\"decisions\":",
+                 ev.managerStats.decisions);
+        putCount(out, ",\"modeSwitches\":", ev.managerStats.modeSwitches);
+        putCount(out, ",\"overshoots\":", ev.managerStats.overshoots);
+        putNumber(out, "},\"metrics\":{\"avgChipPowerW\":",
+                  ev.metrics.avgChipPowerW);
+        putNumber(out, ",\"chipBips\":", ev.metrics.chipBips);
+        putNumber(out, ",\"perfDegradation\":", ev.metrics.perfDegradation);
+        putNumber(out, ",\"powerOverBudget\":", ev.metrics.powerOverBudget);
+        putNumber(out, ",\"powerSavings\":", ev.metrics.powerSavings);
+        putNumber(out, ",\"weightedSlowdown\":",
+                  ev.metrics.weightedSlowdown);
+        putNumber(out, ",\"weightedSpeedupLoss\":",
+                  ev.metrics.weightedSpeedupLoss);
+        putString(out, "},\"policy\":", ev.policy);
+        putNumber(out, ",\"predBipsError\":", ev.predBipsError);
+        putNumber(out, ",\"predPowerError\":", ev.predPowerError);
+        out += '}';
     }
-    return payloadJson(results, scenarioText);
+    return closePayload(std::move(out), scenarioText);
 }
 
 std::string
@@ -593,51 +669,43 @@ serializeClusterResults(const ScenarioSpec &spec,
                         std::string_view scenarioText,
                         const std::vector<ClusterRunResult> &runs)
 {
-    Value results = Value::array();
+    std::string out = openPayload(runs.size(), scenarioText);
     for (std::size_t k = 0; k < runs.size(); k++) {
         const ClusterRunResult &run = runs[k];
-        Value r = Value::object();
-        r.set("budget", spec.budgets[k]);
-
-        Value chips = Value::array();
-        for (const auto &c : run.chips) {
-            Value ch = Value::object();
-            ch.set("awardedMeanW", c.awardedMeanW);
-            ch.set("bips", c.bips);
-            ch.set("decisions", c.managerStats.decisions);
-            ch.set("modeSwitches", c.managerStats.modeSwitches);
-            ch.set("overshoots", c.managerStats.overshoots);
-            ch.set("powerW", c.avgCorePowerW);
-            ch.set("refPowerW", c.refPowerW);
-            chips.push(std::move(ch));
+        putNumber(out, k ? ",{\"budget\":" : "{\"budget\":",
+                  spec.budgets[k]);
+        out += ",\"chips\":[";
+        for (std::size_t i = 0; i < run.chips.size(); i++) {
+            const ChipOutcome &c = run.chips[i];
+            putNumber(out, i ? ",{\"awardedMeanW\":" : "{\"awardedMeanW\":",
+                      c.awardedMeanW);
+            putNumber(out, ",\"bips\":", c.bips);
+            putCount(out, ",\"decisions\":", c.managerStats.decisions);
+            putCount(out, ",\"modeSwitches\":", c.managerStats.modeSwitches);
+            putCount(out, ",\"overshoots\":", c.managerStats.overshoots);
+            putNumber(out, ",\"powerW\":", c.avgCorePowerW);
+            putNumber(out, ",\"refPowerW\":", c.refPowerW);
+            out += '}';
         }
-        r.set("chips", std::move(chips));
-
-        Value epochs = Value::array();
-        for (const auto &t : run.epochs) {
-            Value e = Value::object();
-            Value awards = Value::array();
-            for (Watts w : t.awardsW)
-                awards.push(w);
-            e.set("awards", std::move(awards));
-            e.set("feasible", t.feasible);
-            e.set("predictedBips", t.predictedBips);
-            epochs.push(std::move(e));
+        out += "],\"epochs\":[";
+        for (std::size_t e = 0; e < run.epochs.size(); e++) {
+            const EpochTrace &t = run.epochs[e];
+            out += e ? ",{\"awards\":" : "{\"awards\":";
+            putNumbers(out, t.awardsW);
+            out += t.feasible ? ",\"feasible\":true"
+                              : ",\"feasible\":false";
+            putNumber(out, ",\"predictedBips\":", t.predictedBips);
+            out += '}';
         }
-        r.set("epochs", std::move(epochs));
-
-        Value m = Value::object();
-        m.set("budgetUtilization", run.budgetUtilization);
-        m.set("clusterBips", run.clusterBips);
-        m.set("clusterPowerW", run.clusterPowerW);
-        m.set("facilityBudgetW", run.facilityBudgetW);
-        r.set("metrics", std::move(m));
-
-        r.set("policy", spec.policy);
-
-        results.push(std::move(r));
+        putNumber(out, "],\"metrics\":{\"budgetUtilization\":",
+                  run.budgetUtilization);
+        putNumber(out, ",\"clusterBips\":", run.clusterBips);
+        putNumber(out, ",\"clusterPowerW\":", run.clusterPowerW);
+        putNumber(out, ",\"facilityBudgetW\":", run.facilityBudgetW);
+        putString(out, "},\"policy\":", spec.policy);
+        out += '}';
     }
-    return payloadJson(results, scenarioText);
+    return closePayload(std::move(out), scenarioText);
 }
 
 } // namespace gpm

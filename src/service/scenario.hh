@@ -72,7 +72,7 @@ struct ScenarioSpec
      * structured "deadline_exceeded" error instead of burning a
      * worker on a result nobody is waiting for. A QoS knob, not
      * part of the scenario's identity: it does NOT participate in
-     * canonicalJson()/hash(), so requests that differ only in
+     * canonicalText()/hash(), so requests that differ only in
      * deadline share one cache entry.
      */
     double deadlineMs = 0.0;
@@ -100,15 +100,17 @@ struct ScenarioSpec
      *  Cluster scenarios only. */
     ClusterSpec clusterSpec() const;
 
-    /** The sim-knob subsection of the canonical form (also the
-     *  service's runner-cache key). */
+    /** The sim-knob subsection of the canonical text, as written
+     *  there (also the service's runner-cache key). */
+    std::string simText() const;
+
+    /** simText(), parsed. */
     json::Value simJson() const;
 
-    /** Canonical JSON with every field explicit. */
-    json::Value canonicalJson() const;
-
-    /** canonicalJson().canonical(): the bytes the cache key hashes
-     *  and every payload echoes. */
+    /** Canonical JSON with every field explicit, written straight
+     *  to bytes (object keys byte-sorted, numbers by
+     *  json::formatDouble): the bytes the cache key hashes and every
+     *  payload echoes. */
     std::string canonicalText() const;
 
     /** Cache key: hashOf(canonicalText()). */

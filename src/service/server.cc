@@ -90,18 +90,6 @@ errorResponse(const Value &id, const std::string &code,
     return root.dump();
 }
 
-/** The "degraded": {from, to, reason} marker for responses the
- *  ladder served one or more rungs down. */
-Value
-degradedMarker(const ScenarioService::Response &r)
-{
-    Value d = Value::object();
-    d.set("from", r.degradedFrom);
-    d.set("to", r.degradedTo);
-    d.set("reason", r.degradedReason);
-    return d;
-}
-
 std::string
 okResponse(const Value &id, Value result)
 {
@@ -110,39 +98,6 @@ okResponse(const Value &id, Value result)
     root.set("ok", true);
     root.set("result", std::move(result));
     return root.dump();
-}
-
-/** @p head's members, then the already-serialized @p payload as
- *  "result", appended in place (with room for sendLine's newline)
- *  so cached and computed responses are byte-identical in their
- *  "result" field. */
-std::string
-withResult(const Value &head, const std::string &payload)
-{
-    static constexpr std::string_view key = ",\"result\":";
-    std::string out = head.dump();
-    out.pop_back(); // strip '}'
-    out.reserve(out.size() + key.size() + payload.size() + 2);
-    out += key;
-    out += payload;
-    out += '}';
-    return out;
-}
-
-/** A submit's response line. */
-std::string
-submitResponse(const Value &id, const ScenarioService::Response &r)
-{
-    if (!r.ok)
-        return errorResponse(id, r.errorCode, r.errorMessage,
-                             r.retryAfterMs);
-    Value head = Value::object();
-    head.set("id", id);
-    head.set("ok", true);
-    head.set("cached", r.cacheHit);
-    if (!r.degradedTo.empty())
-        head.set("degraded", degradedMarker(r));
-    return withResult(head, r.payload);
 }
 
 /** Frame one complete HTTP/1.0 response. */
@@ -164,6 +119,36 @@ httpResponse(int code, const char *status, const char *ctype,
 }
 
 } // namespace
+
+// Written straight to bytes; the reserve leaves room for
+// sendLine's newline.
+std::string
+submitResponse(const Value &id, const ScenarioService::Response &r)
+{
+    if (!r.ok)
+        return errorResponse(id, r.errorCode, r.errorMessage,
+                             r.retryAfterMs);
+    std::string out;
+    out.reserve(96 + r.degradedFrom.size() + r.degradedTo.size() +
+                r.payload.size());
+    out += "{\"id\":";
+    id.dump(out);
+    out += r.cacheHit ? ",\"ok\":true,\"cached\":true"
+                      : ",\"ok\":true,\"cached\":false";
+    if (!r.degradedTo.empty()) {
+        out += ",\"degraded\":{\"from\":";
+        json::formatString(out, r.degradedFrom);
+        out += ",\"to\":";
+        json::formatString(out, r.degradedTo);
+        out += ",\"reason\":";
+        json::formatString(out, r.degradedReason);
+        out += '}';
+    }
+    out += ",\"result\":";
+    out += r.payload;
+    out += '}';
+    return out;
+}
 
 void
 GpmServer::sendLine(const std::shared_ptr<ReactorConn> &conn,

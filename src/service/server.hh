@@ -70,6 +70,16 @@
 namespace gpm
 {
 
+/**
+ * The response line, without its newline, to a submit with request
+ * id @p id that came out as @p r: the error envelope when !r.ok,
+ * else {"id", "ok": true, "cached", "degraded" when the ladder
+ * served a rung down, "result": the payload as it stands}, so cached
+ * and computed responses are byte-identical in their "result".
+ */
+std::string submitResponse(const json::Value &id,
+                           const ScenarioService::Response &r);
+
 class GpmServer : private ReactorHandler
 {
   public:

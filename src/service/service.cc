@@ -1,5 +1,7 @@
 #include "service/service.hh"
 
+#include <pthread.h>
+
 #include <exception>
 #include <future>
 #include <stdexcept>
@@ -63,7 +65,7 @@ ScenarioService::~ScenarioService() { drain(); }
 ExperimentRunner &
 ScenarioService::runnerFor(const ScenarioSpec &spec)
 {
-    std::string key = spec.simJson().canonical();
+    std::string key = spec.simText();
     std::lock_guard<std::mutex> lock(runnersMtx);
     auto &slot = runners[key];
     if (!slot)
@@ -410,6 +412,7 @@ ScenarioService::executeCluster(Job &job, const ScenarioSpec &spec,
 void
 ScenarioService::workerLoop()
 {
+    pthread_setname_np(pthread_self(), "gpm-worker");
     for (;;) {
         std::unique_ptr<Job> job;
         {
@@ -431,6 +434,7 @@ ScenarioService::workerLoop()
         // What the request costs this worker, from the pop to the
         // completion callback's return, feeds admission's estimate.
         const auto popped = std::chrono::steady_clock::now();
+        const std::uint64_t published = lib.publishedCount();
         // Frees the client's fairness slot whether the job runs,
         // sheds, or crashes.
         admission->onDequeue(job->clientId);
@@ -481,9 +485,12 @@ ScenarioService::workerLoop()
         // Feed the admission EWMAs from actual computations only (a
         // degraded-cache hit says nothing about the solver's cost),
         // keyed by the policy that served; the key is taken before
-        // the response moves into the callback.
+        // the response moves into the callback. A request during
+        // which a profile was built or loaded timed that build, not
+        // the policy, so it records nothing: after a cold-store
+        // start its sample would sit thousands of times too high.
         std::string serviceKey;
-        if (r.ok && !r.cacheHit)
+        if (r.ok && !r.cacheHit && lib.publishedCount() == published)
             serviceKey = AdmissionController::serviceKeyFor(
                 r.degradedTo.empty() ? job->spec.policy : r.degradedTo,
                 job->spec.cluster.has_value());

@@ -440,6 +440,7 @@ ProfileLibrary::publishLocked(Slot &s, WorkloadProfile &&p,
     s.profile = std::move(p);
     s.state = Slot::State::Ready;
     counters.ready++;
+    published.fetch_add(1, std::memory_order_relaxed);
     if (fromDisk) {
         counters.diskHits++;
     } else {

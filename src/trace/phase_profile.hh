@@ -20,6 +20,7 @@
 #ifndef GPM_TRACE_PHASE_PROFILE_HH
 #define GPM_TRACE_PHASE_PROFILE_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -319,6 +320,15 @@ class ProfileLibrary
 
     ProfileLibraryStats stats() const;
 
+    /** Profiles published (built or loaded) so far: stats().ready,
+     *  read without the lock, so a caller can tell cheaply whether
+     *  a profile was published while it ran. */
+    std::uint64_t
+    publishedCount() const
+    {
+        return published.load(std::memory_order_relaxed);
+    }
+
   private:
     /** One profile entry; its address never changes once created. */
     struct Slot
@@ -351,6 +361,8 @@ class ProfileLibrary
     std::map<std::string, std::unique_ptr<Slot>> slots;
     std::unique_ptr<ProfileStore> store;
     ProfileLibraryStats counters;
+    /** counters.ready, bumped with it; see publishedCount(). */
+    std::atomic<std::uint64_t> published{0};
 };
 
 } // namespace gpm

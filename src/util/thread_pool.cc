@@ -1,5 +1,7 @@
 #include "thread_pool.hh"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -78,7 +80,10 @@ defaultConcurrency()
         if (v > 0)
             return static_cast<std::size_t>(v);
     }
-    unsigned hw = std::thread::hardware_concurrency();
+    // Read once: glibc answers hardware_concurrency() by opening and
+    // reading /sys/devices/system/cpu/online on every call, a few µs
+    // a request would otherwise spend on each sweep.
+    static const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
 
@@ -113,6 +118,7 @@ void
 ThreadPool::workerLoop()
 {
     inside_pool_worker = true;
+    pthread_setname_np(pthread_self(), "gpm-pool");
     for (;;) {
         std::function<void()> task;
         {

@@ -48,7 +48,8 @@ namespace gpm
 {
 
 /** Concurrency to use when the caller passes 0: GPM_THREADS when
- *  set (and > 0), otherwise std::thread::hardware_concurrency(). */
+ *  set (and > 0), read on every call, otherwise
+ *  std::thread::hardware_concurrency(), read once per process. */
 std::size_t defaultConcurrency();
 
 class ThreadPool

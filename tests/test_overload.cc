@@ -512,6 +512,47 @@ TEST_F(OverloadServiceTest, EstimateCoversTheCompletionCallback)
     EXPECT_GE(ac.serviceTimeMs("MaxBIPS"), 20.0);
 }
 
+TEST_F(OverloadServiceTest, ProfileBuildDoesNotSeedTheEstimate)
+{
+    // Over a fresh store the first request builds mcf and crafty; it
+    // timed the build, not MaxBIPS, so it must leave no estimate
+    // behind, or admission would shed MaxBIPS deadline requests on a
+    // figure thousands of times too high.
+    test::TempDir store;
+    ProfileLibrary lib(test::dvfs(), 0.03);
+    lib.attachStore(store.path());
+    ServiceOptions opts;
+    opts.workers = 1;
+    ScenarioService svc(lib, test::dvfs(), opts);
+    AdmissionController &ac = svc.admissionController();
+
+    auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(svc.submit(scenario()).ok);
+    const double firstMs = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    ASSERT_EQ(lib.stats().builds, 2u);
+
+    // The one worker runs the second request only after it has
+    // finished with the first, and records the second's sample only
+    // after its callback returns: inside the callback, the estimate
+    // holds what the first request left.
+    ScenarioSpec warm = scenario();
+    warm.budgets = {0.7};
+    std::promise<double> seen;
+    svc.submitAsync(warm, [&](ScenarioService::Response &&r) {
+        EXPECT_TRUE(r.ok);
+        seen.set_value(ac.serviceTimeMs("MaxBIPS"));
+    });
+    EXPECT_EQ(seen.get_future().get(), 0.0);
+    for (int i = 0; i < 10000 && ac.serviceTimeMs("MaxBIPS") == 0.0;
+         i++)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(ac.serviceTimeMs("MaxBIPS"), 0.0);
+    EXPECT_LT(ac.serviceTimeMs("MaxBIPS"), firstMs);
+    EXPECT_EQ(lib.stats().builds, 2u);
+}
+
 TEST_F(OverloadServiceTest, BusyRejectionCarriesRetryHint)
 {
     ServiceOptions opts;
